@@ -4,8 +4,11 @@ Elements are lists of square complex blocks; linear functionals are stored by
 block densities, phi(x) = sum_k Tr(rho_k x_k), which covers every bounded
 functional in finite dimensions and turns positivity and normalization into
 eigenvalue checks.  The GNS construction returns the coordinate map onto an
-orthonormal basis of the quotient, built by Gram-Schmidt over the matrix-unit
-basis in index order so that bases line up canonically across runs.
+orthonormal basis of the quotient.  Its Gram matrix repeats the n x n matrix
+rho_k^T along the rows of block k, so the basis is built by one Gram-Schmidt
+per block, over the matrix units in index order, and placed along the rows:
+the cost follows the block sizes, not the square of the algebra's dimension,
+and bases line up canonically across runs.
 """
 from __future__ import annotations
 
@@ -242,28 +245,61 @@ def gram_matrix(algebra: FiniteCStarAlgebra, phi: LinearFunctional) -> np.ndarra
 
 
 def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEFAULT_TOL) -> GnsData:
-    """GNS coordinates for a state phi.
+    """GNS coordinates for a state phi, built block by block.
 
-    The quotient dimension is the numerical rank of the Gram matrix
-    (eigenvalues <= eps * lambda_max count as kernel).  The orthonormal basis
-    is produced by modified Gram-Schmidt over the matrix-unit basis in index
-    order, which keeps the basis canonical under structural degeneracy.
+    The Gram matrix is G = (+)_k kron(I_n, rho_k^T): block diagonal, and the
+    same n x n matrix rho_k^T on every row of block k.  Modified Gram-Schmidt
+    over the matrix units in index order therefore never mixes rows, so it is
+    run once per block, on rho_k^T alone, giving coefficients C_k (n x r_k);
+    eta and lift are kron(I_n, C_k^* rho_k^T) and kron(I_n, C_k) along the
+    diagonal.  The basis order is block, then row, then Gram-Schmidt order,
+    which keeps it canonical under structural degeneracy.
+
+    The quotient dimension is the numerical rank of G: eigenvalues <= eps *
+    lambda_max count as kernel, with lambda_max taken over all blocks, so the
+    rank is sum_k n_k * r_k.  The dim x dim Gram matrix is never formed.
     """
     neg, norm_err = phi.state_residuals()
     if neg > tol.eps or norm_err > tol.eps:
         raise ValueError(
             f"not a state: positivity residual {neg:.3g}, trace error {norm_err:.3g}"
         )
-    g = gram_matrix(algebra, phi)
-    evals = np.linalg.eigvalsh(g)
-    lam_max = float(evals[-1]) if evals.size else 0.0
+    grams = [rho.T for rho in phi.densities]
+    evals = [np.linalg.eigvalsh(g) for g in grams]
+    lam_max = max(float(ev[-1]) for ev in evals)
     threshold = tol.eps * max(lam_max, 0.0)
-    rank = int(np.sum(evals > threshold))
+    factors = [
+        _gram_schmidt(g, int(np.sum(ev > threshold)), threshold)
+        for g, ev in zip(grams, evals)
+    ]
+    rank = sum(n * c.shape[1] for n, c in zip(algebra.blocks, factors))
+    eta = np.zeros((rank, algebra.dim), dtype=complex)
+    lift = np.zeros((algebra.dim, rank), dtype=complex)
+    row = 0
+    for n, g, c, off in zip(algebra.blocks, grams, factors, block_offsets(algebra.blocks)):
+        eta_k = c.conj().T @ g
+        r = c.shape[1]
+        for i in range(n):
+            cols = slice(off + i * n, off + (i + 1) * n)
+            eta[row:row + r, cols] = eta_k
+            lift[cols, row:row + r] = c
+            row += r
+    return GnsData(dim=rank, eta=eta, lift=lift, gram_rank_tol=tol)
 
-    coeffs = []  # rows w_i: the i-th ONB vector is sum_a w_i[a] * coset(e_a)
-    dim = algebra.dim
-    for a in range(dim):
-        u = np.zeros(dim, dtype=complex)
+
+def _gram_schmidt(g: np.ndarray, rank: int, threshold: float) -> np.ndarray:
+    """Modified Gram-Schmidt of the unit vectors under the PSD form g.
+
+    Returns the coefficients (n x rank): column m expresses the m-th
+    orthonormal vector in the unit vectors, which are taken in index order
+    and dropped when their residual norm^2 is <= threshold.
+    """
+    n = g.shape[0]
+    coeffs = []
+    for a in range(n):
+        if len(coeffs) == rank:
+            break
+        u = np.zeros(n, dtype=complex)
         u[a] = 1.0
         for _ in range(2):  # re-orthogonalize once for stability
             for w in coeffs:
@@ -271,14 +307,11 @@ def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEF
         nrm2 = float((u.conj() @ g @ u).real)
         if nrm2 > threshold:
             coeffs.append(u / np.sqrt(nrm2))
-        if len(coeffs) == rank:
-            break
     if len(coeffs) != rank:
         raise ArithmeticError(
             f"Gram-Schmidt found {len(coeffs)} vectors but Gram rank is {rank}"
         )
-    w = np.array(coeffs).reshape(rank, dim)
-    return GnsData(dim=rank, eta=w.conj() @ g, lift=w.T, gram_rank_tol=tol)
+    return np.array(coeffs).reshape(rank, n).T
 
 
 def is_idempotent_wrt(

@@ -45,10 +45,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(mats) -> np.ndarray:
-    return reduce(np.kron, (as_matrix(m) for m in mats))
-
-
 def is_isometry(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     """v* v == identity, entrywise within eps (long matrices only)."""
     v = as_matrix(v)
@@ -56,11 +52,6 @@ def is_isometry(v, tol: Tolerance = DEFAULT_TOL) -> bool:
         return False
     gram = v.conj().T @ v
     return max_abs(gram - np.eye(v.shape[1])) <= tol.eps
-
-
-def is_unitary(u, tol: Tolerance = DEFAULT_TOL) -> bool:
-    u = as_matrix(u)
-    return u.shape[0] == u.shape[1] and is_isometry(u, tol) and is_isometry(u.conj().T, tol)
 
 
 def is_projection(p, tol: Tolerance = DEFAULT_TOL) -> bool:

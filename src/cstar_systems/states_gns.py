@@ -193,6 +193,19 @@ def _functional_from_row(alg: FiniteCStarAlgebra, row: np.ndarray) -> LinearFunc
 
 # -- GNS systems ---------------------------------------------------------------
 
+class GnsIsometryError(ValueError):
+    """V[r,s,t] of a GNS system is not an isometry: the family is not co-multiplicative."""
+
+    def __init__(self, triple: Triple, residual: float):
+        r, s, t = triple
+        super().__init__(
+            f"V({r},{s},{t}) fails isometry (residual {residual:.3g}); "
+            "the family is not co-multiplicative"
+        )
+        self.triple = triple
+        self.residual = residual
+
+
 @dataclass
 class GnsSystem:
     """Per-pair GNS data and per-triple isometries forming a Hilbert system."""
@@ -211,10 +224,8 @@ def _tensor_gns_unitary(a: FiniteCStarAlgebra, b: FiniteCStarAlgebra,
                         ga: GnsData, gb: GnsData, gab: GnsData) -> np.ndarray:
     """The unitary H_a (x) H_b -> H_ab sending eta(x) (x) eta(y) to eta(x (x) y)."""
     perm = tensor_perm(a.blocks, b.blocks)
-    scatter = np.zeros((a.dim * b.dim, a.dim * b.dim), dtype=complex)
-    scatter[perm, np.arange(perm.size)] = 1.0
     lifted = np.kron(ga.lift, gb.lift)  # coords -> representative vec (x) vec
-    return gab.eta @ scatter @ lifted
+    return gab.eta[:, perm] @ lifted  # columns of eta reordered to vec (x) vec
 
 
 def gns_isometry(sys: TensorialSystem, fam: FunctionalFamily, r, s, t,
@@ -239,8 +250,8 @@ def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
                tol: Tolerance = DEFAULT_TOL) -> GnsSystem:
     """Assemble the per-pair GNS spaces into a Hilbert-space system.
 
-    Fails if some V is not an isometry within tolerance, which signals a
-    family that is not co-multiplicative.
+    Raises GnsIsometryError if some V is not an isometry within tolerance,
+    which signals a family that is not co-multiplicative.
     """
     if not fam.is_counit(tol):
         raise ValueError("the functional family must consist of states")
@@ -252,10 +263,7 @@ def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
         v = gns_isometry(sys, fam, r, s, t, cache, tol)
         if not is_isometry(v, Tolerance(max(tol.eps, 1e-7))):
             res = max_abs(v.conj().T @ v - np.eye(v.shape[1]))
-            raise ValueError(
-                f"V({r},{s},{t}) fails isometry (residual {res:.3g}); "
-                "the family is not co-multiplicative"
-            )
+            raise GnsIsometryError((r, s, t), res)
         isometries[(r, s, t)] = v
     gns_data = {pair: cache[pair] for pair in sys.grid.pairs()}
     return GnsSystem(sys=sys, fam=fam, gns_data=gns_data, isometries=isometries)

@@ -14,7 +14,7 @@ from cstar_systems.algebra import (
     trace_functional,
     vector_state,
 )
-from cstar_systems.linalg import max_abs, numerical_rank, superop_from_conjugation
+from cstar_systems.linalg import DEFAULT_TOL, max_abs, numerical_rank, superop_from_conjugation
 
 RNG = np.random.default_rng(7)
 
@@ -147,6 +147,90 @@ class TestGns:
         phi = LinearFunctional(M3, [np.diag([0.5, 0.5, 0.0])])
         data = gns(M3, phi)
         assert max_abs(data.eta @ data.lift - np.eye(data.dim)) < 1e-12
+
+
+def dense_gns_reference(alg, phi, tol=DEFAULT_TOL):
+    """Modified Gram-Schmidt over all matrix units under the dense Gram matrix.
+
+    The unfactored construction: returns (rank, eta, lift) with the basis in
+    matrix-unit index order and the rank threshold eps * lambda_max of G.
+    """
+    g = gram_matrix(alg, phi)
+    evals = np.linalg.eigvalsh(g)
+    threshold = tol.eps * max(float(evals[-1]), 0.0)
+    rank = int(np.sum(evals > threshold))
+    coeffs = []
+    for a in range(alg.dim):
+        u = np.zeros(alg.dim, dtype=complex)
+        u[a] = 1.0
+        for _ in range(2):
+            for w in coeffs:
+                u = u - w * (w.conj() @ g @ u)
+        nrm2 = float((u.conj() @ g @ u).real)
+        if nrm2 > threshold:
+            coeffs.append(u / np.sqrt(nrm2))
+        if len(coeffs) == rank:
+            break
+    w = np.array(coeffs).reshape(rank, alg.dim)
+    return rank, w.conj() @ g, w.T
+
+
+def random_density(rng, n, rank=None):
+    rank = n if rank is None else rank
+    a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    return a @ a.conj().T
+
+
+def random_state(rng, blocks, ranks=None):
+    ranks = ranks or [None] * len(blocks)
+    rhos = [random_density(rng, n, r) for n, r in zip(blocks, ranks)]
+    total = sum(np.trace(r).real for r in rhos)
+    alg = FiniteCStarAlgebra(blocks)
+    return alg, LinearFunctional(alg, [r / total for r in rhos])
+
+
+def _factored_cases():
+    rng = np.random.default_rng(11)
+    cases = {
+        "faithful (1,2,3)": random_state(rng, (1, 2, 3)),
+        "faithful (2,2)": random_state(rng, (2, 2)),
+        "faithful M4": random_state(rng, (4,)),
+        "rank-deficient (3,2)": random_state(rng, (3, 2), ranks=[1, 2]),
+        "rank-2 density on M3": random_state(rng, (3,), ranks=[2]),
+        "vector state on (2,3)": (FiniteCStarAlgebra([2, 3]),
+                                  vector_state(FiniteCStarAlgebra([2, 3]), block=1, index=2)),
+        "rank-2 diagonal on M3": (M3, LinearFunctional(M3, [np.diag([0.5, 0.5, 0.0])])),
+    }
+    # block 1 has eigenvalues near 1e-10: above eps * its own lambda_max, but
+    # below eps * the global lambda_max, so the whole block is kernel
+    alg = FiniteCStarAlgebra([2, 2])
+    tiny = 1e-10 * np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+    cases["global threshold (2,2)"] = (
+        alg, LinearFunctional(alg, [np.diag([0.7, 0.3 - 1e-10]), tiny]))
+    return cases
+
+
+FACTORED_CASES = _factored_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_CASES))
+def test_factored_gns_matches_dense_gram_schmidt(name):
+    alg, phi = FACTORED_CASES[name]
+    rank, eta, lift = dense_gns_reference(alg, phi)
+    data = gns(alg, phi)
+    assert data.dim == rank
+    assert data.eta.shape == eta.shape and data.lift.shape == lift.shape
+    assert max_abs(data.eta - eta) < 1e-12
+    assert max_abs(data.lift - lift) < 1e-12
+
+
+def test_global_threshold_drops_a_block_above_its_own_threshold():
+    alg, phi = FACTORED_CASES["global threshold (2,2)"]
+    tiny = np.linalg.eigvalsh(phi.densities[1])
+    big = np.linalg.eigvalsh(phi.densities[0])
+    assert tiny.min() > DEFAULT_TOL.eps * tiny.max()
+    assert tiny.max() < DEFAULT_TOL.eps * big.max()
+    assert gns(alg, phi).dim == 2 * 2
 
 
 class TestIdempotentFunctionals:

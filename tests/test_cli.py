@@ -1,10 +1,26 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cstar_systems.cli import ALL_SUITES, ConfigError, RunConfig, build_setup, main, run
+from cstar_systems.algebra import FiniteCStarAlgebra, LinearFunctional, functional_tensor
+from cstar_systems.cli import (
+    ALL_SUITES,
+    ConfigError,
+    RunConfig,
+    associativity_residual,
+    build_setup,
+    main,
+    run,
+    run_algebra,
+)
+from cstar_systems.linalg import max_abs
+
+ORACLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle.json"
 
 BASE = {
     "grid": ["1", "2", "3"],
@@ -204,6 +220,37 @@ def test_perturbed_system_fails_with_visible_residual():
     assert max(r.get("residual", 0.0) for r in failing) >= 1e-4
 
 
+def test_streamed_associativity_residual_equals_dense_residual():
+    rng = np.random.default_rng(3)
+    alg = FiniteCStarAlgebra([1, 2, 3])
+    densities = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                 for n in alg.blocks]
+    phi = LinearFunctional(alg, densities)
+    lhs = functional_tensor(functional_tensor(phi, phi), phi).row()
+    rhs = functional_tensor(phi, functional_tensor(phi, phi)).row()
+    dense = max_abs(lhs - rhs)
+    assert dense > 0.0  # rounding differs between the two bracketings
+    assert associativity_residual(phi) == dense
+
+
+def test_algebra_suite_memory_stays_bounded_on_m16():
+    cfg = config(
+        grid=["1", "2", "3"],
+        system={"kind": "glue_hilbert", "cell_dims": [4, 4]},
+        suites=["algebra"],
+        dim_cap=65536,
+    )
+    setup = build_setup(cfg)
+    tracemalloc.start()
+    try:
+        report = run_algebra(setup, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 128 * 2**20
+
+
 def test_dimension_cap_is_a_config_error(tmp_path):
     raw = dict(BASE)
     raw["grid"] = ["1", "2", "3", "4", "5", "6"]
@@ -259,6 +306,19 @@ class TestMainEntryPoint:
         raw = dict(BASE, perturb_delta={"epsilon": 1e-3})
         path = self.write(tmp_path, raw)
         assert main(["--config", str(path)]) == 1
+
+    def test_gns_suite_reports_a_non_isometric_system(self, tmp_path):
+        raw = json.loads(ORACLE_CONFIG.read_text())
+        raw.update(suites=["gns"], perturb_delta={"epsilon": 1e-3})
+        path = self.write(tmp_path, raw)
+        report = tmp_path / "out.json"
+        assert main(["--config", str(path), "--report", str(report)]) == 1
+        records = json.loads(report.read_text())["suites"]["gns"]["records"]
+        assert [r["check"] for r in records] == ["gns_system_isometry"]
+        (record,) = records
+        assert record["pass"] is False
+        assert record["params"] == {"r": "1", "s": "2", "t": "3"}
+        assert record["residual"] > 1e-4
 
     def test_console_entry_point_runs(self, tmp_path):
         path = self.write(tmp_path, BASE)
