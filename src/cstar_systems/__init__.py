@@ -15,6 +15,8 @@ from .timegrid import (
     inner_decompose,
     is_refinement,
     outer_decompose,
+    refinement_chains,
+    refinement_pairs,
 )
 from .linalg import (
     Superoperator,
@@ -91,7 +93,6 @@ from .commutative import (
     check_measure_family,
     check_mult_system,
     glue_system,
-    partition_maps_commutative,
     point_split,
     to_cstar,
 )

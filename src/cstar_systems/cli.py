@@ -15,6 +15,7 @@ import sys as _sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -79,6 +80,7 @@ from .partition_calculus import (
     sharp_embedding,
     sharp_germ,
     state_on_partition,
+    unit_germ,
     unit_on_partition,
 )
 from .report import CheckRecord, Report
@@ -89,9 +91,9 @@ from .serialize import (
     superop_from_json,
 )
 from .states_gns import (
+    GermFunctional,
     GnsIsometryError,
     build_idempotent_state,
-    counit_dilation_eval,
     dilation_isomorphism_check,
     gns_system,
     gns_unit_vector_residual,
@@ -119,7 +121,7 @@ from .systems import (
     trivial_from_bialgebra,
     trivial_unit,
 )
-from .timegrid import Partition, format_timepoint
+from .timegrid import Partition, format_timepoint, refinement_chains, refinement_pairs
 
 ALL_SUITES = ("axioms", "partition", "dilation", "algebra", "gns", "commutative", "morphism")
 
@@ -221,10 +223,7 @@ def _glue_cell_state(sys: TensorialSystem, cell_dims: list[int]) -> FunctionalFa
         cell_density[(a, b)] = np.diag(w / w.sum())
     functionals = {}
     for (s, t) in grid.pairs():
-        rho = None
-        for (a, b), dens in cell_density.items():
-            if s <= a and b <= t:
-                rho = dens if rho is None else np.kron(rho, dens)
+        rho = reduce(np.kron, [cell_density[cell] for cell in grid.cells(s, t)])
         functionals[(s, t)] = LinearFunctional(sys.alg(s, t), [rho])
     return FunctionalFamily(functionals)
 
@@ -459,9 +458,7 @@ def run_partition(setup: Setup, rng) -> Report:
             max(max_abs(rec.matrix - left.matrix), max_abs(rec.matrix - right.matrix)),
             tol.eps,
         )
-    pairs = [(i, j) for i in sharp for j in sharp
-             if i != j and set(i.points) <= set(j.points)]
-    for coarse, fine in pairs:
+    for coarse, fine in refinement_pairs(sharp):
         lhs = delta_interval_to_partition(sys, fine)
         rhs = delta_refinement(sys, coarse, fine).matrix @ \
             delta_interval_to_partition(sys, coarse).matrix
@@ -499,10 +496,7 @@ def run_partition(setup: Setup, rng) -> Report:
                 {"I": coarse, "J": fine},
                 max_abs(row - state_on_partition(setup.counit, coarse).row()), tol.eps,
             )
-    chains = [(i, j, k) for i in sharp for j in sharp for k in sharp
-              if set(i.points) <= set(j.points) <= set(k.points)
-              and i != j and j != k]
-    for i, j, k in chains:
+    for i, j, k in refinement_chains(sharp):
         lhs = delta_refinement(sys, i, k).matrix
         rhs = delta_refinement(sys, j, k).matrix @ delta_refinement(sys, i, j).matrix
         report.residual_record(
@@ -516,10 +510,9 @@ def run_partition(setup: Setup, rng) -> Report:
             for (s, t) in sys.grid.pairs()
         )
         cross = _cross_partitions(setup)
-        cross_pairs = [(i, j) for i in cross for j in cross
-                       if i != j and set(i.points) <= set(j.points)
-                       and i.endpoints != j.endpoints]
-        for coarse, fine in cross_pairs:
+        for coarse, fine in refinement_pairs(cross):
+            if coarse.endpoints == fine.endpoints:
+                continue
             if normalized:
                 row = state_on_partition(setup.counit, fine).row() @ \
                     delta_cross(sys, setup.unit, coarse, fine).matrix
@@ -537,10 +530,7 @@ def run_partition(setup: Setup, rng) -> Report:
                 {"I": coarse, "J": fine},
                 max_abs(lhs_p - unit_on_partition(setup.unit, fine).vec()), tol.eps,
             )
-        cross_chains = [(i, j, k) for i in cross for j in cross for k in cross
-                        if set(i.points) <= set(j.points) <= set(k.points)
-                        and i != j and j != k]
-        for i, j, k in cross_chains:
+        for i, j, k in refinement_chains(cross):
             lhs = delta_cross(sys, setup.unit, i, k).matrix
             rhs = delta_cross(sys, setup.unit, j, k).matrix @ \
                 delta_cross(sys, setup.unit, i, j).matrix
@@ -628,11 +618,10 @@ def run_dilation(setup: Setup, rng) -> Report:
                     {"r": r, "s": s}, res, tol.eps,
                 )
         # group-like unit germ
-        ref = cross_germ(sys, Partition([lo, grid.points[1]]),
-                         unit_on_partition(setup.unit, Partition([lo, grid.points[1]])))
+        ref = unit_germ(sys, setup.unit, Partition([lo, grid.points[1]]))
         for (s, t) in intervals:
             part = Partition([s, t])
-            pg = cross_germ(sys, part, unit_on_partition(setup.unit, part))
+            pg = unit_germ(sys, setup.unit, part)
             report.residual_record(
                 "unit_germ_interval_independent",
                 "the padded germ of p(s,t) does not depend on (s,t)",
@@ -776,6 +765,12 @@ def run_gns(setup: Setup, rng) -> Report:
             detail="the co-unit family is not co-multiplicative",
         ))
         return report
+    # gns_system tests isometry at a looser threshold than tol, and the dilated
+    # functional is well defined only on a co-multiplicative family
+    comult = check_comultiplicative(sys, fam, tol)
+    if not comult.passed:
+        report.records.extend(comult.failures())
+        return report
     hs = gsys.hilbert_system()
     report.extend(check_hilbert_axioms(hs, tol))
     if setup.hilbert is not None and sys.kind == "diagonal":
@@ -787,22 +782,21 @@ def run_gns(setup: Setup, rng) -> Report:
                 tol.eps,
             )
     # dilated functional evaluation is representative independent
+    germ_phi = GermFunctional(fam)
     sharp = _sharp_partitions(setup)
-    base = sharp[0]
-    for fine in sharp[1:]:
-        if not set(base.points) <= set(fine.points):
+    pairs = refinement_pairs(sharp)
+    for base, fine in pairs:
+        if base != sharp[0]:
             continue
         x = partition_algebra(sys, base).random_element(rng)
         g1 = sharp_germ(sys, base, x)
         pushed = partition_algebra(sys, fine).from_vec(
             delta_refinement(sys, base, fine).apply(x.vec()))
         g2 = sharp_germ(sys, fine, pushed)
-        v1 = counit_dilation_eval(sys, fam, g1, tol)
-        v2 = counit_dilation_eval(sys, fam, g2, tol)
         report.residual_record(
             "dilated_functional_representative_independent",
             "the dilated functional agrees on equivalent representatives",
-            {"I": base, "J": fine}, abs(v1 - v2), tol.eps,
+            {"I": base, "J": fine}, abs(germ_phi(g1) - germ_phi(g2)), tol.eps,
         )
     if setup.unit is not None:
         normalized = all(
@@ -833,9 +827,7 @@ def run_gns(setup: Setup, rng) -> Report:
                 "the marginals of the germ state are the original co-unit",
                 {}, res, 1e-12,
             )
-    chains = [(i, k) for i in sharp for k in sharp
-              if i != k and set(i.points) <= set(k.points)]
-    report.extend(dilation_isomorphism_check(sys, fam, chains, tol, unit=setup.unit,
+    report.extend(dilation_isomorphism_check(sys, fam, pairs, tol, unit=setup.unit,
                                              negative_control=True))
     return report
 
@@ -864,35 +856,27 @@ def run_commutative(setup: Setup, rng) -> Report:
                 passed=check_unit(cstar, indicator_unit(cstar, 0), setup.tol).passed,
             ))
         grid = mult.grid
-        parts = enumerate_all_partitions(grid, min(4, setup.config.max_interior_points + 2))
-        for coarse in parts:
-            for fine in parts:
-                if coarse == fine or not set(coarse.points) <= set(fine.points):
-                    continue
-                point_map = chi_cross(mult, coarse, fine)
-                lifted = superop_from_point_map(point_map, space_on_partition(mult, coarse))
-                if coarse.endpoints == fine.endpoints:
-                    alg_map = delta_refinement(cstar, coarse, fine)
-                else:
-                    alg_map = delta_cross(cstar, ones, coarse, fine)
-                exact = np.array_equal(lifted.matrix, alg_map.matrix)
-                report.add(CheckRecord(
-                    check="partition_map_duality_exact",
-                    law="pullback of the point-level map = algebra-level connecting map",
-                    params={"model": label, "I": coarse, "J": fine}, passed=exact,
-                    exact_discrepancy="0" if exact else "1",
-                ))
-        for coarse in parts:
-            for fine in parts:
-                if coarse == fine or not set(coarse.points) <= set(fine.points):
-                    continue
-                disc = measure_projectivity_discrepancy(mult, mu, coarse, fine)
-                report.add(CheckRecord(
-                    check="measure_projectivity_under_point_maps",
-                    law="mu_I = pushforward of mu_J along the partition point map",
-                    params={"model": label, "I": coarse, "J": fine}, passed=disc == 0,
-                    exact_discrepancy=str(disc),
-                ))
+        pairs = refinement_pairs(
+            enumerate_all_partitions(grid, min(4, setup.config.max_interior_points + 2)))
+        for coarse, fine in pairs:
+            point_map = chi_cross(mult, coarse, fine)
+            lifted = superop_from_point_map(point_map, space_on_partition(mult, coarse))
+            alg_map = delta_cross(cstar, ones, coarse, fine)
+            exact = np.array_equal(lifted.matrix, alg_map.matrix)
+            report.add(CheckRecord(
+                check="partition_map_duality_exact",
+                law="pullback of the point-level map = algebra-level connecting map",
+                params={"model": label, "I": coarse, "J": fine}, passed=exact,
+                exact_discrepancy="0" if exact else "1",
+            ))
+        for coarse, fine in pairs:
+            disc = measure_projectivity_discrepancy(mult, mu, coarse, fine)
+            report.add(CheckRecord(
+                check="measure_projectivity_under_point_maps",
+                law="mu_I = pushforward of mu_J along the partition point map",
+                params={"model": label, "I": coarse, "J": fine}, passed=disc == 0,
+                exact_discrepancy=str(disc),
+            ))
         full = Partition(list(grid.points))
         joint = measure_on_partition(mu, full)
         for s in full.interior:
@@ -920,9 +904,8 @@ def run_commutative(setup: Setup, rng) -> Report:
     glue_mu = {}
     for (s, t) in glue_grid.pairs():
         m = (Fraction(1),)
-        for a, b in zip(glue_grid.points, glue_grid.points[1:]):
-            if s <= a and b <= t:
-                m = tuple(x * y for x in m for y in bern)
+        for _ in glue_grid.cells(s, t):
+            m = tuple(x * y for x in m for y in bern)
         glue_mu[(s, t)] = m
     exact_model_checks(glue, glue_mu, "glue_base2_bernoulli_1_3", unit_points=True)
 
@@ -979,17 +962,14 @@ def run_morphism(setup: Setup, rng) -> Report:
             rec.params = {"morphism": name, **rec.params}
         report.extend(rep)
         sharp = _sharp_partitions(setup)
-        for coarse in sharp:
-            for fine in sharp:
-                if coarse == fine or not set(coarse.points) <= set(fine.points):
-                    continue
-                res = lifted_morphism_residual(sys, sys, fam, coarse, fine,
-                                               setup.unit, setup.unit)
-                report.residual_record(
-                    "lifted_morphism_intertwines_refinement",
-                    "theta_J D[I,J] = D[I,J] theta_I for the cellwise tensor lift",
-                    {"morphism": name, "I": coarse, "J": fine}, res, tol.eps,
-                )
+        for coarse, fine in refinement_pairs(sharp):
+            res = lifted_morphism_residual(sys, sys, fam, coarse, fine,
+                                           setup.unit, setup.unit)
+            report.residual_record(
+                "lifted_morphism_intertwines_refinement",
+                "theta_J D[I,J] = D[I,J] theta_I for the cellwise tensor lift",
+                {"morphism": name, "I": coarse, "J": fine}, res, tol.eps,
+            )
         if preserves_unit and setup.unit is not None:
             cross = [p for p in _cross_partitions(setup)
                      if p.endpoints != (sys.grid.points[0], sys.grid.points[-1])][:4]

@@ -146,14 +146,7 @@ def glue_system(grid: Grid, base: FiniteSpace) -> FiniteMultSystem:
 
     With the row-major point encoding, concatenation is (a, b) -> a * |Y| + b.
     """
-    cells = list(zip(grid.points, grid.points[1:]))
-    sizes = {}
-    for (s, t) in grid.pairs():
-        n = 1
-        for (a, b) in cells:
-            if s <= a and b <= t:
-                n *= base.size
-        sizes[(s, t)] = n
+    sizes = {(s, t): base.size ** len(grid.cells(s, t)) for (s, t) in grid.pairs()}
     spaces = {pair: FiniteSpace(sizes[pair]) for pair in sizes}
     chi = {}
     for (r, s, t) in grid.triples():
@@ -393,16 +386,6 @@ def superop_from_point_map(point_map: np.ndarray, dom_size: int) -> Superoperato
     mat = np.zeros((point_map.size, dom_size), dtype=complex)
     mat[np.arange(point_map.size), point_map] = 1.0
     return Superoperator(mat, (1,) * dom_size, (1,) * point_map.size)
-
-
-def partition_maps_commutative(sys: FiniteMultSystem, coarse: Partition,
-                               fine: Partition) -> np.ndarray:
-    """The point map X_J -> X_I: plain refinement on equal endpoints, padded otherwise.
-
-    Duality with the algebra-side connecting maps (trivial unit for the padded
-    case) is an exact 0/1 comparison via superop_from_point_map.
-    """
-    return chi_cross(sys, coarse, fine)
 
 
 # -- point germs and splitting ---------------------------------------------------------

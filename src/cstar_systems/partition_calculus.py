@@ -487,12 +487,8 @@ def lifted_morphism_residual(sys_a: TensorialSystem, sys_b: TensorialSystem,
     """Residual of theta_J D[I,J] = G[I,J] theta_I (padded maps when units are given)."""
     theta_i = lift_morphism(sys_a, thetas, coarse)
     theta_j = lift_morphism(sys_a, thetas, fine)
-    if coarse.endpoints == fine.endpoints:
-        d_ab = delta_refinement(sys_a, coarse, fine)
-        d_cd = delta_refinement(sys_b, coarse, fine)
-    else:
-        d_ab = delta_cross(sys_a, unit_a, coarse, fine)
-        d_cd = delta_cross(sys_b, unit_b, coarse, fine)
+    d_ab = delta_cross(sys_a, unit_a, coarse, fine)
+    d_cd = delta_cross(sys_b, unit_b, coarse, fine)
     lhs = theta_j.matrix @ d_ab.matrix
     rhs = d_cd.matrix @ theta_i.matrix
     return max_abs(lhs - rhs)

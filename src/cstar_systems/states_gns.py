@@ -40,11 +40,10 @@ from .partition_calculus import (
     Germ,
     SpaceTag,
     delta_cross,
-    delta_refinement,
     one_param_comultiplication,
     partition_algebra,
     state_on_partition,
-    unit_on_partition,
+    unit_germ,
 )
 from .report import Report
 from .systems import (
@@ -55,7 +54,7 @@ from .systems import (
     check_comultiplicative,
     enumerate_all_partitions,
 )
-from .timegrid import Partition, common_refinement
+from .timegrid import Partition, common_refinement, refinement_pairs
 
 Pair = tuple[Fraction, Fraction]
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -67,7 +66,8 @@ def counit_dilation_eval(sys: TensorialSystem, fam: FunctionalFamily, g: Germ,
 
     Well-definedness across representatives is exactly the invariance of the
     product states under the connecting maps, which holds when the family is
-    co-multiplicative; the family is validated once per call site.
+    co-multiplicative; the family is validated on every call, so callers that
+    evaluate many germs check it once and use ``GermFunctional``.
     """
     comult = check_comultiplicative(sys, fam, tol)
     if not comult.passed:
@@ -127,36 +127,26 @@ def idempotent_state_report(sys: TensorialSystem, unit: UnitFamily, phi: GermFun
     """Well-definedness under padded refinement and idempotency under splitting."""
     report = Report()
     partitions = enumerate_all_partitions(sys.grid, max_points=max_interior + 2)
-    for coarse in partitions:
-        for fine in partitions:
-            if coarse == fine or not set(coarse.points) <= set(fine.points):
-                continue
-            mapper = delta_cross(sys, unit, coarse, fine)
-            row_fine = state_on_partition(phi.family, fine).row()
-            row_coarse = state_on_partition(phi.family, coarse).row()
-            report.residual_record(
-                "germ_state_well_defined",
-                "phi_J o (padded connecting map I -> J) = phi_I",
-                {"I": coarse, "J": fine},
-                max_abs(row_fine @ mapper.matrix - row_coarse), tol.eps,
-            )
-    interior = sys.grid.points[1:-1]
-    for s in interior:
+    for coarse, fine in refinement_pairs(partitions):
+        mapper = delta_cross(sys, unit, coarse, fine)
+        row_fine = state_on_partition(phi.family, fine).row()
+        row_coarse = state_on_partition(phi.family, coarse).row()
+        report.residual_record(
+            "germ_state_well_defined",
+            "phi_J o (padded connecting map I -> J) = phi_I",
+            {"I": coarse, "J": fine},
+            max_abs(row_fine @ mapper.matrix - row_coarse), tol.eps,
+        )
+    for s in sys.grid.points[1:-1]:
         for coarse in partitions:
-            germ = unit_germ_of(sys, unit, coarse)
-            split = one_param_comultiplication(sys, unit, germ, s)
-            lhs = state_on_partition(phi.family, split.joint_partition)(split.element)
-            rhs = phi(germ)
             report.residual_record(
                 "germ_state_idempotent_on_units",
                 "(phi (x) phi) o D_s = phi",
-                {"I": coarse, "s": s}, abs(lhs - rhs), tol.eps,
+                {"I": coarse, "s": s},
+                idempotency_residual(sys, unit, phi, unit_germ(sys, unit, coarse), s),
+                tol.eps,
             )
     return report
-
-
-def unit_germ_of(sys: TensorialSystem, unit: UnitFamily, partition: Partition) -> Germ:
-    return Germ(partition, unit_on_partition(unit, partition), SpaceTag.CROSS)
 
 
 def idempotency_residual(sys: TensorialSystem, unit: UnitFamily, phi: GermFunctional,
@@ -365,11 +355,7 @@ def gram_preservation_residual(sys: TensorialSystem, fam: FunctionalFamily,
     equivalence between the two Hilbert-space dilations.  A nonzero
     ``perturbation`` is added to the map's first entry as a negative control.
     """
-    if coarse.endpoints == fine.endpoints:
-        mapper = delta_refinement(sys, coarse, fine)
-    else:
-        mapper = delta_cross(sys, unit, coarse, fine)
-    mat = mapper.matrix
+    mat = delta_cross(sys, unit, coarse, fine).matrix
     g_fine = gram_on_partition(sys, fam, fine)
     g_coarse = gram_on_partition(sys, fam, coarse)
     if perturbation:

@@ -13,6 +13,7 @@ tests (a random isometry family almost surely fails co-associativity).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -78,6 +79,11 @@ class Grid:
     def pairs(self) -> list[Pair]:
         pts = self.points
         return [(s, t) for i, s in enumerate(pts) for t in pts[i + 1:]]
+
+    def cells(self, s: Fraction, t: Fraction) -> list[Pair]:
+        """The consecutive grid pairs inside [s, t], in order."""
+        pts = self.points
+        return [(a, b) for a, b in zip(pts, pts[1:]) if s <= a and b <= t]
 
     def triples(self) -> list[Triple]:
         pts = self.points
@@ -366,7 +372,6 @@ def glue_hilbert_system(grid: Grid, cell_dims: Iterable[int],
     Since the Kronecker layout is associative, every re-bracketing is the
     identity matrix, so all maps are unitary conjugations: a product system.
     """
-    cells = list(grid.pairs())
     consecutive = [(a, b) for a, b in zip(grid.points, grid.points[1:])]
     dims_list = [int(d) for d in cell_dims]
     if len(dims_list) != len(consecutive):
@@ -374,15 +379,8 @@ def glue_hilbert_system(grid: Grid, cell_dims: Iterable[int],
     if any(d < 1 for d in dims_list):
         raise ValueError("cell dims must be >= 1")
     cell_dim = dict(zip(consecutive, dims_list))
-
-    def dim(s, t):
-        out = 1
-        for (a, b), d in cell_dim.items():
-            if s <= a and b <= t:
-                out *= d
-        return out
-
-    dims = {(s, t): dim(s, t) for (s, t) in cells}
+    dims = {(s, t): math.prod(cell_dim[c] for c in grid.cells(s, t))
+            for (s, t) in grid.pairs()}
     isometries = {
         (r, s, t): np.eye(dims[(r, t)], dtype=complex) for (r, s, t) in grid.triples()
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 TimePoint = Fraction
 TimeLike = Union[Fraction, int, str]
@@ -98,6 +98,34 @@ class OuterDecomposition:
 def is_refinement(coarse: Partition, fine: Partition) -> bool:
     """True iff every point of `coarse` occurs in `fine`."""
     return set(coarse.points) <= set(fine.points)
+
+
+def _up_sets(parts: Sequence[Partition]) -> list[list[int]]:
+    """For each partition, the indices of its strict refinements in `parts`, in list order.
+
+    Points are indexed by the sorted union of the partitions' points, so a
+    partition is an int bitmask and refinement is a submask test.
+    """
+    index = {t: n for n, t in enumerate(sorted({t for p in parts for t in p.points}))}
+    masks = [sum(1 << index[t] for t in p.points) for p in parts]
+    return [[j for j, mj in enumerate(masks) if mi != mj and mi & mj == mi] for mi in masks]
+
+
+def refinement_pairs(parts: Sequence[Partition]) -> list[tuple[Partition, Partition]]:
+    """The pairs (coarse, fine) of distinct partitions in `parts` where fine refines coarse.
+
+    Ordered lexicographically by list index, like the nested loop over both.
+    """
+    up = _up_sets(parts)
+    return [(parts[i], parts[j]) for i, js in enumerate(up) for j in js]
+
+
+def refinement_chains(parts: Sequence[Partition]
+                      ) -> list[tuple[Partition, Partition, Partition]]:
+    """The strict chains (i, j, k) of `parts`, ordered lexicographically by list index."""
+    up = _up_sets(parts)
+    return [(parts[i], parts[j], parts[k])
+            for i, js in enumerate(up) for j in js for k in up[j]]
 
 
 def inner_decompose(coarse: Partition, fine: Partition) -> list[Partition]:

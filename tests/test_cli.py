@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -210,6 +211,36 @@ def test_suite_subsets_reproduce_full_run_records():
         assert solo["suites"][suite] == full["suites"][suite]
 
 
+def record_digest(out: dict) -> str:
+    """sha256 of the ordered (suite, check, params, pass, exact_discrepancy) records."""
+    rows = [[suite, r["check"], r["params"], r["pass"], r.get("exact_discrepancy")]
+            for suite, body in out["suites"].items() for r in body["records"]]
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+GRID5 = {
+    "grid": ["1", "2", "3", "4", "5"],
+    "system": {"kind": "diagonal", "d": 2},
+    "unit": {"kind": "standard"},
+    "counit": {"kind": "standard"},
+    "suites": ["partition", "gns", "commutative", "morphism"],
+    "max_interior_points": 3,
+    "seed": 42,
+}
+
+
+@pytest.mark.parametrize("raw, total, digest", [
+    (json.loads(ORACLE_CONFIG.read_text()), 443,
+     "9a4cb8dacc37de5be4cd601913623cfd8db60ce25e1a69914080b458b6f55ca5"),
+    (GRID5, 746, "e138c2c8c5af2daea272e296254eb57ff047ccbfaac7cfad43b19a3a40a19cd2"),
+], ids=["oracle", "diagonal-grid5"])
+def test_report_records_keep_their_order(raw, total, digest):
+    out, ok, _ = run(RunConfig.from_json(raw))
+    assert ok
+    assert out["summary"]["total"] == total
+    assert record_digest(out) == digest
+
+
 def test_perturbed_system_fails_with_visible_residual():
     cfg = config(perturb_delta={"epsilon": 1e-3})
     out, ok, _ = run(cfg)
@@ -319,6 +350,19 @@ class TestMainEntryPoint:
         assert record["pass"] is False
         assert record["params"] == {"r": "1", "s": "2", "t": "3"}
         assert record["residual"] > 1e-4
+
+    def test_gns_suite_reports_a_near_comultiplicative_family(self, tmp_path):
+        # V[r,s,t] passes the isometry test, but the family misses
+        # co-multiplicativity by 1e-8
+        raw = json.loads(ORACLE_CONFIG.read_text())
+        raw.update(suites=["gns"], perturb_delta={"epsilon": 1e-8})
+        path = self.write(tmp_path, raw)
+        report = tmp_path / "out.json"
+        assert main(["--config", str(path), "--report", str(report)]) == 1
+        records = json.loads(report.read_text())["suites"]["gns"]["records"]
+        assert records
+        assert all(r["pass"] is False for r in records)
+        assert {r["check"] for r in records} == {"functional_comultiplicativity"}
 
     def test_console_entry_point_runs(self, tmp_path):
         path = self.write(tmp_path, BASE)

@@ -18,7 +18,6 @@ from cstar_systems.commutative import (
     indicator_unit,
     measure_on_partition,
     modular_addition_system,
-    partition_maps_commutative,
     point_merge,
     point_split,
     pushforward,
@@ -187,7 +186,7 @@ class TestPartitionPointMaps:
                 if coarse == fine or not set(coarse.points) <= set(fine.points):
                     continue
                 lifted = superop_from_point_map(
-                    partition_maps_commutative(glue, coarse, fine),
+                    chi_cross(glue, coarse, fine),
                     space_on_partition(glue, coarse))
                 if coarse.endpoints == fine.endpoints:
                     alg_map = delta_refinement(cs, coarse, fine)

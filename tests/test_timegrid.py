@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cstar_systems.systems import Grid, enumerate_all_partitions, enumerate_partitions
 from cstar_systems.timegrid import (
     EndpointMismatchError,
     NotARefinementError,
@@ -12,6 +13,8 @@ from cstar_systems.timegrid import (
     inner_decompose,
     is_refinement,
     outer_decompose,
+    refinement_chains,
+    refinement_pairs,
 )
 
 
@@ -124,3 +127,30 @@ def test_outer_decompose_merges_back():
         assert merged[-1] == piece.points[0]
         merged.extend(piece.points[1:])
     assert tuple(merged) == fine.points
+
+
+@st.composite
+def partition_lists(draw):
+    """A sub-list, in random order, of one enumeration over a grid of 2-7 points."""
+    pts = draw(st.lists(st.integers(1, 32).map(lambda n: F(n, 4)), min_size=2,
+                        max_size=7, unique=True))
+    grid = Grid(sorted(pts))
+    if draw(st.booleans()):
+        parts = enumerate_all_partitions(grid, draw(st.integers(2, len(pts))))
+    else:
+        s, t = sorted(draw(st.lists(st.sampled_from(grid.points), min_size=2, max_size=2,
+                                    unique=True)))
+        parts = enumerate_partitions(grid, s, t, draw(st.integers(0, len(pts))))
+    return draw(st.lists(st.sampled_from(parts), unique=True, max_size=24))
+
+
+@settings(deadline=None)  # the naive triple loop grows as the cube of the list
+@given(partition_lists())
+def test_refinement_helpers_match_naive_comprehensions(parts):
+    pairs = [(i, j) for i in parts for j in parts
+             if i != j and set(i.points) <= set(j.points)]
+    chains = [(i, j, k) for i in parts for j in parts for k in parts
+              if set(i.points) <= set(j.points) <= set(k.points) and i != j and j != k]
+    assert refinement_pairs(parts) == pairs
+    assert refinement_chains(parts) == chains
+
