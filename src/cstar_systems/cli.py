@@ -164,23 +164,26 @@ class RunConfig:
         unknown = [s for s in suites if s not in ALL_SUITES]
         if unknown:
             raise ConfigError(f"unknown suites {unknown}; valid: {list(ALL_SUITES)}")
-        max_interior = int(obj.get("max_interior_points", 4))
-        if max_interior < 0:
+        try:
+            config = RunConfig(
+                grid=grid,
+                system=system,
+                suites=suites,
+                unit_spec=obj.get("unit"),
+                counit_spec=obj.get("counit"),
+                measures=obj.get("measures"),
+                tolerance=float(obj.get("tolerance", 1e-9)),
+                max_interior_points=int(obj.get("max_interior_points", 4)),
+                dim_cap=int(obj.get("dim_cap", 4096)),
+                seed=int(obj.get("seed", 42)),
+                report_path=obj.get("report_path"),
+                perturb_delta=obj.get("perturb_delta"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid number: {exc}") from exc
+        if config.max_interior_points < 0:
             raise ConfigError("max_interior_points must be >= 0")
-        return RunConfig(
-            grid=grid,
-            system=system,
-            suites=suites,
-            unit_spec=obj.get("unit"),
-            counit_spec=obj.get("counit"),
-            measures=obj.get("measures"),
-            tolerance=float(obj.get("tolerance", 1e-9)),
-            max_interior_points=max_interior,
-            dim_cap=int(obj.get("dim_cap", 4096)),
-            seed=int(obj.get("seed", 42)),
-            report_path=obj.get("report_path"),
-            perturb_delta=obj.get("perturb_delta"),
-        )
+        return config
 
     def normalized(self) -> dict:
         return {
@@ -306,36 +309,34 @@ def build_setup(config: RunConfig) -> Setup:
             system = to_cstar(mult, dim_cap=config.dim_cap)
         else:
             raise ConfigError(f"unknown system kind {kind!r}")
+        if config.perturb_delta:
+            eps = float(config.perturb_delta.get("epsilon", 1e-3))
+            key = system.grid.triples()[0]
+            if "triple" in config.perturb_delta:
+                key = parse_time_key(config.perturb_delta["triple"])
+            old = system.deltas[key]
+            mat = old.matrix.copy()
+            mat[0, 0] += eps
+            new_deltas = dict(system.deltas)
+            new_deltas[key] = Superoperator(mat, old.dom, old.cod)
+            system = TensorialSystem(system.grid, system.algebras, new_deltas,
+                                     dim_cap=system.dim_cap, kind=system.kind + "+perturbed",
+                                     payload=system.payload)
+            expected = None
+
+        if len(grid.points) < 3:
+            expected = None  # no triples: the classification is vacuous
+
+        if config.measures is not None:
+            measures = {
+                parse_time_key(key): as_measure(vals) for key, vals in config.measures.items()
+            }
+        unit = _resolve_unit(config, system)
+        counit = _resolve_counit(config, system, mult, measures)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid system payload: {exc}") from exc
-
-    if config.perturb_delta:
-        eps = float(config.perturb_delta.get("epsilon", 1e-3))
-        triples = system.grid.triples()
-        key = triples[0]
-        if "triple" in config.perturb_delta:
-            key = parse_time_key(config.perturb_delta["triple"])
-        old = system.deltas[key]
-        mat = old.matrix.copy()
-        mat[0, 0] += eps
-        new_deltas = dict(system.deltas)
-        new_deltas[key] = Superoperator(mat, old.dom, old.cod)
-        system = TensorialSystem(system.grid, system.algebras, new_deltas,
-                                 dim_cap=system.dim_cap, kind=system.kind + "+perturbed",
-                                 payload=system.payload)
-        expected = None
-
-    if len(grid.points) < 3:
-        expected = None  # no triples: the classification is vacuous
-
-    unit = _resolve_unit(config, system)
-    counit = _resolve_counit(config, system, mult)
-    if config.measures is not None:
-        measures = {
-            parse_time_key(key): as_measure(vals) for key, vals in config.measures.items()
-        }
+        raise ConfigError(f"invalid configuration: {exc}") from exc
     return Setup(config=config, system=system, hilbert=hilbert, unit=unit,
                  counit=counit, mult_system=mult, measures=measures,
                  expected_class=expected, tol=Tolerance(config.tolerance))
@@ -365,8 +366,8 @@ def _resolve_unit(config: RunConfig, system: TensorialSystem) -> Optional[UnitFa
     raise ConfigError(f"unknown unit kind {kind!r}")
 
 
-def _resolve_counit(config: RunConfig, system: TensorialSystem,
-                    mult: Optional[FiniteMultSystem]) -> Optional[FunctionalFamily]:
+def _resolve_counit(config: RunConfig, system: TensorialSystem, mult: Optional[FiniteMultSystem],
+                    measures: Optional[dict]) -> Optional[FunctionalFamily]:
     spec = config.counit_spec or {"kind": "standard"}
     kind = spec.get("kind", "standard")
     if kind == "none":
@@ -389,10 +390,9 @@ def _resolve_counit(config: RunConfig, system: TensorialSystem,
             raise ConfigError("faithful_cell_product needs a glue_hilbert system")
         return _glue_cell_state(system, dims)
     if kind == "from_measures":
-        if mult is None or not config.measures:
+        if mult is None or not measures:
             raise ConfigError("from_measures needs a commutative system and measures")
-        mu = {parse_time_key(k): as_measure(v) for k, v in config.measures.items()}
-        return measure_family_functionals(mult, system, mu)
+        return measure_family_functionals(mult, system, measures)
     if kind == "uniform":
         if mult is None:
             raise ConfigError("uniform counit needs a commutative system")

@@ -222,39 +222,17 @@ def superop_tensor_const(f: Superoperator, left_const=None, right_const=None) ->
     """Pad a map with fixed elements: x -> left (x) f(x) (x) right.
 
     ``left_const``/``right_const`` are (blocks, vec) pairs; either may be None.
+    Each is tensored on as the one-column map (1,) -> blocks onto its element.
     """
-    out = f
+    def const(blocks, vec):
+        return Superoperator(np.asarray(vec, dtype=complex).reshape(-1, 1), (1,), blocks)
+
+    factors = [f]
     if left_const is not None:
-        blocks, vec = left_const
-        out = compose(_tensor_by_const(blocks, vec, out.cod, left=True), out)
+        factors.insert(0, const(*left_const))
     if right_const is not None:
-        blocks, vec = right_const
-        out = compose(_tensor_by_const(blocks, vec, out.cod, left=False), out)
-    return out
-
-
-def _tensor_by_const(pblocks: Blocks, pvec: np.ndarray, yblocks: Blocks, left: bool) -> Superoperator:
-    """The linear map y -> p (x) y (left=True) or y -> y (x) p."""
-    pvec = np.asarray(pvec, dtype=complex).reshape(-1)
-    ydim = blocks_dim(yblocks)
-    if left:
-        cod = tensor_blocks(pblocks, yblocks)
-        perm = tensor_perm(pblocks, yblocks)
-        mat = np.zeros((blocks_dim(cod), ydim), dtype=complex)
-        cols = np.arange(ydim)
-        for a, w in enumerate(pvec):
-            if w != 0:
-                mat[perm[a * ydim + cols], cols] = w
-    else:
-        cod = tensor_blocks(yblocks, pblocks)
-        perm = tensor_perm(yblocks, pblocks)
-        mat = np.zeros((blocks_dim(cod), ydim), dtype=complex)
-        pdim = pvec.size
-        for b, w in enumerate(pvec):
-            if w != 0:
-                cols = np.arange(ydim)
-                mat[perm[cols * pdim + b], cols] = w
-    return Superoperator(mat, yblocks, cod)
+        factors.append(const(*right_const))
+    return superop_tensor_all(factors)
 
 
 # -- *-homomorphism checking --------------------------------------------------

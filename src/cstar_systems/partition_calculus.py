@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -53,10 +53,12 @@ from .linalg import (
 from .systems import FunctionalFamily, MorphismFamily, TensorialSystem, UnitFamily
 from .timegrid import (
     EndpointMismatchError,
+    MapBackend,
     Partition,
     common_refinement,
-    inner_decompose,
-    outer_decompose,
+    interval_map,
+    padded_map,
+    refinement_map,
 )
 
 
@@ -91,6 +93,11 @@ def partition_algebra(sys: TensorialSystem, partition: Partition) -> FiniteCStar
     return sys._cache[key]
 
 
+def _backend(sys: TensorialSystem) -> MapBackend:
+    return MapBackend(lambda a, b: identity_superop(sys.alg(a, b).blocks), sys.delta,
+                      superop_tensor, compose)
+
+
 def delta_interval_to_partition(sys: TensorialSystem, partition: Partition) -> Superoperator:
     """The map A(s,t) -> A_I, splitting off the last cell recursively.
 
@@ -98,25 +105,7 @@ def delta_interval_to_partition(sys: TensorialSystem, partition: Partition) -> S
     convention D[I,I] = id and required for uniform code paths); three points
     give the comultiplication itself.
     """
-    _check_on_grid(sys, partition)
-    key = ("interval", partition)
-    if key in sys._cache:
-        return sys._cache[key]
-    partition_algebra(sys, partition)  # dimension guard
-    pts = partition.points
-    if len(pts) == 2:
-        out = identity_superop(sys.alg(*pts).blocks)
-    elif len(pts) == 3:
-        out = sys.delta(*pts)
-    else:
-        head = Partition(pts[:-1])
-        last_cell = identity_superop(sys.alg(pts[-2], pts[-1]).blocks)
-        out = compose(
-            superop_tensor(delta_interval_to_partition(sys, head), last_cell),
-            sys.delta(pts[0], pts[-2], pts[-1]),
-        )
-    sys._cache[key] = out
-    return out
+    return interval_map(_backend(sys), partition, partial(partition_algebra, sys), sys._cache)
 
 
 def interval_map_left_nested(sys: TensorialSystem, partition: Partition) -> Superoperator:
@@ -157,14 +146,7 @@ def interval_map_right_nested(sys: TensorialSystem, partition: Partition) -> Sup
 
 def delta_refinement(sys: TensorialSystem, coarse: Partition, fine: Partition) -> Superoperator:
     """The connecting map A_I -> A_J for a same-endpoint refinement I <= J."""
-    key = ("refine", coarse, fine)
-    if key in sys._cache:
-        return sys._cache[key]
-    blocks = inner_decompose(coarse, fine)  # validates endpoints + refinement
-    partition_algebra(sys, fine)
-    out = superop_tensor_all([delta_interval_to_partition(sys, b) for b in blocks])
-    sys._cache[key] = out
-    return out
+    return refinement_map(_backend(sys), coarse, fine, partial(partition_algebra, sys), sys._cache)
 
 
 def unit_on_partition(unit: UnitFamily, partition: Partition) -> AlgebraElement:
@@ -185,27 +167,18 @@ def delta_cross(sys: TensorialSystem, unit: Optional[UnitFamily],
     stretches of J outside [min I, max I] are filled with unit projections:
     x -> p_lower (x) D[I, middle](x) (x) p_upper.
     """
-    if coarse.endpoints == fine.endpoints:
-        return delta_refinement(sys, coarse, fine)
-    if unit is None:
+    if unit is None and coarse.endpoints != fine.endpoints:
         raise ValueError(f"padding {coarse} -> {fine} requires a unit family")
-    key = ("cross", unit.cache_token, coarse, fine)
-    if key in sys._cache:
-        return sys._cache[key]
-    dec = outer_decompose(coarse, fine)
-    partition_algebra(sys, fine)
-    middle = delta_refinement(sys, coarse, dec.middle)
-    left = None
-    if dec.lower is not None:
-        p = unit_on_partition(unit, dec.lower)
-        left = (p.algebra.blocks, p.vec())
-    right = None
-    if dec.upper is not None:
-        p = unit_on_partition(unit, dec.upper)
-        right = (p.algebra.blocks, p.vec())
-    out = superop_tensor_const(middle, left_const=left, right_const=right)
-    sys._cache[key] = out
-    return out
+
+    def const(piece: Optional[Partition]):
+        if piece is None:
+            return None
+        p = unit_on_partition(unit, piece)
+        return p.algebra.blocks, p.vec()
+
+    return padded_map(_backend(sys), coarse, fine, partial(partition_algebra, sys), sys._cache,
+                      lambda middle, lo, hi: superop_tensor_const(middle, const(lo), const(hi)),
+                      None if unit is None else unit.cache_token)
 
 
 # -- germs ---------------------------------------------------------------------

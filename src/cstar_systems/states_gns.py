@@ -54,7 +54,14 @@ from .systems import (
     check_comultiplicative,
     enumerate_all_partitions,
 )
-from .timegrid import Partition, common_refinement, refinement_pairs
+from .timegrid import (
+    MapBackend,
+    Partition,
+    common_refinement,
+    interval_map,
+    refinement_map,
+    refinement_pairs,
+)
 
 Pair = tuple[Fraction, Fraction]
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -280,28 +287,22 @@ def gns_unit_vector_residual(sys: TensorialSystem, gsys: GnsSystem,
 
 # -- partition isometries of a Hilbert system -----------------------------------
 
+def _hs_backend(hs: HilbertSystem) -> MapBackend:
+    return MapBackend(lambda a, b: np.eye(hs.dim(a, b), dtype=complex), hs.u, np.kron, np.matmul)
+
+
+def _hs_guard(hs: HilbertSystem):
+    return lambda partition: hs.grid.require(*partition.points)
+
+
 def hs_interval_isometry(hs: HilbertSystem, partition: Partition) -> np.ndarray:
     """H(s,t) -> H_I, splitting off the last cell recursively (mirror of the algebra map)."""
-    hs.grid.require(*partition.points)
-    pts = partition.points
-    if len(pts) == 2:
-        return np.eye(hs.dim(*pts), dtype=complex)
-    if len(pts) == 3:
-        return hs.u(*pts)
-    head = hs_interval_isometry(hs, Partition(pts[:-1]))
-    return np.kron(head, np.eye(hs.dim(pts[-2], pts[-1]))) @ hs.u(pts[0], pts[-2], pts[-1])
+    return interval_map(_hs_backend(hs), partition, _hs_guard(hs), hs._cache)
 
 
 def bm_partition_isometries(hs: HilbertSystem, coarse: Partition, fine: Partition) -> np.ndarray:
     """The connecting isometry H_I -> H_J: cellwise tensor of interval isometries."""
-    from .timegrid import inner_decompose
-
-    blocks = inner_decompose(coarse, fine)
-    mats = [hs_interval_isometry(hs, b) for b in blocks]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    return refinement_map(_hs_backend(hs), coarse, fine, _hs_guard(hs), hs._cache)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,7 @@ class HilbertSystem:
     grid: Grid
     dims: Mapping[Pair, int]
     isometries: Mapping[Triple, np.ndarray]
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def dim(self, s, t) -> int:
         self.grid.require(s, t)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from functools import reduce
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 TimePoint = Fraction
 TimeLike = Union[Fraction, int, str]
@@ -159,3 +162,84 @@ def outer_decompose(coarse: Partition, fine: Partition) -> OuterDecomposition:
 def common_refinement(one: Partition, other: Partition) -> Partition:
     """The join in the refinement poset: sorted union of the point sets."""
     return Partition(sorted(set(one.points) | set(other.points)))
+
+
+# -- the partition-map builder ---------------------------------------------------
+
+class MapBackend(NamedTuple):
+    """What a kind of system supplies to build its partition maps.
+
+    ``identity(a, b)`` is the identity on the cell object, ``triple(r, s, t)``
+    the system's map for (r, s, t), ``tensor(f, g)`` the ordered tensor and
+    ``compose(f, g)`` is f after g, all in the direction of the algebra maps.
+    """
+
+    identity: Callable
+    triple: Callable
+    tensor: Callable
+    compose: Callable
+
+
+def _store(cache: dict, key, out):
+    """Cache a built map with its arrays as read-only views: callers share it."""
+    def frozen(x):
+        if isinstance(x, np.ndarray):
+            x = x.view()  # the system's own arrays stay writable
+            x.setflags(write=False)
+        return x
+
+    cache[key] = out = tuple(map(frozen, out)) if isinstance(out, tuple) else frozen(out)
+    return out
+
+
+def interval_map(backend: MapBackend, partition: Partition, guard: Callable, cache: dict):
+    """The map of [s, t] into the partition I of it, splitting off the last cell recursively.
+
+    Two points give the identity and three the triple map itself; beyond that
+    the map is (map of the head (x) id) after the triple map at (s, second to
+    last point, t).  ``guard(I)`` rejects a partition before its map is built.
+    """
+    key = ("interval", partition)
+    if key in cache:
+        return cache[key]
+    guard(partition)
+    pts = partition.points
+    if len(pts) == 2:
+        out = backend.identity(*pts)
+    elif len(pts) == 3:
+        out = backend.triple(*pts)
+    else:
+        head = interval_map(backend, Partition(pts[:-1]), guard, cache)
+        out = backend.compose(backend.tensor(head, backend.identity(*pts[-2:])),
+                              backend.triple(pts[0], pts[-2], pts[-1]))
+    return _store(cache, key, out)
+
+
+def refinement_map(backend: MapBackend, coarse: Partition, fine: Partition,
+                   guard: Callable, cache: dict):
+    """The map for a same-endpoint refinement: the tensor of interval maps over the cells of I."""
+    key = ("refine", coarse, fine)
+    if key in cache:
+        return cache[key]
+    blocks = inner_decompose(coarse, fine)
+    guard(fine)
+    out = reduce(backend.tensor, [interval_map(backend, b, guard, cache) for b in blocks])
+    return _store(cache, key, out)
+
+
+def padded_map(backend: MapBackend, coarse: Partition, fine: Partition, guard: Callable,
+               cache: dict, pad: Callable, token):
+    """The map for any refinement: with equal endpoints the refinement map, else
+    ``pad(middle map, lower piece, upper piece)`` over the outer decomposition.
+
+    ``token`` names the padding in the cache key; pieces that are absent are None.
+    """
+    if coarse.endpoints == fine.endpoints:
+        return refinement_map(backend, coarse, fine, guard, cache)
+    key = ("cross", token, coarse, fine)
+    if key in cache:
+        return cache[key]
+    dec = outer_decompose(coarse, fine)
+    guard(fine)
+    middle = refinement_map(backend, coarse, dec.middle, guard, cache)
+    return _store(cache, key, pad(middle, dec.lower, dec.upper))

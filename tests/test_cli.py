@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -290,6 +291,41 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(raw))
     assert main(["--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    {"tolerance": "abc"},
+    {"seed": "x"},
+    {"dim_cap": "big"},
+    {"max_interior_points": "x"},
+    {"unit": {"kind": "explicit"}},
+    {"counit": {"kind": "explicit"}},
+    {"measures": {"1,2": ["a"]}},
+    {"perturb_delta": {"triple": "9,9,9"}},
+])
+def test_malformed_config_values_exit_two(tmp_path, capsys, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE, **override)))
+    assert main(["--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/tracer.py wraps these names by lookup; a rename breaks --trace 1
+    bench = ORACLE_CONFIG.parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for modname, names in tracer.TARGETS.items():
+        mod = importlib.import_module(f"{tracer.PACKAGE}.{modname}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{modname}.{name}"
+    for modname, methods in tracer.METHODS.items():
+        mod = importlib.import_module(f"{tracer.PACKAGE}.{modname}")
+        for cls_name, meth in methods:
+            assert callable(getattr(getattr(mod, cls_name), meth, None)), f"{cls_name}.{meth}"
 
 
 class TestMainEntryPoint:

@@ -100,7 +100,8 @@ class TestMultSystems:
         broken[(F(1), F(2), F(3))] = MultMap(np.array([[0, 1], [1, 1]]), 2)
         rep = check_mult_system(FiniteMultSystem(grid, spaces, broken))
         bad = [r for r in rep.records if r.check == "gluing_associative" and not r.passed]
-        assert bad and all(r.exact_discrepancy != "0" for r in bad)
+        assert [(r.params, r.exact_discrepancy) for r in bad] == [
+            ({"r": F(1), "s": F(2), "t": F(3), "u": F(4)}, "2")]
 
 
 class TestGelfandBridge:
@@ -171,6 +172,10 @@ class TestPartitionPointMaps:
         part = Partition([1, 3, 5])
         pm = chi_refinement(glue, part, part)
         assert pm.tolist() == list(range(space_on_partition(glue, part)))
+
+    def test_cached_tables_are_read_only(self, glue):
+        with pytest.raises(ValueError, match="read-only"):
+            chi_refinement(glue, Partition([1, 3, 5]), Partition([1, 2, 3, 4, 5]))[0] = 1
 
     def test_glue_refinement_is_a_bijection(self, glue):
         coarse, fine = Partition([1, 3, 5]), Partition([1, 2, 3, 4, 5])

@@ -11,6 +11,7 @@ from cstar_systems.algebra import (
 from cstar_systems.linalg import is_isometry, max_abs
 from cstar_systems.partition_calculus import (
     cross_germ,
+    delta_interval_to_partition,
     delta_refinement,
     partition_algebra,
     sharp_germ,
@@ -237,6 +238,18 @@ class TestHilbertPartitionIsometries:
             e[i] = 1.0
             expected = np.kron(np.kron(e, e), e)
             assert max_abs(v @ e - expected) == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: diagonal_system(Grid([1, 2, 3, 4, 5, 6]), 2),
+        lambda: glue_hilbert_system(GRID, [2, 2, 2]),
+    ], ids=["diagonal_d2", "glue_222"])
+    def test_algebra_map_is_conjugation_by_the_interval_isometry(self, make):
+        hs, sys = make()
+        lo, hi = sys.grid.points[0], sys.grid.points[-1]
+        for part in enumerate_partitions(sys.grid, lo, hi, 4):
+            v = hs_interval_isometry(hs, part)
+            assert np.array_equal(delta_interval_to_partition(sys, part).matrix,
+                                  np.kron(v, v.conj()))
 
     def test_cocycle(self, diag):
         hs, _ = diag
