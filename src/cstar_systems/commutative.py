@@ -192,11 +192,6 @@ def measure_family_functionals(sys: FiniteMultSystem, cstar: TensorialSystem,
     })
 
 
-def all_ones_unit(cstar: TensorialSystem) -> UnitFamily:
-    """The indicator of the whole space on every pair (the trivial unit)."""
-    return UnitFamily({pair: alg.one() for pair, alg in cstar.algebras.items()})
-
-
 def indicator_unit(cstar: TensorialSystem, point: int = 0) -> UnitFamily:
     """The indicator of one compatible point orbit (works for glue-type systems)."""
     elements = {}

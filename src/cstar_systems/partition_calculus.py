@@ -215,8 +215,9 @@ def _validate_germ(sys: TensorialSystem, partition: Partition, element: AlgebraE
         )
 
 
-def _push(sys: TensorialSystem, unit: Optional[UnitFamily], g: Germ,
-          target: Partition) -> AlgebraElement:
+def push_germ(sys: TensorialSystem, unit: Optional[UnitFamily], g: Germ,
+              target: Partition) -> AlgebraElement:
+    """The representative of ``g`` on the finer partition ``target``."""
     if g.tag is SpaceTag.SHARP:
         mapper = delta_refinement(sys, g.partition, target)
     else:
@@ -238,7 +239,7 @@ def germ_distance(sys: TensorialSystem, g1: Germ, g2: Germ,
                   unit: Optional[UnitFamily] = None) -> float:
     """Max-abs difference of the two representatives at their common refinement."""
     target = _join_target(g1, g2)
-    return _push(sys, unit, g1, target).distance(_push(sys, unit, g2, target))
+    return push_germ(sys, unit, g1, target).distance(push_germ(sys, unit, g2, target))
 
 
 def germ_equal(sys: TensorialSystem, g1: Germ, g2: Germ,
@@ -249,8 +250,8 @@ def germ_equal(sys: TensorialSystem, g1: Germ, g2: Germ,
 def germ_binop(sys: TensorialSystem, g1: Germ, g2: Germ, op,
                unit: Optional[UnitFamily] = None) -> Germ:
     target = _join_target(g1, g2)
-    x = _push(sys, unit, g1, target)
-    y = _push(sys, unit, g2, target)
+    x = push_germ(sys, unit, g1, target)
+    y = push_germ(sys, unit, g2, target)
     return Germ(target, op(x, y), g1.tag)
 
 
@@ -345,7 +346,7 @@ def sharp_comultiplication(sys: TensorialSystem, g: Germ, s: Fraction) -> SplitG
     if not (r < s < t):
         raise ValueError(f"cut {s} is not interior to [{r},{t}]")
     target = common_refinement(g.partition, Partition([r, s, t]))
-    pushed = _push(sys, None, g, target)
+    pushed = push_germ(sys, None, g, target)
     return _split_at(target, pushed, s, SpaceTag.SHARP)
 
 
@@ -391,7 +392,7 @@ def one_param_comultiplication(sys: TensorialSystem, unit: UnitFamily, g: Germ,
     if max(points) == s:
         points.add(above[0])
     target = Partition(sorted(points))
-    pushed = _push(sys, unit, g, target)
+    pushed = push_germ(sys, unit, g, target)
     return _split_at(target, pushed, s, SpaceTag.CROSS)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from typing import Callable, Iterable, Mapping
 
@@ -389,6 +390,21 @@ def glue_hilbert_system(grid: Grid, cell_dims: Iterable[int],
     ts = tensorial_from_hilbert(hs, kind="glue_hilbert",
                                 payload={"cell_dims": dims_list}, dim_cap=dim_cap)
     return hs, ts
+
+
+def glue_cell_state(sys: TensorialSystem, cell_dims: list[int]) -> FunctionalFamily:
+    """Faithful product state per pair: each cell carries diag(1..d)/sum."""
+    grid = sys.grid
+    cells = list(zip(grid.points, grid.points[1:]))
+    cell_density = {}
+    for (a, b), d in zip(cells, cell_dims):
+        w = np.arange(1, d + 1, dtype=float)
+        cell_density[(a, b)] = np.diag(w / w.sum())
+    functionals = {}
+    for (s, t) in grid.pairs():
+        rho = reduce(np.kron, [cell_density[cell] for cell in grid.cells(s, t)])
+        functionals[(s, t)] = LinearFunctional(sys.alg(s, t), [rho])
+    return FunctionalFamily(functionals)
 
 
 def trivial_from_bialgebra(grid: Grid, alg: FiniteCStarAlgebra, delta: Superoperator,

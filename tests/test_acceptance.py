@@ -19,7 +19,6 @@ from cstar_systems.commutative import (
     check_mult_system,
     chi_cross,
     glue_system,
-    all_ones_unit,
     measure_on_partition,
     modular_addition_system,
     point_merge,
@@ -67,6 +66,7 @@ from cstar_systems.systems import (
     enumerate_partitions,
     glue_hilbert_system,
     standard_unit,
+    trivial_unit,
 )
 from cstar_systems.timegrid import Partition
 
@@ -350,7 +350,7 @@ def test_criterion_8_commutative_model_exact():
         r.exact_discrepancy in (None, "0") for r in rep.records)
 
     cs = to_cstar(glue)
-    ones = all_ones_unit(cs)
+    ones = trivial_unit(cs)
     parts = enumerate_all_partitions(glue.grid, 4)
     for coarse in parts:
         for fine in parts:

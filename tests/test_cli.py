@@ -1,26 +1,21 @@
 import hashlib
 import importlib.util
+import itertools
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cstar_systems.algebra import FiniteCStarAlgebra, LinearFunctional, functional_tensor
-from cstar_systems.cli import (
-    ALL_SUITES,
-    ConfigError,
-    RunConfig,
-    associativity_residual,
-    build_setup,
-    main,
-    run,
-    run_algebra,
-)
+from cstar_systems.cli import ALL_SUITES, ConfigError, RunConfig, build_setup, main, run
 from cstar_systems.linalg import max_abs
+from cstar_systems.suites import associativity_residual, run_algebra
 
 ORACLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle.json"
 
@@ -67,6 +62,7 @@ def test_explicit_commutative_payload():
     assert setup.mult_system is not None
     out, ok, _ = run(cfg)
     assert ok
+    assert record_digest(out) == "0fb4c9a7496b6141689b01b3c155010b99620d1bf0bca054ed5ac15d19d73646"
 
 
 def test_glue_system_runs_all_suites():
@@ -78,6 +74,7 @@ def test_glue_system_runs_all_suites():
     )
     out, ok, _ = run(cfg)
     assert ok
+    assert record_digest(out) == "b9074357288effb7109bf77eb8fd2124f59b94ebcc4b5e83cc25028a92862bf1"
     gns_records = {r["check"]: r for r in out["suites"]["gns"]["records"]}
     # the faithful cell state does not normalize the rank-one unit
     assert gns_records["counit_normalization_on_unit"]["detail"].startswith("not normalized")
@@ -102,6 +99,7 @@ def test_one_parameter_system_kind():
     )
     out, ok, _ = run(cfg)
     assert ok
+    assert record_digest(out) == "feb2b74c312eda559c0e054cf97d1abbcd190b7fafab037c6ae1e9554f674232"
 
 
 def test_custom_system_with_explicit_families():
@@ -127,6 +125,7 @@ def test_custom_system_with_explicit_families():
     )
     out, ok, _ = run(cfg)
     assert ok
+    assert record_digest(out) == "546fc515ae0e1b3d49078fe7c1b0b88a23c834e31baa15d195a80249b6b55ad1"
 
 
 def test_direct_sum_blocks_through_the_full_pipeline():
@@ -158,6 +157,7 @@ def test_direct_sum_blocks_through_the_full_pipeline():
     )
     out, ok, _ = run(cfg)
     assert ok
+    assert record_digest(out) == "fa79086a57ec7a8408d92ce5b8c4237599b33fd55ebdf9f5b6883f9db36af43e"
     cls = [r for r in out["suites"]["axioms"]["records"]
            if r["check"] == "system_classification"][0]
     assert cls["detail"] == "subproduct"
@@ -173,6 +173,7 @@ def test_z2_bialgebra_defaults_to_identity_unit():
     )
     out, ok, _ = run(cfg)
     assert ok
+    assert record_digest(out) == "eb2de9c59d371d7ba85985addf8b88aca7c847f6e9be8977cda686f968801be7"
 
 
 def test_diagonal_d3_full_pipeline():
@@ -229,17 +230,45 @@ GRID5 = {
     "seed": 42,
 }
 
+# words over {0, 1} with independent Bernoulli(1/3, 2/3) letters, one per cell
+BERNOULLI = (Fraction(1, 3), Fraction(2, 3))
+GLUE_MEASURES = {
+    "grid": ["1", "2", "3", "4"],
+    "system": {"kind": "commutative", "model": "glue"},
+    "measures": {
+        f"{s},{t}": [str(math.prod(w)) for w in itertools.product(BERNOULLI, repeat=t - s)]
+        for s in range(1, 5) for t in range(s + 1, 5)
+    },
+    "suites": list(ALL_SUITES),
+    "max_interior_points": 2,
+    "seed": 7,
+}
+
 
 @pytest.mark.parametrize("raw, total, digest", [
     (json.loads(ORACLE_CONFIG.read_text()), 443,
      "9a4cb8dacc37de5be4cd601913623cfd8db60ce25e1a69914080b458b6f55ca5"),
     (GRID5, 746, "e138c2c8c5af2daea272e296254eb57ff047ccbfaac7cfad43b19a3a40a19cd2"),
-], ids=["oracle", "diagonal-grid5"])
+    (GLUE_MEASURES, 497, "bfc42e76714fe333b3dac02c4392f9df76ec83e50adaa33b4b70fbe0dd8febdc"),
+], ids=["oracle", "diagonal-grid5", "commutative-glue-measures"])
 def test_report_records_keep_their_order(raw, total, digest):
     out, ok, _ = run(RunConfig.from_json(raw))
     assert ok
     assert out["summary"]["total"] == total
     assert record_digest(out) == digest
+
+
+@pytest.mark.parametrize("system", [
+    {"kind": "glue_hilbert", "cell_dims": [2, 3]},
+    {"kind": "commutative", "model": "glue"},
+], ids=["glue_hilbert", "commutative"])
+def test_perturbation_keeps_the_default_unit_and_counit(system):
+    plain = build_setup(config(system=system))
+    perturbed = build_setup(config(system=system, perturb_delta={"epsilon": 1e-3}))
+    assert perturbed.system.kind == system["kind"] + "+perturbed"
+    for pair in plain.system.algebras:
+        assert np.array_equal(perturbed.unit.p(*pair).vec(), plain.unit.p(*pair).vec())
+        assert np.array_equal(perturbed.counit.phi(*pair).row(), plain.counit.phi(*pair).row())
 
 
 def test_perturbed_system_fails_with_visible_residual():
@@ -302,6 +331,11 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     {"counit": {"kind": "explicit"}},
     {"measures": {"1,2": ["a"]}},
     {"perturb_delta": {"triple": "9,9,9"}},
+    {"dim_cap": 4096.9},
+    {"max_interior_points": 2.5},
+    {"seed": True},
+    {"tolerance": -1},
+    {"tolerance": float("nan")},
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     path = tmp_path / "cfg.json"
@@ -310,14 +344,20 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_benchmark_tracer_names_resolve(monkeypatch):
-    # perfbench/tracer.py wraps these names by lookup; a rename breaks --trace 1
+def load_benchmark_tracer(monkeypatch):
+    """perfbench/tracer.py, loaded read-only and without writing bytecode."""
     bench = ORACLE_CONFIG.parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/tracer.py wraps these names by lookup; a rename breaks --trace 1
+    tracer = load_benchmark_tracer(monkeypatch)
     for modname, names in tracer.TARGETS.items():
         mod = importlib.import_module(f"{tracer.PACKAGE}.{modname}")
         for name in names:
@@ -326,6 +366,19 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
         mod = importlib.import_module(f"{tracer.PACKAGE}.{modname}")
         for cls_name, meth in methods:
             assert callable(getattr(getattr(mod, cls_name), meth, None)), f"{cls_name}.{meth}"
+
+
+def test_benchmark_tracer_times_every_suite(monkeypatch):
+    # run() must call the objects the tracer rebinds, or --trace 1 reports 0 s
+    tracer = load_benchmark_tracer(monkeypatch)
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+        run(RunConfig.from_json(json.loads(ORACLE_CONFIG.read_text())))
+    finally:
+        spans.uninstall()
+    names = ["cli.build_setup"] + [f"cli.run_{suite}" for suite in ALL_SUITES]
+    assert {name: spans.calls[name] for name in names} == dict.fromkeys(names, 1)
 
 
 class TestMainEntryPoint:

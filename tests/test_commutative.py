@@ -7,7 +7,6 @@ from cstar_systems.commutative import (
     FiniteMultSystem,
     FiniteSpace,
     MultMap,
-    all_ones_unit,
     as_measure,
     check_measure_family,
     check_mult_system,
@@ -34,6 +33,7 @@ from cstar_systems.systems import (
     check_unit,
     classify_system,
     enumerate_all_partitions,
+    trivial_unit,
 )
 from cstar_systems.timegrid import Partition
 
@@ -126,7 +126,7 @@ class TestGelfandBridge:
 
     def test_units_of_the_glue_system(self, glue):
         cs = to_cstar(glue)
-        assert check_unit(cs, all_ones_unit(cs)).passed
+        assert check_unit(cs, trivial_unit(cs)).passed
         assert check_unit(cs, indicator_unit(cs, 0)).passed
 
     def test_moved_indicator_is_not_a_unit(self, glue):
@@ -184,7 +184,7 @@ class TestPartitionPointMaps:
 
     def test_duality_with_algebra_maps_is_exact(self, glue):
         cs = to_cstar(glue)
-        ones = all_ones_unit(cs)
+        ones = trivial_unit(cs)
         parts = enumerate_all_partitions(glue.grid, 4)
         for coarse in parts:
             for fine in parts:
