@@ -86,10 +86,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _integer(obj: dict, name: str, default: int) -> int:
-    value = obj.get(name, default)
+def _as_integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _integer(obj: dict, name: str, default: int) -> int:
+    return _as_integer(obj.get(name, default), name)
+
+
+def _object(obj: dict, name: str) -> Optional[dict]:
+    value = obj.get(name)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
     return value
 
 
@@ -139,15 +149,15 @@ class RunConfig:
             grid=grid,
             system=system,
             suites=suites,
-            unit_spec=obj.get("unit"),
-            counit_spec=obj.get("counit"),
-            measures=obj.get("measures"),
+            unit_spec=_object(obj, "unit"),
+            counit_spec=_object(obj, "counit"),
+            measures=_object(obj, "measures"),
             tolerance=_tolerance(obj),
             max_interior_points=_integer(obj, "max_interior_points", 4),
             dim_cap=_integer(obj, "dim_cap", 4096),
             seed=_integer(obj, "seed", 42),
             report_path=obj.get("report_path"),
-            perturb_delta=obj.get("perturb_delta"),
+            perturb_delta=_object(obj, "perturb_delta"),
         )
         if config.max_interior_points < 0:
             raise ConfigError("max_interior_points must be >= 0")
@@ -204,13 +214,13 @@ def _algebras(table: dict, arity: int) -> dict:
 
 
 def _build_diagonal(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    d = int(payload.get("d", 2))
+    d = _integer(payload, "d", 2)
     hilbert, system = diagonal_system(grid, d, dim_cap=dim_cap)
     return Built(system, hilbert, expected="product" if d == 1 else "subproduct")
 
 
 def _build_glue_hilbert(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    dims = [int(x) for x in payload["cell_dims"]]
+    dims = [_as_integer(x, "cell_dims entry") for x in payload["cell_dims"]]
     hilbert, system = glue_hilbert_system(grid, dims, dim_cap=dim_cap)
     return Built(system, hilbert, expected="product")
 
@@ -244,11 +254,12 @@ def _build_custom(payload: dict, grid: Grid, dim_cap: int) -> Built:
 def _build_commutative(payload: dict, grid: Grid, dim_cap: int) -> Built:
     model = payload.get("model", "explicit")
     if model == "glue":
-        mult, expected = glue_system(grid, FiniteSpace(int(payload.get("base", 2)))), "product"
+        mult, expected = glue_system(grid, FiniteSpace(_integer(payload, "base", 2))), "product"
     elif model == "z2":
         mult, expected = modular_addition_system(grid, 2), "subproduct"
     elif model == "explicit":
-        spaces = _keyed(payload["spaces"], 2, lambda n, s, t: FiniteSpace(int(n)))
+        spaces = _keyed(payload["spaces"], 2,
+                        lambda n, s, t: FiniteSpace(_as_integer(n, "space size")))
         chi = _keyed(payload["chi"], 3, lambda table, r, s, t: MultMap(
             np.asarray(table), spaces[(r, t)].size))
         mult, expected = FiniteMultSystem(grid, spaces, chi), None
@@ -353,6 +364,8 @@ def build_setup(config: RunConfig) -> Setup:
         raise ConfigError(f"unknown system kind {config.system['kind']!r}")
     try:
         built = kind.build(config.system, config.grid, config.dim_cap)
+        if config.measures is not None and built.mult is None:
+            raise ConfigError(f"measures need a commutative system, not {config.system['kind']!r}")
         system, expected = built.system, built.expected
         if config.perturb_delta:
             system, expected = _perturbed(system, config.perturb_delta), None

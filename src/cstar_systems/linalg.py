@@ -1,15 +1,23 @@
-"""Dense complex matrices and superoperators on vectorized algebra elements.
+"""Complex matrices and superoperators on vectorized algebra elements.
 
 Algebras here are direct sums of full matrix blocks, described by their block
 sizes alone.  An element is vectorized by stacking the row-major vec of each
-block; a superoperator is an explicit (out_dim x in_dim) matrix acting on such
-vectors, tagged with the block descriptors of its domain and codomain.  With
-this encoding, composition is a matrix product, equality of maps is entrywise
-comparison, and injectivity is a rank computation -- the three operations
-every identity check reduces to.
+block.  A superoperator is a linear map between such vectors, tagged with the
+block descriptors of its domain and codomain.  It is held either as one dense
+(out_dim x in_dim) matrix, or, when it is a tensor of smaller maps, as their
+Kronecker factors with one input gather and one output scatter (Van Loan,
+"The ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000).  A
+factored map is applied one factor at a time and never stored densely.
+
+Every identity check reduces to three operations: composition, entrywise
+comparison of maps and a rank.  Composition applies one map to the columns of
+the other; two composites are compared entry by entry by pushing the identity
+through both in column chunks (``composite_residual``); the rank is taken of
+a dense matrix, which only the small per-pair maps need.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -146,40 +154,128 @@ def vec_tensor(a: Blocks, b: Blocks, va: np.ndarray, vb: np.ndarray) -> np.ndarr
 
 # -- superoperators -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Superoperator:
-    """A linear map between vectorized algebra elements.
+# Streamed products and materialisations hold at most this many complex
+# entries per array: 1 MiB, whatever the dimensions of the maps.
+STREAM_ENTRIES = 1 << 16
 
-    ``matrix`` has shape (out_dim, in_dim); ``dom``/``cod`` are the block
-    descriptors of domain and codomain, with out_dim/in_dim their vectorized
-    dimensions.  apply(x) = matrix @ vec(x); compose is the matrix product.
+
+def unit_column_chunks(in_dim: int, out_dim: int):
+    """Yield the identity of size ``in_dim`` as consecutive (start, columns) chunks.
+
+    A chunk has as many columns as fit ``STREAM_ENTRIES`` entries in an array
+    with ``max(in_dim, out_dim)`` rows, so pushing it through a map of either
+    size stays within that budget.
+    """
+    width = max(1, STREAM_ENTRIES // max(1, in_dim, out_dim))
+    for start in range(0, in_dim, width):
+        stop = min(in_dim, start + width)
+        cols = np.zeros((in_dim, stop - start), dtype=complex)
+        cols[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        yield start, cols
+
+
+def _is_identity(m: np.ndarray) -> bool:
+    n = m.shape[0]
+    return m.shape == (n, n) and np.count_nonzero(m) == n and bool(np.all(np.diagonal(m) == 1))
+
+
+def _kron_apply(factors, skip, x: np.ndarray) -> np.ndarray:
+    """(F_1 (x) ... (x) F_m) x for x of shape (product of column counts, k).
+
+    Factor i acts on axis i of x read as an (n_1, ..., n_m, k) array, through
+    a batched product over the axes before and after it; identity factors
+    are skipped.  No Kronecker product is formed.
+    """
+    k = x.shape[1]
+    rows = [f.shape[0] for f in factors]
+    cols = [f.shape[1] for f in factors]
+    for i, f in enumerate(factors):
+        if skip[i]:
+            continue
+        left = math.prod(rows[:i])
+        x = np.matmul(f, x.reshape(left, cols[i], -1))
+    return x.reshape(-1, k)
+
+
+class Superoperator:
+    """A linear map between vectorized algebra elements, held as Kronecker factors.
+
+    The map is x -> scatter((F_1 (x) ... (x) F_m) x[gather]): ``factors`` are
+    the matrices F_i, ``gather`` the index array that reads the input in the
+    Kronecker layout and ``scatter`` the one that writes the output back
+    (y[scatter] = y_kron); None stands for the identity order.  ``dom``/``cod``
+    are the block descriptors of domain and codomain.
+
+    ``Superoperator(matrix, dom, cod)`` is a dense map: one factor, no index
+    arrays.  ``superop_tensor`` builds the factored ones.  ``apply_many`` and
+    ``rapply`` act one factor at a time; ``matrix`` builds the dense
+    (out_dim x in_dim) matrix of a factored map on every access and keeps
+    nothing.  All arrays held are read-only.
     """
 
-    matrix: np.ndarray
-    dom: Blocks
-    cod: Blocks
+    __slots__ = ("factors", "skip", "gather", "scatter", "dom", "cod", "in_dim", "out_dim")
 
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dom", tuple(self.dom))
-        object.__setattr__(self, "cod", tuple(self.cod))
-        if m.shape != (blocks_dim(self.cod), blocks_dim(self.dom)):
+    def __init__(self, matrix, dom: Blocks, cod: Blocks):
+        m = as_matrix(matrix)
+        if m.shape != (blocks_dim(tuple(cod)), blocks_dim(tuple(dom))):
             raise ValueError(
-                f"matrix shape {m.shape} does not match dom {self.dom} -> cod {self.cod}"
+                f"matrix shape {m.shape} does not match dom {tuple(dom)} -> cod {tuple(cod)}"
             )
-        m.setflags(write=False)
+        self._fill((m,), None, None, dom, cod)
+
+    @classmethod
+    def factored(cls, factors, gather, scatter, dom: Blocks, cod: Blocks) -> "Superoperator":
+        op = cls.__new__(cls)
+        op._fill(tuple(factors), gather, scatter, dom, cod)
+        return op
+
+    def _fill(self, factors, gather, scatter, dom, cod):
+        for a in (*factors, gather, scatter):
+            if a is not None:
+                a.setflags(write=False)
+        self.factors, self.skip = factors, tuple(map(_is_identity, factors))
+        self.gather, self.scatter = gather, scatter
+        self.dom, self.cod = tuple(dom), tuple(cod)
+        self.out_dim = math.prod(f.shape[0] for f in factors)
+        self.in_dim = math.prod(f.shape[1] for f in factors)
 
     @property
-    def in_dim(self) -> int:
-        return self.matrix.shape[1]
+    def is_dense(self) -> bool:
+        return len(self.factors) == 1 and self.gather is None and self.scatter is None
 
     @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The dense matrix: the stored one, or built column chunk by column chunk."""
+        if self.is_dense:
+            return self.factors[0]
+        out = np.empty((self.out_dim, self.in_dim), dtype=complex)
+        for start, cols in unit_column_chunks(self.in_dim, self.out_dim):
+            out[:, start:start + cols.shape[1]] = self.apply_many(cols)
+        out.setflags(write=False)
+        return out
+
+    def apply_many(self, x: np.ndarray) -> np.ndarray:
+        """The map applied to each column of x (in_dim x k): the product matrix @ x."""
+        x = np.asarray(x, dtype=complex)
+        y = _kron_apply(self.factors, self.skip, x if self.gather is None else x[self.gather])
+        if self.scatter is None:
+            return y.copy() if np.may_share_memory(y, x) else y
+        out = np.empty_like(y)
+        out[self.scatter] = y
+        return out
+
+    def rapply(self, r: np.ndarray) -> np.ndarray:
+        """Each row of r (k x out_dim, or one row) times the map: the product r @ matrix."""
+        r = np.asarray(r, dtype=complex)
+        rt = np.atleast_2d(r).T
+        z = _kron_apply([f.T for f in self.factors], self.skip,
+                        rt if self.scatter is None else rt[self.scatter])
+        out = np.empty((rt.shape[1], self.in_dim), dtype=complex)
+        out[:, slice(None) if self.gather is None else self.gather] = z.T
+        return out.reshape(r.shape[:-1] + (self.in_dim,))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=complex).reshape(-1)
+        return self.apply_many(np.asarray(v, dtype=complex).reshape(-1, 1)).reshape(-1)
 
 
 def identity_superop(blocks: Blocks) -> Superoperator:
@@ -188,10 +284,32 @@ def identity_superop(blocks: Blocks) -> Superoperator:
 
 
 def compose(f: Superoperator, g: Superoperator) -> Superoperator:
-    """f after g."""
+    """f after g, as a dense map: f applied to the columns of g's matrix."""
     if g.cod != f.dom:
         raise ValueError(f"cannot compose: inner blocks {g.cod} != {f.dom}")
-    return Superoperator(f.matrix @ g.matrix, g.dom, f.cod)
+    return Superoperator(f.apply_many(g.matrix), g.dom, f.cod)
+
+
+def composite_residual(lhs, rhs) -> float:
+    """max_abs(L - R) for the composites L = lhs[0] o lhs[1] o ... and likewise R.
+
+    Every column of the identity on the common domain goes through both
+    sides, in chunks of ``unit_column_chunks``, so every entry of L - R is
+    compared and no dense map is formed.
+    """
+    in_dim = lhs[-1].in_dim
+    if rhs[-1].in_dim != in_dim or lhs[0].out_dim != rhs[0].out_dim:
+        raise ValueError("the two composites map between different spaces")
+    widest = max(op.out_dim for op in (*lhs, *rhs))
+    worst = 0.0
+    for _, cols in unit_column_chunks(in_dim, widest):
+        left, right = cols, cols
+        for op in reversed(lhs):
+            left = op.apply_many(left)
+        for op in reversed(rhs):
+            right = op.apply_many(right)
+        worst = max(worst, max_abs(left - right))
+    return worst
 
 
 def superop_from_conjugation(u, dom: Blocks | None = None, cod: Blocks | None = None) -> Superoperator:
@@ -204,14 +322,28 @@ def superop_from_conjugation(u, dom: Blocks | None = None, cod: Blocks | None = 
     return Superoperator(np.kron(u, u.conj()), dom or (n,), cod or (m,))
 
 
+def _merged_index(perm: np.ndarray, a, b, dim_a: int, dim_b: int):
+    """The gather (or scatter) of a tensor: ``perm`` from ``tensor_perm`` taken at the
+    Kronecker pairs of the operands' own index arrays ``a`` and ``b`` (None for the
+    identity order); None when the result is the identity order itself."""
+    a = np.arange(dim_a) if a is None else a
+    b = np.arange(dim_b) if b is None else b
+    out = perm[(a[:, None] * dim_b + b[None, :]).reshape(-1)]
+    return None if np.array_equal(out, np.arange(out.size)) else out
+
+
 def superop_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
-    """(f (x) g)(x (x) y) = f(x) (x) g(y), in the vec layout of the tensor algebras."""
-    dom = tensor_blocks(f.dom, g.dom)
-    cod = tensor_blocks(f.cod, g.cod)
-    k = np.kron(f.matrix, g.matrix)
-    out = np.empty_like(k)
-    out[np.ix_(tensor_perm(f.cod, g.cod), tensor_perm(f.dom, g.dom))] = k
-    return Superoperator(out, dom, cod)
+    """(f (x) g)(x (x) y) = f(x) (x) g(y), in the vec layout of the tensor algebras.
+
+    The result keeps the factors of f and g; its gather and scatter compose
+    theirs with ``tensor_perm`` of the domains and of the codomains.
+    """
+    return Superoperator.factored(
+        f.factors + g.factors,
+        _merged_index(tensor_perm(f.dom, g.dom), f.gather, g.gather, f.in_dim, g.in_dim),
+        _merged_index(tensor_perm(f.cod, g.cod), f.scatter, g.scatter, f.out_dim, g.out_dim),
+        tensor_blocks(f.dom, g.dom), tensor_blocks(f.cod, g.cod),
+    )
 
 
 def superop_tensor_all(factors) -> Superoperator:
@@ -315,13 +447,14 @@ def check_star_homomorphism(
         raise ValueError(f"descriptors {dom}->{cod} do not match map dims {f.in_dim}->{f.out_dim}")
 
     n = f.in_dim
+    mat = f.matrix
     prod_idx = _product_index(dom)
-    columns_ext = np.hstack([f.matrix, np.zeros((f.out_dim, 1), dtype=complex)])
+    columns_ext = np.hstack([mat, np.zeros((f.out_dim, 1), dtype=complex)])
     mult = 0.0
     for m, off in zip(cod, block_offsets(cod)):
         # images of the basis in this codomain block, as a stack of matrices
         imgs = np.ascontiguousarray(
-            f.matrix[off:off + m * m, :].T.reshape(n, m, m))
+            mat[off:off + m * m, :].T.reshape(n, m, m))
         # chunk the first index so rhs stays within a fixed memory budget
         chunk = max(1, int(4e6 / max(1, n * m * m)))
         for a0 in range(0, n, chunk):
@@ -333,9 +466,9 @@ def check_star_homomorphism(
 
     # f(e_a*) is the sp_dom[a] column; f(e_a)* conjugates and transposes the image
     sp_dom, sp_cod = star_perm(dom), star_perm(cod)
-    adj = max_abs(f.matrix[:, sp_dom] - f.matrix.conj()[sp_cod, :])
+    adj = max_abs(mat[:, sp_dom] - mat.conj()[sp_cod, :])
 
-    rank = numerical_rank(f.matrix, tol)
+    rank = numerical_rank(mat, tol)
     injective = rank == f.in_dim
     surjective = rank == f.out_dim
     is_hom = mult <= tol.eps and adj <= tol.eps

@@ -43,6 +43,7 @@ from .linalg import (
     Superoperator,
     Tolerance,
     compose,
+    composite_residual,
     identity_superop,
     max_abs,
     superop_tensor,
@@ -217,7 +218,13 @@ def _validate_germ(sys: TensorialSystem, partition: Partition, element: AlgebraE
 
 def push_germ(sys: TensorialSystem, unit: Optional[UnitFamily], g: Germ,
               target: Partition) -> AlgebraElement:
-    """The representative of ``g`` on the finer partition ``target``."""
+    """The representative of ``g`` on the finer partition ``target``.
+
+    On its own partition a germ is its element: D[I,I] is the identity.
+    """
+    if g.partition == target:
+        _validate_germ(sys, target, g.element)
+        return g.element
     if g.tag is SpaceTag.SHARP:
         mapper = delta_refinement(sys, g.partition, target)
     else:
@@ -463,6 +470,4 @@ def lifted_morphism_residual(sys_a: TensorialSystem, sys_b: TensorialSystem,
     theta_j = lift_morphism(sys_a, thetas, fine)
     d_ab = delta_cross(sys_a, unit_a, coarse, fine)
     d_cd = delta_cross(sys_b, unit_b, coarse, fine)
-    lhs = theta_j.matrix @ d_ab.matrix
-    rhs = d_cd.matrix @ theta_i.matrix
-    return max_abs(lhs - rhs)
+    return composite_residual([theta_j, d_ab], [d_cd, theta_i])

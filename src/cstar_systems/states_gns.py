@@ -142,7 +142,7 @@ def idempotent_state_report(sys: TensorialSystem, unit: UnitFamily, phi: GermFun
             "germ_state_well_defined",
             "phi_J o (padded connecting map I -> J) = phi_I",
             {"I": coarse, "J": fine},
-            max_abs(row_fine @ mapper.matrix - row_coarse), tol.eps,
+            max_abs(mapper.rapply(row_fine) - row_coarse), tol.eps,
         )
     for s in sys.grid.points[1:-1]:
         for coarse in partitions:

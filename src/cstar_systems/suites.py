@@ -36,6 +36,7 @@ from .commutative import (
 from .linalg import (
     Tolerance,
     block_offsets,
+    composite_residual,
     identity_superop,
     max_abs,
     numerical_rank,
@@ -162,13 +163,13 @@ def run_partition(setup: Setup, rng) -> Report:
             tol.eps,
         )
     for coarse, fine in refinement_pairs(sharp):
-        lhs = delta_interval_to_partition(sys, fine)
-        rhs = delta_refinement(sys, coarse, fine).matrix @ \
-            delta_interval_to_partition(sys, coarse).matrix
+        res = composite_residual(
+            [delta_interval_to_partition(sys, fine)],
+            [delta_refinement(sys, coarse, fine), delta_interval_to_partition(sys, coarse)])
         report.residual_record(
             "interval_map_factors_through_refinement",
             "D[{s,t},J] = D[I,J] D[{s,t},I]",
-            {"I": coarse, "J": fine}, max_abs(lhs.matrix - rhs), tol.eps,
+            {"I": coarse, "J": fine}, res, tol.eps,
         )
         for cut in coarse.interior:
             lo, hi = coarse.endpoints
@@ -180,7 +181,7 @@ def run_partition(setup: Setup, rng) -> Report:
                 "refinement_map_splits_at_interior_point",
                 "D[I,J] = D[I^[s,u], J^[s,u]] (x) D[I^[u,t], J^[u,t]] for u in I",
                 {"I": coarse, "J": fine, "u": cut},
-                max_abs(delta_refinement(sys, coarse, fine).matrix - split.matrix),
+                composite_residual([delta_refinement(sys, coarse, fine)], [split]),
                 tol.eps,
             )
         if setup.unit is not None:
@@ -192,19 +193,19 @@ def run_partition(setup: Setup, rng) -> Report:
                 max_abs(lhs_p - unit_on_partition(setup.unit, fine).vec()), tol.eps,
             )
         if setup.counit is not None:
-            row = state_on_partition(setup.counit, fine).row() @ \
-                delta_refinement(sys, coarse, fine).matrix
+            row = delta_refinement(sys, coarse, fine).rapply(
+                state_on_partition(setup.counit, fine).row())
             report.residual_record(
                 "state_coherence_under_refinement", "phi_J o D[I,J] = phi_I",
                 {"I": coarse, "J": fine},
                 max_abs(row - state_on_partition(setup.counit, coarse).row()), tol.eps,
             )
     for i, j, k in refinement_chains(sharp):
-        lhs = delta_refinement(sys, i, k).matrix
-        rhs = delta_refinement(sys, j, k).matrix @ delta_refinement(sys, i, j).matrix
+        res = composite_residual([delta_refinement(sys, i, k)],
+                                 [delta_refinement(sys, j, k), delta_refinement(sys, i, j)])
         report.residual_record(
             "refinement_cocycle", "D[I,K] = D[J,K] D[I,J]",
-            {"I": i, "J": j, "K": k}, max_abs(lhs - rhs), tol.eps,
+            {"I": i, "J": j, "K": k}, res, tol.eps,
         )
     if setup.unit is not None:
         # the padded state-coherence law assumes the states normalize the unit
@@ -214,8 +215,8 @@ def run_partition(setup: Setup, rng) -> Report:
             if coarse.endpoints == fine.endpoints:
                 continue
             if normalized:
-                row = state_on_partition(setup.counit, fine).row() @ \
-                    delta_cross(sys, setup.unit, coarse, fine).matrix
+                row = delta_cross(sys, setup.unit, coarse, fine).rapply(
+                    state_on_partition(setup.counit, fine).row())
                 report.residual_record(
                     "state_coherence_under_padding",
                     "phi_J o padded D[I,J] = phi_I when phi(p) = 1",
@@ -231,12 +232,12 @@ def run_partition(setup: Setup, rng) -> Report:
                 max_abs(lhs_p - unit_on_partition(setup.unit, fine).vec()), tol.eps,
             )
         for i, j, k in refinement_chains(cross):
-            lhs = delta_cross(sys, setup.unit, i, k).matrix
-            rhs = delta_cross(sys, setup.unit, j, k).matrix @ \
-                delta_cross(sys, setup.unit, i, j).matrix
+            res = composite_residual(
+                [delta_cross(sys, setup.unit, i, k)],
+                [delta_cross(sys, setup.unit, j, k), delta_cross(sys, setup.unit, i, j)])
             report.residual_record(
                 "padded_cocycle", "padded D[I,K] = padded D[J,K] padded D[I,J]",
-                {"I": i, "J": j, "K": k}, max_abs(lhs - rhs), tol.eps,
+                {"I": i, "J": j, "K": k}, res, tol.eps,
             )
     return report
 

@@ -217,14 +217,18 @@ def interval_map(backend: MapBackend, partition: Partition, guard: Callable, cac
 
 def refinement_map(backend: MapBackend, coarse: Partition, fine: Partition,
                    guard: Callable, cache: dict):
-    """The map for a same-endpoint refinement: the tensor of interval maps over the cells of I."""
+    """The map for a same-endpoint refinement: the tensor of interval maps over the cells of I.
+
+    D[I,I] is the identity.  It is rebuilt from the cached cell identities on
+    every call rather than stored, so the cache holds no identity of A_I.
+    """
     key = ("refine", coarse, fine)
     if key in cache:
         return cache[key]
     blocks = inner_decompose(coarse, fine)
     guard(fine)
     out = reduce(backend.tensor, [interval_map(backend, b, guard, cache) for b in blocks])
-    return _store(cache, key, out)
+    return out if coarse == fine else _store(cache, key, out)
 
 
 def padded_map(backend: MapBackend, coarse: Partition, fine: Partition, guard: Callable,

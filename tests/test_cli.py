@@ -15,7 +15,7 @@ import pytest
 from cstar_systems.algebra import FiniteCStarAlgebra, LinearFunctional, functional_tensor
 from cstar_systems.cli import ALL_SUITES, ConfigError, RunConfig, build_setup, main, run
 from cstar_systems.linalg import max_abs
-from cstar_systems.suites import associativity_residual, run_algebra
+from cstar_systems.suites import associativity_residual, run_algebra, run_dilation, run_partition
 
 ORACLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle.json"
 
@@ -312,6 +312,34 @@ def test_algebra_suite_memory_stays_bounded_on_m16():
     assert peak < 128 * 2**20
 
 
+DIAGONAL_D3 = dict(BASE, grid=["1", "2", "3", "4"], system={"kind": "diagonal", "d": 3},
+                   unit={"kind": "standard"}, counit={"kind": "standard"},
+                   suites=["partition", "dilation"], max_interior_points=3)
+
+
+def test_dilation_caches_no_identity_refinement():
+    # a germ pushed to its own partition and a padded map whose middle is not
+    # refined both meet D[J,J]; the identity is used, never stored
+    setup = build_setup(RunConfig.from_json(DIAGONAL_D3))
+    assert run_dilation(setup, np.random.default_rng(0)).passed
+    refine = [key for key in setup.system._cache if key[0] == "refine"]
+    assert refine and all(coarse != fine for _, coarse, fine in refine)
+
+
+def test_partition_and_dilation_memory_stays_bounded_on_d3():
+    # factored maps and streamed identities: no dense 729 x 729 map is formed
+    setup = build_setup(RunConfig.from_json(DIAGONAL_D3))
+    tracemalloc.start()
+    try:
+        reports = [runner(setup, np.random.default_rng(0))
+                   for runner in (run_partition, run_dilation)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(report.passed for report in reports)
+    assert peak < 8 * 2**20
+
+
 def test_dimension_cap_is_a_config_error(tmp_path):
     raw = dict(BASE)
     raw["grid"] = ["1", "2", "3", "4", "5", "6"]
@@ -336,6 +364,13 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     {"seed": True},
     {"tolerance": -1},
     {"tolerance": float("nan")},
+    {"counit": "uniform"},
+    {"unit": "trivial"},
+    {"perturb_delta": [1]},
+    {"measures": [1]},
+    {"system": {"kind": "diagonal", "d": 2.5}},
+    {"system": {"kind": "glue_hilbert", "cell_dims": [2, 2.5]}},
+    {"measures": {"1,2": ["1/2", "1/2"], "2,3": ["1/2", "1/2"], "1,3": ["1/2", "1/2"]}},
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     path = tmp_path / "cfg.json"

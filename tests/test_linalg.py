@@ -198,7 +198,7 @@ def test_tolerance_default():
     assert Tolerance().eps == 1e-9
 
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 block_lists = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
 
@@ -218,3 +218,124 @@ def test_vec_round_trip(blocks):
     blocks = tuple(blocks)
     v = np.arange(blocks_dim(blocks), dtype=complex)
     assert max_abs(join_vec(split_vec(blocks, v)) - v) == 0
+
+
+# -- factored superoperators against the dense Kronecker reference ----------------
+
+def dense_tensor(f, g) -> np.ndarray:
+    """Reference: the dense Kronecker product of the two matrices, scattered by tensor_perm."""
+    from cstar_systems.linalg import tensor_perm
+
+    k = np.kron(f.matrix, g.matrix)
+    out = np.empty_like(k)
+    out[np.ix_(tensor_perm(f.cod, g.cod), tensor_perm(f.dom, g.dom))] = k
+    return out
+
+
+DESCRIPTORS = [(1,), (2,), (1, 1), (1, 2), (1, 1, 3)]
+# (dom, cod, identity): one-column constants have dom (1,)
+FACTOR_SPECS = [(dom, cod, False) for dom in DESCRIPTORS for cod in DESCRIPTORS] + \
+    [(d, d, True) for d in DESCRIPTORS]
+ENTRY_BUDGET = 1 << 16
+
+
+@st.composite
+def factor_lists(draw):
+    """2-4 factor maps whose tensor has at most ENTRY_BUDGET dense entries, and an entry kind."""
+    from cstar_systems.linalg import blocks_dim
+
+    binary = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size, factors = 1, []
+    for _ in range(draw(st.integers(2, 4))):
+        fitting = [s for s in FACTOR_SPECS
+                   if size * blocks_dim(s[0]) * blocks_dim(s[1]) <= ENTRY_BUDGET]
+        dom, cod, ident = draw(st.sampled_from(fitting))
+        size *= blocks_dim(dom) * blocks_dim(cod)
+        if ident:
+            factors.append(identity_superop(dom))
+            continue
+        shape = (blocks_dim(cod), blocks_dim(dom))
+        mat = rng.integers(0, 2, shape).astype(complex) if binary else rng.standard_normal(
+            shape) + 1j * rng.standard_normal(shape)
+        factors.append(Superoperator(mat, dom, cod))
+    return factors, binary, rng
+
+
+def _close(got, want, binary):
+    if binary:
+        return np.array_equal(got, want)
+    return max_abs(got - want) <= 1e-12 * max(1.0, max_abs(want))
+
+
+@settings(deadline=None, max_examples=60)
+@given(factor_lists())
+def test_factored_tensor_matches_dense_reference(case):
+    from functools import reduce
+
+    from cstar_systems.linalg import superop_tensor_all
+
+    factors, binary, rng = case
+    op = superop_tensor_all(factors)
+    ref = reduce(lambda f, g: Superoperator(dense_tensor(f, g), tensor_blocks(f.dom, g.dom),
+                                            tensor_blocks(f.cod, g.cod)), factors).matrix
+    assert op.matrix.shape == ref.shape == (op.out_dim, op.in_dim)
+    if binary:
+        x = rng.integers(0, 2, (op.in_dim, 3)).astype(complex)
+        r = rng.integers(0, 2, (2, op.out_dim)).astype(complex)
+    else:
+        x = random_complex((op.in_dim, 3))
+        r = random_complex((2, op.out_dim))
+    assert _close(op.matrix, ref, binary)
+    assert _close(op.apply_many(x), ref @ x, binary)
+    assert _close(op.rapply(r), r @ ref, binary)
+    assert _close(op.apply(x[:, 0]), ref @ x[:, 0], binary)
+    assert _close(op.rapply(r[0]), r[0] @ ref, binary)
+
+
+@settings(deadline=None, max_examples=60)
+@given(factor_lists())
+def test_factored_tensor_is_associative(case):
+    factors, _, _ = case
+    constant = Superoperator(np.ones((2, 1)), (1,), (1, 1))
+    f, g, h = (factors + [constant])[:3]
+    left = superop_tensor(superop_tensor(f, g), h)
+    right = superop_tensor(f, superop_tensor(g, h))
+    assert (left.dom, left.cod) == (right.dom, right.cod)
+    assert np.array_equal(left.matrix, right.matrix)
+
+
+def test_factored_maps_skip_identities_and_never_cache_the_matrix():
+    f = superop_from_conjugation(random_complex((2, 2)))
+    op = superop_tensor(identity_superop((1, 2)), f)
+    assert op.skip == (True, False) and not op.is_dense
+    assert op.matrix is not op.matrix
+    assert max_abs(op.matrix - dense_tensor(identity_superop((1, 2)), f)) < 1e-12
+    x = random_complex(op.in_dim)
+    assert op.apply(x) is not x
+    ident = superop_tensor(identity_superop((1, 1)), identity_superop((1,)))
+    assert ident.gather is None and ident.scatter is None
+    y = ident.apply(x[:ident.in_dim])
+    assert np.array_equal(y, x[:ident.in_dim]) and not np.shares_memory(y, x)
+
+
+def test_composite_residual_covers_every_matrix_unit(monkeypatch):
+    from cstar_systems import linalg
+    from cstar_systems.linalg import composite_residual
+
+    monkeypatch.setattr(linalg, "STREAM_ENTRIES", 7)  # many chunks of one or two columns
+    f = superop_from_conjugation(random_complex((2, 2)))
+    g = superop_from_conjugation(random_complex((3, 3)))
+    op = superop_tensor(f, g)
+    mat = op.matrix.copy()
+    assert composite_residual([op], [Superoperator(mat, op.dom, op.cod)]) < 1e-12
+    for col in (0, op.in_dim - 1):
+        bumped = mat.copy()
+        bumped[-1, col] += 0.5
+        res = composite_residual([op], [Superoperator(bumped, op.dom, op.cod)])
+        assert abs(res - 0.5) < 1e-12
+    # a two-map chain on each side: (f (x) g) o id = id o (f (x) g)
+    ident_in, ident_out = identity_superop(op.dom), identity_superop(op.cod)
+    assert composite_residual([op, ident_in], [ident_out, op]) < 1e-12
+    with pytest.raises(ValueError):
+        composite_residual([op], [identity_superop((2,))])

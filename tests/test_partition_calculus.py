@@ -6,6 +6,8 @@ import pytest
 from cstar_systems.algebra import DimensionCapError, tensor_element, vector_state
 from cstar_systems.linalg import compose, max_abs, superop_tensor
 from cstar_systems.partition_calculus import (
+    Germ,
+    SpaceTag,
     cross_germ,
     delta_cross,
     delta_interval_to_partition,
@@ -22,6 +24,7 @@ from cstar_systems.partition_calculus import (
     one_param_coassociativity_residual,
     one_param_comultiplication,
     partition_algebra,
+    push_germ,
     sharp_comultiplication,
     sharp_embedding,
     sharp_germ,
@@ -159,6 +162,17 @@ class TestRefinementMaps:
                 delta_refinement(diag, small, mid).matrix
             assert max_abs(lhs - rhs) < 1e-9
 
+    def test_cached_maps_hold_read_only_factors(self, diag, diag_unit):
+        delta_refinement(diag, Partition([1, 3, 6]), Partition([1, 2, 3, 4, 6]))
+        delta_cross(diag, diag_unit, Partition([2, 4]), Partition([1, 2, 3, 4, 5]))
+        maps = [v for key, v in diag._cache.items() if key[0] in ("refine", "cross")]
+        assert any(len(op.factors) > 1 for op in maps)
+        for op in maps:
+            for arr in (*op.factors, op.gather, op.scatter):
+                assert arr is None or not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                op.factors[0][0, 0] = 1.0
+
     def test_glue_refinement_is_permutation_conjugation(self, glue):
         d = delta_refinement(glue, Partition([1, 4]), Partition([1, 2, 3, 4]))
         mat = d.matrix
@@ -230,6 +244,15 @@ class TestGerms:
             delta_refinement(diag, part, fine).apply(x.vec()))
         g2 = sharp_germ(diag, fine, pushed)
         assert germ_equal(diag, g1, g2)
+
+    def test_push_to_own_partition_is_the_element(self, diag):
+        part = Partition([1, 2, 4, 6])
+        x = partition_algebra(diag, part).random_element(RNG)
+        keys = set(diag._cache)
+        assert push_germ(diag, None, sharp_germ(diag, part, x), part) is x
+        assert set(diag._cache) == keys
+        with pytest.raises(ValueError, match="blocks"):
+            push_germ(diag, None, Germ(part, diag.alg(F(1), F(2)).one(), SpaceTag.SHARP), part)
 
     def test_distinct_elements_are_distinct_germs(self, diag):
         part = Partition([1, 6])
