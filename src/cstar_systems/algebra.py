@@ -19,7 +19,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    Superoperator,
     Tolerance,
     as_matrix,
     blocks_dim,
@@ -225,10 +224,6 @@ class GnsData:
     dim: int
     eta: np.ndarray
     lift: np.ndarray
-    gram_rank_tol: Tolerance
-
-    def coords(self, x: AlgebraElement) -> np.ndarray:
-        return self.eta @ x.vec()
 
 
 def gram_matrix(algebra: FiniteCStarAlgebra, phi: LinearFunctional) -> np.ndarray:
@@ -284,7 +279,7 @@ def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEF
             eta[row:row + r, cols] = eta_k
             lift[cols, row:row + r] = c
             row += r
-    return GnsData(dim=rank, eta=eta, lift=lift, gram_rank_tol=tol)
+    return GnsData(dim=rank, eta=eta, lift=lift)
 
 
 def _gram_schmidt(g: np.ndarray, rank: int, threshold: float) -> np.ndarray:
@@ -312,15 +307,3 @@ def _gram_schmidt(g: np.ndarray, rank: int, threshold: float) -> np.ndarray:
             f"Gram-Schmidt found {len(coeffs)} vectors but Gram rank is {rank}"
         )
     return np.array(coeffs).reshape(rank, n).T
-
-
-def is_idempotent_wrt(
-    phi: LinearFunctional, delta: Superoperator, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """(phi (x) phi) o delta == phi on the matrix-unit basis, within eps."""
-    if delta.dom != phi.algebra.blocks:
-        raise ValueError(f"map domain {delta.dom} does not match algebra {phi.algebra.blocks}")
-    if delta.cod != tensor_blocks(phi.algebra.blocks, phi.algebra.blocks):
-        raise ValueError("map must land in the tensor square of the algebra")
-    pair_row = functional_tensor(phi, phi).row()
-    return max_abs(pair_row @ delta.matrix - phi.row()) <= tol.eps

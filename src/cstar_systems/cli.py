@@ -281,13 +281,13 @@ def _faithful_cell_product(system, mult, measures) -> FunctionalFamily:
 def _from_measures(system, mult, measures) -> FunctionalFamily:
     if mult is None or not measures:
         raise ConfigError("from_measures needs a commutative system and measures")
-    return measure_family_functionals(mult, system, measures)
+    return measure_family_functionals(system, measures)
 
 
 def _uniform(system, mult, measures) -> FunctionalFamily:
     if mult is None:
         raise ConfigError("uniform counit needs a commutative system")
-    return measure_family_functionals(mult, system, {
+    return measure_family_functionals(system, {
         pair: as_measure([Fraction(1, sp.size)] * sp.size) for pair, sp in mult.spaces.items()})
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .algebra import FiniteCStarAlgebra, LinearFunctional
 from .linalg import Superoperator
 from .report import CheckRecord, Report
 from .systems import FunctionalFamily, Grid, TensorialSystem, UnitFamily
-from .timegrid import MapBackend, Partition, padded_map, refinement_map
+from .timegrid import MapBackend, Partition, padded_map
 
 Pair = tuple[Fraction, Fraction]
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -34,13 +34,10 @@ Triple = tuple[Fraction, Fraction, Fraction]
 @dataclass(frozen=True)
 class FiniteSpace:
     size: int
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("spaces must be non-empty")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("one label per point")
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def functional_from_measure(alg: FiniteCStarAlgebra, mu: Measure) -> LinearFunct
     return LinearFunctional(alg, [np.array([[float(w)]]) for w in mu])
 
 
-def measure_family_functionals(sys: FiniteMultSystem, cstar: TensorialSystem,
+def measure_family_functionals(cstar: TensorialSystem,
                                mu: Mapping[Pair, Measure]) -> FunctionalFamily:
     return FunctionalFamily({
         pair: functional_from_measure(cstar.algebras[pair], as_measure(mu[pair]))
@@ -240,7 +237,7 @@ def check_measure_family(sys: FiniteMultSystem, mu: Mapping[Pair, Measure],
             exact_discrepancy=str(disc),
         ))
     cstar = to_cstar(sys)
-    fam = measure_family_functionals(sys, cstar, measures)
+    fam = measure_family_functionals(cstar, measures)
     bridge = check_comultiplicative(cstar, fam, Tolerance(tol_eps))
     agree = bridge.passed == report.passed
     report.extend(bridge)
@@ -315,15 +312,12 @@ def _point_guard(sys: FiniteMultSystem):
     return lambda partition: sys.grid.require(*partition.points)
 
 
-def chi_refinement(sys: FiniteMultSystem, coarse: Partition, fine: Partition) -> np.ndarray:
-    """The point map X_J -> X_I for a same-endpoint refinement: blockwise products."""
-    return refinement_map(_point_backend(sys), coarse, fine, _point_guard(sys), sys._cache)[0]
-
-
 def chi_cross(sys: FiniteMultSystem, coarse: Partition, fine: Partition) -> np.ndarray:
-    """The padded point map X_J -> X_I: project onto the middle cells, then refine.
+    """The point map X_J -> X_I: project onto the middle cells, then refine.
 
-    Mirrors the unit-padded algebra map for the trivial (all-ones) unit.
+    With equal endpoints this is the refinement point map (blockwise
+    products); otherwise it mirrors the unit-padded algebra map for the
+    trivial (all-ones) unit.
     """
     def pad(middle, lower, upper):
         table, size = middle

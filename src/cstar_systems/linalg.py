@@ -48,11 +48,6 @@ def max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; associative exactly by index layout."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def is_isometry(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     """v* v == identity, entrywise within eps (long matrices only)."""
     v = as_matrix(v)
@@ -60,14 +55,6 @@ def is_isometry(v, tol: Tolerance = DEFAULT_TOL) -> bool:
         return False
     gram = v.conj().T @ v
     return max_abs(gram - np.eye(v.shape[1])) <= tol.eps
-
-
-def is_projection(p, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Self-adjoint and idempotent within eps."""
-    p = as_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        raise ValueError(f"projections must be square, got {p.shape}")
-    return max_abs(p - p.conj().T) <= tol.eps and max_abs(p @ p - p) <= tol.eps
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -395,11 +382,6 @@ class HomReport:
         object.__setattr__(self, "classification", cls)
 
 
-def vec_mul(blocks: Blocks, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Blockwise product of vectorized elements."""
-    return join_vec([x @ y for x, y in zip(split_vec(blocks, va), split_vec(blocks, vb))])
-
-
 @lru_cache(maxsize=None)
 def star_perm(blocks: Blocks) -> np.ndarray:
     """Index map with vec(x*) = conj(vec(x))[star_perm]."""
@@ -409,10 +391,6 @@ def star_perm(blocks: Blocks) -> np.ndarray:
             for j in range(n):
                 perm[off + i * n + j] = off + j * n + i
     return perm
-
-
-def vec_star(blocks: Blocks, v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=complex).conj()[star_perm(blocks)]
 
 
 @lru_cache(maxsize=None)
@@ -455,8 +433,8 @@ def check_star_homomorphism(
         # images of the basis in this codomain block, as a stack of matrices
         imgs = np.ascontiguousarray(
             mat[off:off + m * m, :].T.reshape(n, m, m))
-        # chunk the first index so rhs stays within a fixed memory budget
-        chunk = max(1, int(4e6 / max(1, n * m * m)))
+        # chunk the first index so rhs stays within the streaming budget
+        chunk = max(1, STREAM_ENTRIES // (n * m * m))
         for a0 in range(0, n, chunk):
             a1 = min(n, a0 + chunk)
             rhs = np.einsum("aij,bjk->abik", imgs[a0:a1], imgs, optimize=True)

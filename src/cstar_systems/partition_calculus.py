@@ -39,9 +39,7 @@ from .algebra import (
     tensor_element,
 )
 from .linalg import (
-    DEFAULT_TOL,
     Superoperator,
-    Tolerance,
     compose,
     composite_residual,
     identity_superop,
@@ -49,7 +47,6 @@ from .linalg import (
     superop_tensor,
     superop_tensor_all,
     superop_tensor_const,
-    tensor_perm,
 )
 from .systems import FunctionalFamily, MorphismFamily, TensorialSystem, UnitFamily
 from .timegrid import (
@@ -221,14 +218,13 @@ def push_germ(sys: TensorialSystem, unit: Optional[UnitFamily], g: Germ,
     """The representative of ``g`` on the finer partition ``target``.
 
     On its own partition a germ is its element: D[I,I] is the identity.
+    Otherwise the connecting map is the refinement map when the endpoints
+    agree and the map padded with ``unit`` when they do not.
     """
     if g.partition == target:
         _validate_germ(sys, target, g.element)
         return g.element
-    if g.tag is SpaceTag.SHARP:
-        mapper = delta_refinement(sys, g.partition, target)
-    else:
-        mapper = delta_cross(sys, unit, g.partition, target)
+    mapper = delta_cross(sys, unit, g.partition, target)
     return partition_algebra(sys, target).from_vec(mapper.apply(g.element.vec()))
 
 
@@ -249,11 +245,6 @@ def germ_distance(sys: TensorialSystem, g1: Germ, g2: Germ,
     return push_germ(sys, unit, g1, target).distance(push_germ(sys, unit, g2, target))
 
 
-def germ_equal(sys: TensorialSystem, g1: Germ, g2: Germ,
-               tol: Tolerance = DEFAULT_TOL, unit: Optional[UnitFamily] = None) -> bool:
-    return germ_distance(sys, g1, g2, unit) <= tol.eps
-
-
 def germ_binop(sys: TensorialSystem, g1: Germ, g2: Germ, op,
                unit: Optional[UnitFamily] = None) -> Germ:
     target = _join_target(g1, g2)
@@ -272,15 +263,6 @@ def germ_mul(sys: TensorialSystem, g1: Germ, g2: Germ,
     return germ_binop(sys, g1, g2, lambda x, y: x * y, unit)
 
 
-def germ_star(g: Germ) -> Germ:
-    return Germ(g.partition, g.element.star(), g.tag)
-
-
-def germ_norm(g: Germ) -> float:
-    """Well defined on germs: all connecting maps are isometric *-monomorphisms."""
-    return g.element.norm()
-
-
 @dataclass(frozen=True)
 class SplitGerm:
     """A germ presented over a split partition L u R sharing one cut point.
@@ -294,10 +276,6 @@ class SplitGerm:
     right_partition: Partition
     element: AlgebraElement
     tag: SpaceTag
-
-    @property
-    def cut(self) -> Fraction:
-        return self.left_partition.points[-1]
 
     @property
     def joint_partition(self) -> Partition:
@@ -317,25 +295,6 @@ def _split_at(partition: Partition, element: AlgebraElement, s: Fraction,
         right_partition=partition.restrict(s, partition.points[-1]),
         element=element,
         tag=tag,
-    )
-
-
-def split_pure_tensor(sys: TensorialSystem, sg: SplitGerm) -> Optional[tuple[Germ, Germ]]:
-    """Factor the joint element as x (x) y if it is elementary, else None.
-
-    The factors are determined up to a reciprocal scalar; the left one is
-    normalized to unit Frobenius scale.
-    """
-    left_alg = partition_algebra(sys, sg.left_partition)
-    right_alg = partition_algebra(sys, sg.right_partition)
-    perm = tensor_perm(left_alg.blocks, right_alg.blocks)
-    k = sg.element.vec()[perm].reshape(left_alg.dim, right_alg.dim)
-    u, sing, vh = np.linalg.svd(k)
-    if sing.size > 1 and sing[1] > 1e-12 * max(sing[0], 1.0):
-        return None
-    return (
-        Germ(sg.left_partition, left_alg.from_vec(u[:, 0]), sg.tag),
-        Germ(sg.right_partition, right_alg.from_vec(sing[0] * vh[0, :]), sg.tag),
     )
 
 
@@ -373,9 +332,7 @@ def sharp_embedding(sys: TensorialSystem, unit: UnitFamily, g: Germ,
     if (u, v) == (s, t):
         return g
     target = Partition(sorted({u, v} | set(g.partition.points)))
-    mapper = delta_cross(sys, unit, g.partition, target)
-    element = partition_algebra(sys, target).from_vec(mapper.apply(g.element.vec()))
-    return Germ(target, element, SpaceTag.SHARP)
+    return Germ(target, push_germ(sys, unit, g, target), SpaceTag.SHARP)
 
 
 def one_param_comultiplication(sys: TensorialSystem, unit: UnitFamily, g: Germ,

@@ -1,4 +1,4 @@
-"""JSON encodings: rationals as "p/q", matrices as split re/im, config payloads."""
+"""JSON encodings of config payloads: time keys as "p,q", matrices as split re/im."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -6,30 +6,12 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, FiniteCStarAlgebra, LinearFunctional
-from .linalg import Superoperator, as_matrix
-from .timegrid import as_timepoint, format_timepoint
-
-
-def rational_from_str(s) -> Fraction:
-    return as_timepoint(s)
-
-
-def pair_key(s: Fraction, t: Fraction) -> str:
-    return f"{format_timepoint(s)},{format_timepoint(t)}"
+from .linalg import Superoperator
+from .timegrid import as_timepoint
 
 
 def parse_time_key(key: str) -> tuple[Fraction, ...]:
     return tuple(as_timepoint(part.strip()) for part in key.split(","))
-
-
-def matrix_to_json(m) -> dict:
-    m = as_matrix(m)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re": [float(x) for x in m.real.reshape(-1)],
-        "im": [float(x) for x in m.imag.reshape(-1)],
-    }
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -39,24 +21,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def algebra_to_json(alg: FiniteCStarAlgebra) -> dict:
-    return {"blocks": list(alg.blocks)}
-
-
-def algebra_from_json(obj: dict) -> FiniteCStarAlgebra:
-    return FiniteCStarAlgebra(obj["blocks"])
-
-
-def element_to_json(x: AlgebraElement) -> dict:
-    return {"blocks": [matrix_to_json(m) for m in x.block_matrices]}
-
-
 def element_from_json(alg: FiniteCStarAlgebra, obj: dict) -> AlgebraElement:
     return AlgebraElement(alg, [matrix_from_json(m) for m in obj["blocks"]])
-
-
-def functional_to_json(phi: LinearFunctional) -> dict:
-    return {"densities": [matrix_to_json(m) for m in phi.densities]}
 
 
 def functional_from_json(alg: FiniteCStarAlgebra, obj: dict) -> LinearFunctional:
@@ -65,24 +31,3 @@ def functional_from_json(alg: FiniteCStarAlgebra, obj: dict) -> LinearFunctional
 
 def superop_from_json(obj: dict, dom: tuple[int, ...], cod: tuple[int, ...]) -> Superoperator:
     return Superoperator(matrix_from_json(obj), dom, cod)
-
-
-def system_to_json(sys) -> dict:
-    """Standalone system object: {"grid": [...], "kind": ..., payload}.
-
-    Built-in kinds serialize their generator payload; anything else falls back
-    to "custom" with explicit algebras and map matrices.
-    """
-    out = {"grid": [format_timepoint(p) for p in sys.grid.points], "kind": sys.kind}
-    if sys.kind in ("diagonal", "glue_hilbert") and sys.payload:
-        out.update(sys.payload)
-        return out
-    out["kind"] = "custom"
-    out["algebras"] = {
-        pair_key(s, t): algebra_to_json(alg) for (s, t), alg in sys.algebras.items()
-    }
-    out["deltas"] = {
-        f"{pair_key(r, s)},{format_timepoint(t)}": matrix_to_json(d.matrix)
-        for (r, s, t), d in sys.deltas.items()
-    }
-    return out

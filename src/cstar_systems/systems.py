@@ -252,10 +252,6 @@ def check_system_axioms(sys: TensorialSystem, tol: Tolerance = DEFAULT_TOL) -> R
     return report
 
 
-def classify_system(sys: TensorialSystem, tol: Tolerance = DEFAULT_TOL) -> str:
-    return check_system_axioms(sys, tol).records[-1].detail
-
-
 def check_hilbert_axioms(hs: HilbertSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
     report = Report()
     for (r, s, t) in hs.grid.triples():

@@ -8,13 +8,18 @@ from cstar_systems.algebra import (
     functional_tensor,
     gns,
     gram_matrix,
-    is_idempotent_wrt,
     tensor_algebra,
     tensor_element,
     trace_functional,
     vector_state,
 )
 from cstar_systems.linalg import DEFAULT_TOL, max_abs, numerical_rank, superop_from_conjugation
+from cstar_systems.systems import (
+    Grid,
+    check_comultiplicative,
+    constant_functional_family,
+    trivial_from_bialgebra,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -100,7 +105,7 @@ class TestGns:
         assert data.dim == 2
         # eta is the first-column map in the canonical basis
         x = M2.random_element(RNG)
-        assert max_abs(data.coords(x) - x.block_matrices[0][:, 0]) < 1e-12
+        assert max_abs(data.eta @ x.vec() - x.block_matrices[0][:, 0]) < 1e-12
 
     def test_rank_two_density_on_m3(self):
         phi = LinearFunctional(M3, [np.diag([0.5, 0.5, 0.0])])
@@ -234,18 +239,26 @@ def test_global_threshold_drops_a_block_above_its_own_threshold():
 
 
 class TestIdempotentFunctionals:
+    """(phi (x) phi) o delta = phi, as the co-multiplicativity of a constant family."""
+
+    GRID = Grid([1, 2, 3])
+
+    def idempotent(self, alg, phi, delta):
+        sys = trivial_from_bialgebra(self.GRID, alg, delta)
+        return check_comultiplicative(sys, constant_functional_family(sys, lambda _: phi)).passed
+
     def test_vector_state_is_idempotent_for_diagonal_coproduct(self):
-        assert is_idempotent_wrt(vector_state(M2), diagonal_coproduct(2))
+        assert self.idempotent(M2, vector_state(M2), diagonal_coproduct(2))
 
     def test_normalized_trace_is_not(self):
-        assert not is_idempotent_wrt(trace_functional(M2, normalized=True),
-                                     diagonal_coproduct(2))
+        assert not self.idempotent(M2, trace_functional(M2, normalized=True),
+                                   diagonal_coproduct(2))
 
     def test_unnormalized_trace_is_idempotent_for_any_isometry(self):
         v = np.linalg.qr(RNG.standard_normal((4, 4))
                          + 1j * RNG.standard_normal((4, 4)))[0][:, :2]
-        assert is_idempotent_wrt(trace_functional(M2), superop_from_conjugation(v))
+        assert self.idempotent(M2, trace_functional(M2), superop_from_conjugation(v))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            is_idempotent_wrt(vector_state(M3), diagonal_coproduct(2))
+            self.idempotent(M3, vector_state(M3), diagonal_coproduct(2))

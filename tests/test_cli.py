@@ -33,6 +33,13 @@ def config(**overrides):
     return RunConfig.from_json(raw)
 
 
+def matrix_json(m) -> dict:
+    """The config encoding of a matrix: shape plus row-major real and imaginary parts."""
+    m = np.asarray(m, dtype=complex)
+    return {"rows": m.shape[0], "cols": m.shape[1],
+            "re": m.real.reshape(-1).tolist(), "im": m.imag.reshape(-1).tolist()}
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match="suites"):
         config(suites=[])
@@ -81,9 +88,6 @@ def test_glue_system_runs_all_suites():
 
 
 def test_one_parameter_system_kind():
-    from cstar_systems.serialize import matrix_to_json
-    import numpy as np
-
     u = np.zeros((4, 2))
     u[0, 0] = u[3, 1] = 1.0
     dmat = np.kron(u, u.conj())
@@ -92,7 +96,7 @@ def test_one_parameter_system_kind():
         system={
             "kind": "one_parameter",
             "durations": {"1/2": {"blocks": [2]}, "1": {"blocks": [2]}},
-            "maps": {"1/2,1/2": matrix_to_json(dmat)},
+            "maps": {"1/2,1/2": matrix_json(dmat)},
         },
         suites=["axioms", "partition"],
         max_interior_points=1,
@@ -103,21 +107,18 @@ def test_one_parameter_system_kind():
 
 
 def test_custom_system_with_explicit_families():
-    from cstar_systems.serialize import matrix_to_json
-    import numpy as np
-
     u = np.zeros((4, 2))
     u[0, 0] = u[3, 1] = 1.0
     dmat = np.kron(u, u.conj())
-    e11 = {"blocks": [matrix_to_json(np.diag([1.0, 0.0]))]}
-    omega = {"densities": [matrix_to_json(np.diag([1.0, 0.0]))]}
+    e11 = {"blocks": [matrix_json(np.diag([1.0, 0.0]))]}
+    omega = {"densities": [matrix_json(np.diag([1.0, 0.0]))]}
     pairs = ["1,2", "1,3", "2,3"]
     cfg = config(
         grid=["1", "2", "3"],
         system={
             "kind": "custom",
             "algebras": {k: {"blocks": [2]} for k in pairs},
-            "deltas": {"1,2,3": matrix_to_json(dmat)},
+            "deltas": {"1,2,3": matrix_json(dmat)},
         },
         unit={"kind": "explicit", "elements": {k: e11 for k in pairs}},
         counit={"kind": "explicit", "functionals": {k: omega for k in pairs}},
@@ -130,25 +131,22 @@ def test_custom_system_with_explicit_families():
 
 def test_direct_sum_blocks_through_the_full_pipeline():
     """A system on M_2 (+) C: mixed block sizes exercise every tensor layout."""
-    from cstar_systems.serialize import matrix_to_json
-    import numpy as np
-
     u = np.zeros((4, 2))
     u[0, 0] = u[3, 1] = 1.0
     dmat = np.zeros((25, 5), dtype=complex)
     dmat[:16, :4] = np.kron(u, u.conj())   # M_2 summand into the (0,0) block
     dmat[24, 4] = 1.0                      # scalar summand into the (1,1) block
     pairs = ["1,2", "1,3", "2,3"]
-    p_unit = {"blocks": [matrix_to_json(np.diag([1.0, 0.0])),
-                         matrix_to_json(np.zeros((1, 1)))]}
-    omega = {"densities": [matrix_to_json(np.diag([1.0, 0.0])),
-                           matrix_to_json(np.zeros((1, 1)))]}
+    p_unit = {"blocks": [matrix_json(np.diag([1.0, 0.0])),
+                         matrix_json(np.zeros((1, 1)))]}
+    omega = {"densities": [matrix_json(np.diag([1.0, 0.0])),
+                           matrix_json(np.zeros((1, 1)))]}
     cfg = config(
         grid=["1", "2", "3"],
         system={
             "kind": "custom",
             "algebras": {k: {"blocks": [2, 1]} for k in pairs},
-            "deltas": {"1,2,3": matrix_to_json(dmat)},
+            "deltas": {"1,2,3": matrix_json(dmat)},
         },
         unit={"kind": "explicit", "elements": {k: p_unit for k in pairs}},
         counit={"kind": "explicit", "functionals": {k: omega for k in pairs}},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cstar_systems.algebra import DimensionCapError, tensor_element, vector_state
-from cstar_systems.linalg import compose, max_abs, superop_tensor
+from cstar_systems.linalg import DEFAULT_TOL, compose, max_abs, superop_tensor
 from cstar_systems.partition_calculus import (
     Germ,
     SpaceTag,
@@ -13,10 +13,8 @@ from cstar_systems.partition_calculus import (
     delta_interval_to_partition,
     delta_refinement,
     germ_add,
-    germ_equal,
+    germ_distance,
     germ_mul,
-    germ_norm,
-    germ_star,
     interval_map_left_nested,
     interval_map_right_nested,
     lift_morphism,
@@ -28,7 +26,6 @@ from cstar_systems.partition_calculus import (
     sharp_comultiplication,
     sharp_embedding,
     sharp_germ,
-    split_pure_tensor,
     state_on_partition,
     unit_on_partition,
 )
@@ -44,6 +41,7 @@ from cstar_systems.systems import (
 from cstar_systems.timegrid import EndpointMismatchError, Partition
 
 RNG = np.random.default_rng(99)
+EPS = DEFAULT_TOL.eps
 GRID6 = Grid([1, 2, 3, 4, 5, 6])
 
 
@@ -243,7 +241,7 @@ class TestGerms:
         pushed = partition_algebra(diag, fine).from_vec(
             delta_refinement(diag, part, fine).apply(x.vec()))
         g2 = sharp_germ(diag, fine, pushed)
-        assert germ_equal(diag, g1, g2)
+        assert germ_distance(diag, g1, g2) <= EPS
 
     def test_push_to_own_partition_is_the_element(self, diag):
         part = Partition([1, 2, 4, 6])
@@ -259,15 +257,15 @@ class TestGerms:
         alg = partition_algebra(diag, part)
         x = alg.random_element(RNG)
         bumped = x + 1e-3 * alg.matrix_unit(0, 0, 0)
-        assert not germ_equal(diag, sharp_germ(diag, part, x),
-                              sharp_germ(diag, part, bumped))
+        assert germ_distance(diag, sharp_germ(diag, part, x),
+                         sharp_germ(diag, part, bumped)) > EPS
 
     def test_cross_padding_identifies_padded_element(self, diag, diag_unit):
         x = diag.alg(F(1), F(2)).matrix_unit(0, 0, 0)
         g1 = cross_germ(diag, Partition([1, 2]), x)
         g2 = cross_germ(diag, Partition([1, 2, 3]),
                         tensor_element(x, diag_unit.p(F(2), F(3))))
-        assert germ_equal(diag, g1, g2, unit=diag_unit)
+        assert germ_distance(diag, g1, g2, unit=diag_unit) <= EPS
 
     def test_sharp_germs_require_matching_intervals(self, diag):
         g1 = sharp_germ(diag, Partition([1, 2]),
@@ -275,23 +273,26 @@ class TestGerms:
         g2 = sharp_germ(diag, Partition([2, 3]),
                         diag.alg(F(2), F(3)).matrix_unit(0, 0, 0))
         with pytest.raises(EndpointMismatchError):
-            germ_equal(diag, g1, g2)
+            germ_distance(diag, g1, g2)
 
     def test_projection_germ_is_idempotent(self, diag, diag_unit):
         part = Partition([1, 3, 5])
         g = cross_germ(diag, part, unit_on_partition(diag_unit, part))
-        assert germ_equal(diag, germ_mul(diag, g, g, unit=diag_unit), g,
-                          unit=diag_unit)
-        assert germ_norm(g) == pytest.approx(1.0)
+        assert germ_distance(diag, germ_mul(diag, g, g, unit=diag_unit), g,
+                             unit=diag_unit) <= EPS
+        assert g.element.norm() == pytest.approx(1.0)
 
     def test_star_and_norm(self, diag):
-        part = Partition([2, 3, 4])
-        w = np.linalg.qr(RNG.standard_normal((4, 4))
-                         + 1j * RNG.standard_normal((4, 4)))[0]
-        alg = partition_algebra(diag, part)
-        g = sharp_germ(diag, part, alg.from_vec(w.reshape(-1)))
-        assert germ_norm(g) == pytest.approx(1.0)
-        assert germ_equal(diag, germ_star(germ_star(g)), g)
+        # the connecting maps are isometric *-maps, so star and norm are
+        # representative-independent
+        part, fine = Partition([2, 4]), Partition([2, 3, 4])
+        w = np.linalg.qr(RNG.standard_normal((2, 2))
+                         + 1j * RNG.standard_normal((2, 2)))[0]
+        g = sharp_germ(diag, part, partition_algebra(diag, part).from_vec(w.reshape(-1)))
+        pushed = push_germ(diag, None, g, fine)
+        assert pushed.norm() == pytest.approx(1.0)
+        assert germ_distance(diag, sharp_germ(diag, fine, pushed.star()),
+                             sharp_germ(diag, part, g.element.star())) <= EPS
 
     def test_arithmetic_is_representative_independent(self, diag):
         part, fine = Partition([1, 6]), Partition([1, 3, 6])
@@ -302,8 +303,8 @@ class TestGerms:
         pushed = partition_algebra(diag, fine).from_vec(
             delta_refinement(diag, part, fine).apply(x.vec()))
         gx_fine = sharp_germ(diag, fine, pushed)
-        assert germ_equal(diag, germ_add(diag, gx, gy), germ_add(diag, gx_fine, gy))
-        assert germ_equal(diag, germ_mul(diag, gx, gy), germ_mul(diag, gx_fine, gy))
+        assert germ_distance(diag, germ_add(diag, gx, gy), germ_add(diag, gx_fine, gy)) <= EPS
+        assert germ_distance(diag, germ_mul(diag, gx, gy), germ_mul(diag, gx_fine, gy)) <= EPS
 
 
 class TestIntervalSplitting:
@@ -327,7 +328,7 @@ class TestIntervalSplitting:
         x = partition_algebra(diag, part).random_element(RNG)
         g = sharp_germ(diag, part, x)
         for cut in (F(2), F(4), F(5)):
-            assert germ_equal(diag, sharp_comultiplication(diag, g, cut).merged(), g)
+            assert germ_distance(diag, sharp_comultiplication(diag, g, cut).merged(), g) <= EPS
 
     def test_cut_must_be_interior_grid_point(self, diag):
         g = sharp_germ(diag, Partition([2, 5]), diag.alg(F(2), F(5)).matrix_unit(0, 0, 0))
@@ -335,16 +336,6 @@ class TestIntervalSplitting:
             sharp_comultiplication(diag, g, F(7, 2))
         with pytest.raises(ValueError):
             sharp_comultiplication(diag, g, F(6))
-
-    def test_pure_tensor_factorization(self, diag):
-        x = diag.alg(F(1), F(3)).matrix_unit(0, 0, 1)
-        y = diag.alg(F(3), F(5)).matrix_unit(0, 1, 0)
-        g = sharp_germ(diag, Partition([1, 3, 5]), tensor_element(x, y))
-        factors = split_pure_tensor(diag, sharp_comultiplication(diag, g, F(3)))
-        assert factors is not None
-        left, right = factors
-        rebuilt = tensor_element(left.element, right.element)
-        assert rebuilt.distance(tensor_element(x, y)) < 1e-12
 
 
 class TestIntervalEmbedding:
@@ -368,7 +359,7 @@ class TestIntervalEmbedding:
                               sharp_embedding(diag, diag_unit, g, F(2), F(5)),
                               F(1), F(6))
         direct = sharp_embedding(diag, diag_unit, g, F(1), F(6))
-        assert germ_equal(diag, via, direct, unit=diag_unit)
+        assert germ_distance(diag, via, direct, unit=diag_unit) <= EPS
 
 
 class TestOneParamComultiplication:
@@ -420,7 +411,7 @@ class TestOneParamComultiplication:
         for pair in [(F(2), F(4)), (F(3), F(6)), (F(1), F(6))]:
             part = Partition(pair)
             g = cross_germ(diag, part, unit_on_partition(diag_unit, part))
-            assert germ_equal(diag, g, ref, unit=diag_unit)
+            assert germ_distance(diag, g, ref, unit=diag_unit) <= EPS
         for cut in (F(2), F(3), F(5)):
             split = one_param_comultiplication(diag, diag_unit, ref, cut)
             joint_unit = unit_on_partition(diag_unit, split.joint_partition)

@@ -26,7 +26,6 @@ from cstar_systems.systems import (
     check_morphism,
     check_system_axioms,
     check_unit,
-    classify_system,
     constant_functional_family,
     diagonal_system,
     enumerate_all_partitions,
@@ -68,7 +67,7 @@ class TestDiagonalSystem:
     def test_d1_is_a_product_system_of_scalars(self):
         _, sys = diagonal_system(GRID, 1)
         assert all(alg.blocks == (1,) for alg in sys.algebras.values())
-        assert classify_system(sys) == "product"
+        assert check_system_axioms(sys).records[-1].detail == "product"
 
     def test_basis_action(self):
         _, sys = diagonal_system(Grid([1, 2, 3]), 2)
@@ -80,7 +79,7 @@ class TestDiagonalSystem:
 
     def test_d2_is_subproduct_not_product(self):
         _, sys = diagonal_system(GRID, 2)
-        assert classify_system(sys) == "subproduct"
+        assert check_system_axioms(sys).records[-1].detail == "subproduct"
         assert numerical_rank(sys.delta(F(1), F(2), F(3)).matrix) == 4
 
     def test_axiom_report_all_zero_residuals(self):
@@ -99,11 +98,11 @@ class TestGlueSystem:
 
     def test_classification_product(self):
         _, sys = glue_hilbert_system(Grid([1, 2, 3]), [2, 3])
-        assert classify_system(sys) == "product"
+        assert check_system_axioms(sys).records[-1].detail == "product"
 
     def test_trivial_cells(self):
         _, sys = glue_hilbert_system(GRID, [1, 1, 1])
-        assert classify_system(sys) == "product"
+        assert check_system_axioms(sys).records[-1].detail == "product"
         assert all(alg.blocks == (1,) for alg in sys.algebras.values())
 
     def test_axioms_within_tolerance(self):
@@ -120,7 +119,7 @@ class TestTrivialFromBialgebra:
     def test_z2_group_functions(self):
         alg, delta = group_z2_bialgebra()
         sys = trivial_from_bialgebra(GRID, alg, delta)
-        assert classify_system(sys) == "subproduct"
+        assert check_system_axioms(sys).records[-1].detail == "subproduct"
         # indicator of 0 maps to the sum of the diagonal pair indicators
         d0 = alg.zero()
         d0.block_matrices[0][0, 0] = 1.0
@@ -131,12 +130,12 @@ class TestTrivialFromBialgebra:
         u[0, 0] = u[3, 1] = 1.0
         alg = FiniteCStarAlgebra([2])
         sys = trivial_from_bialgebra(GRID, alg, superop_from_conjugation(u))
-        assert classify_system(sys) == "subproduct"
+        assert check_system_axioms(sys).records[-1].detail == "subproduct"
 
     def test_scalar_identity(self):
         alg = FiniteCStarAlgebra([1])
         sys = trivial_from_bialgebra(GRID, alg, identity_superop((1,)))
-        assert classify_system(sys) == "product"
+        assert check_system_axioms(sys).records[-1].detail == "product"
 
     def test_rejects_non_homomorphism(self):
         u = np.zeros((4, 2), dtype=complex)
