@@ -97,10 +97,6 @@ class AlgebraElement:
     def star(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, [m.conj().T for m in self.block_matrices])
 
-    def norm(self) -> float:
-        """Operator norm: the largest singular value over the blocks."""
-        return max(float(np.linalg.norm(m, 2)) for m in self.block_matrices)
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
         return AlgebraElement(
@@ -226,17 +222,29 @@ class GnsData:
     lift: np.ndarray
 
 
+def gram_apply(algebra: FiniteCStarAlgebra, phi: LinearFunctional,
+               x: np.ndarray) -> np.ndarray:
+    """G @ x for the Gram matrix G[b, a] = phi(e_b* e_a), without forming G.
+
+    Within block k the closed form is kron(I_n, rho_k^T); cross-block products
+    vanish, so G is block diagonal.  Block k of G @ x is therefore one batched
+    matmul of rho_k^T against the n row groups of x.  ``x`` has
+    ``algebra.dim`` rows and any trailing shape.
+    """
+    cols = x.reshape(algebra.dim, -1)
+    out = np.empty(cols.shape, dtype=complex)
+    for n, rho, off in zip(algebra.blocks, phi.densities, block_offsets(algebra.blocks)):
+        rows = slice(off, off + n * n)
+        out[rows] = np.matmul(rho.T, cols[rows].reshape(n, n, -1)).reshape(n * n, -1)
+    return out.reshape(x.shape)
+
+
 def gram_matrix(algebra: FiniteCStarAlgebra, phi: LinearFunctional) -> np.ndarray:
     """G[b, a] = phi(e_b* e_a) over the matrix-unit basis; Hermitian PSD for states.
 
-    Within block k the closed form is kron(I_n, rho_k^T); cross-block products
-    vanish, so G is block diagonal.
+    The dense form of ``gram_apply``: G applied to the identity.
     """
-    dim = algebra.dim
-    g = np.zeros((dim, dim), dtype=complex)
-    for n, rho, off in zip(algebra.blocks, phi.densities, block_offsets(algebra.blocks)):
-        g[off:off + n * n, off:off + n * n] = np.kron(np.eye(n), rho.T)
-    return g
+    return gram_apply(algebra, phi, np.eye(algebra.dim))
 
 
 def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEFAULT_TOL) -> GnsData:

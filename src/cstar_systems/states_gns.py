@@ -10,7 +10,9 @@ Applying the GNS construction per pair produces a Hilbert-space system whose
 isometries mirror the comultiplication; partition-level isometries between
 the GNS spaces then carry the dilation of that Hilbert system, and its
 agreement with the GNS system of the dilated states reduces to Gram-matrix
-preservation along refinements, which is checked here.
+preservation along refinements, which is checked here.  The Gram matrix of a
+product state is block diagonal, kron(I_n, rho_k^T) on block k, so the check
+applies it block by block and never forms a dense Gram matrix.
 """
 from __future__ import annotations
 
@@ -26,12 +28,13 @@ from .algebra import (
     LinearFunctional,
     functional_tensor,
     gns,
-    gram_matrix,
+    gram_apply,
     tensor_algebra,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    block_offsets,
     is_isometry,
     max_abs,
     tensor_perm,
@@ -339,36 +342,45 @@ def hs_germ_split(hs: HilbertSystem, g: HilbertGerm, s: Fraction
 
 # -- dilation agreement (Gram preservation) --------------------------------------
 
-def gram_on_partition(sys: TensorialSystem, fam: FunctionalFamily,
-                      partition: Partition) -> np.ndarray:
-    alg = partition_algebra(sys, partition)
-    return gram_matrix(alg, state_on_partition(fam, partition))
-
-
 def gram_preservation_residual(sys: TensorialSystem, fam: FunctionalFamily,
                                coarse: Partition, fine: Partition,
                                unit: Optional[UnitFamily] = None,
                                perturbation: float = 0.0) -> float:
-    """Residual of G_J(D x, D y) = G_I(x, y) for the connecting map D: A_I -> A_J.
+    """Residual of G_K(D x, D y) = G_I(x, y) for the connecting map D: A_I -> A_K.
 
     This is the well-definedness and isometry of the maps between the GNS
     spaces of the product states, i.e. the finite-level content of the
     equivalence between the two Hilbert-space dilations.  A nonzero
-    ``perturbation`` is added to the map's first entry as a negative control.
+    ``perturbation`` is added to one entry of the map as a negative control.
+
+    Neither Gram matrix is formed: G_K D is applied block by block
+    (``gram_apply``), D^H (G_K D) is one product, and G_I = (+)_k kron(I_n,
+    rho_k^T) is subtracted in place along its diagonal blocks.  The residual
+    is the max-abs over every entry of D^H G_K D - G_I, zeros included.
     """
     mat = delta_cross(sys, unit, coarse, fine).matrix
-    g_fine = gram_on_partition(sys, fam, fine)
-    g_coarse = gram_on_partition(sys, fam, coarse)
+    alg_fine = partition_algebra(sys, fine)
+    phi_fine = state_on_partition(fam, fine)
+    weighted = gram_apply(alg_fine, phi_fine, mat)
     if perturbation:
         # hit the entry with the largest Gram weight so the injected error
-        # shows up at full strength regardless of the state's scale
-        weighted = g_fine @ mat
+        # shows up at full strength regardless of the state's scale; only
+        # column c of the map changes, so only column c of G_K D is redone
         j, c = np.unravel_index(np.argmax(np.abs(weighted)), weighted.shape)
         w = weighted[j, c]
         phase = w / abs(w) if w != 0 else 1.0
         mat = mat.copy()
         mat[j, c] += perturbation * phase
-    return max_abs(mat.conj().T @ g_fine @ mat - g_coarse)
+        weighted[:, c] = gram_apply(alg_fine, phi_fine, mat[:, c])
+    prod = mat.conj().T @ weighted
+    alg_coarse = partition_algebra(sys, coarse)
+    phi_coarse = state_on_partition(fam, coarse)
+    for n, rho, off in zip(alg_coarse.blocks, phi_coarse.densities,
+                           block_offsets(alg_coarse.blocks)):
+        # rows and columns (i, a), (i, b) of block k carry rho_k^T[a, b]
+        idx = off + np.arange(n * n).reshape(n, n)
+        prod[idx[:, :, None], idx[:, None, :]] -= rho.T
+    return max_abs(prod)
 
 
 def dilation_isomorphism_check(sys: TensorialSystem, fam: FunctionalFamily,

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from cstar_systems.linalg import max_abs
 from cstar_systems.suites import associativity_residual, run_algebra, run_dilation, run_partition
 
 ORACLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BASE = {
     "grid": ["1", "2", "3"],
@@ -488,9 +490,11 @@ class TestMainEntryPoint:
 
     def test_console_entry_point_runs(self, tmp_path):
         path = self.write(tmp_path, BASE)
+        # the child imports the checkout's package, as pytest's pythonpath does
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cstar_systems.cli", "--config", str(path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert "overall" in proc.stdout

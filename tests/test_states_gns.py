@@ -1,3 +1,6 @@
+import itertools
+import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,13 +11,21 @@ from cstar_systems.algebra import (
     trace_functional,
     vector_state,
 )
+from cstar_systems.commutative import (
+    FiniteSpace,
+    glue_system,
+    measure_family_functionals,
+    to_cstar,
+)
 from cstar_systems.linalg import is_isometry, max_abs
 from cstar_systems.partition_calculus import (
     cross_germ,
+    delta_cross,
     delta_interval_to_partition,
     delta_refinement,
     partition_algebra,
     sharp_germ,
+    state_on_partition,
     unit_on_partition,
 )
 from cstar_systems.states_gns import (
@@ -37,11 +48,14 @@ from cstar_systems.systems import (
     check_hilbert_axioms,
     constant_functional_family,
     diagonal_system,
+    enumerate_all_partitions,
     enumerate_partitions,
     glue_hilbert_system,
     standard_unit,
+    trivial_unit,
 )
-from cstar_systems.timegrid import Partition
+from cstar_systems.suites import brute_force_gram
+from cstar_systems.timegrid import Partition, refinement_pairs
 
 RNG = np.random.default_rng(123)
 GRID = Grid([1, 2, 3, 4])
@@ -59,6 +73,23 @@ def diag_families(diag):
     return standard_unit(sys), constant_functional_family(sys, vector_state)
 
 
+def dense_gram_preservation_residual(sys, fam, coarse, fine, unit=None, perturbation=0.0):
+    """The dense formula max|D^H G_K D - G_I|, with both Gram matrices from the
+    brute-force oracle."""
+    mat = delta_cross(sys, unit, coarse, fine).matrix
+    g_fine = brute_force_gram(partition_algebra(sys, fine), state_on_partition(fam, fine))
+    g_coarse = brute_force_gram(partition_algebra(sys, coarse),
+                                state_on_partition(fam, coarse))
+    if perturbation:
+        weighted = g_fine @ mat
+        j, c = np.unravel_index(np.argmax(np.abs(weighted)), weighted.shape)
+        w = weighted[j, c]
+        phase = w / abs(w) if w != 0 else 1.0
+        mat = mat.copy()
+        mat[j, c] += perturbation * phase
+    return max_abs(mat.conj().T @ g_fine @ mat - g_coarse)
+
+
 def glue_with_faithful_state(grid, dims):
     hs, sys = glue_hilbert_system(grid, dims)
     cells = list(zip(grid.points, grid.points[1:]))
@@ -74,6 +105,24 @@ def glue_with_faithful_state(grid, dims):
                 rho = dens if rho is None else np.kron(rho, dens)
         functionals[(s, t)] = LinearFunctional(sys.alg(s, t), [rho])
     return hs, sys, FunctionalFamily(functionals)
+
+
+def faithful_glue():
+    """glue [2, 3] with the faithful state of weights 1/3, 2/3 and 1/6, 2/6, 3/6."""
+    _, sys, fam = glue_with_faithful_state(Grid([1, 2, 3]), [2, 3])
+    return sys, standard_unit(sys), fam
+
+
+def bernoulli_glue():
+    """The commutative glue system on words over {0, 1} with Bernoulli(1/3, 2/3)
+    letters: every partition algebra has one block per word."""
+    grid = Grid([1, 2, 3, 4])
+    sys = to_cstar(glue_system(grid, FiniteSpace(2)))
+    letters = (F(1, 3), F(2, 3))
+    measures = {(s, t): [math.prod(w) for w in
+                         itertools.product(letters, repeat=len(grid.cells(s, t)))]
+                for (s, t) in grid.pairs()}
+    return sys, trivial_unit(sys), measure_family_functionals(sys, measures)
 
 
 class TestDilatedFunctional:
@@ -308,3 +357,33 @@ class TestGramPreservation:
         control = rep.records[-1]
         assert control.check.endswith("negative_control")
         assert control.passed and control.residual >= 1e-4
+
+    @pytest.mark.parametrize("make", [faithful_glue, bernoulli_glue],
+                             ids=["glue_23_faithful", "commutative_bernoulli"])
+    def test_blockwise_matches_dense_formula(self, make):
+        sys, unit, fam = make()
+        pairs = refinement_pairs(enumerate_all_partitions(sys.grid, len(sys.grid.points)))
+        assert any(coarse.endpoints != fine.endpoints for coarse, fine in pairs)
+        for coarse, fine in pairs:
+            res = gram_preservation_residual(sys, fam, coarse, fine, unit)
+            ref = dense_gram_preservation_residual(sys, fam, coarse, fine, unit)
+            assert abs(res - ref) <= 1e-12
+            res = gram_preservation_residual(sys, fam, coarse, fine, unit, perturbation=1e-3)
+            ref = dense_gram_preservation_residual(sys, fam, coarse, fine, unit,
+                                                   perturbation=1e-3)
+            assert res == ref and res >= 1e-4
+
+    def test_memory_stays_bounded_on_grid6(self):
+        # the subproduct-grid6 pair with the largest Gram matrix: G_K is
+        # 1024 x 1024, and neither it nor G_I is formed
+        _, sys = diagonal_system(Grid([1, 2, 3, 4, 5, 6]), 2)
+        fam = constant_functional_family(sys, vector_state)
+        tracemalloc.start()
+        try:
+            res = gram_preservation_residual(sys, fam, Partition([1, 3, 4, 5, 6]),
+                                             Partition([1, 2, 3, 4, 5, 6]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res == 0
+        assert peak < 24 * 2**20
