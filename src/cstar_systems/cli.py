@@ -103,6 +103,15 @@ def _object(obj: dict, name: str) -> Optional[dict]:
     return value
 
 
+def _grid(value, name: str) -> Grid:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array of time points, got {value!r}")
+    try:
+        return Grid(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
+
+
 def _tolerance(obj: dict) -> float:
     value = obj.get("tolerance", 1e-9)
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -128,18 +137,18 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
-        try:
-            grid = Grid(obj["grid"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid grid: {exc}") from exc
+        grid = _grid(obj.get("grid"), "grid")
         system = obj.get("system")
         if not isinstance(system, dict) or "kind" not in system:
             raise ConfigError("config needs a system object with a 'kind'")
         if "grid" in system:
             # standalone system objects carry their grid; it must agree
-            if Grid(system["grid"]).points != grid.points:
+            if _grid(system["grid"], "system grid").points != grid.points:
                 raise ConfigError("the system object's grid differs from the config grid")
-        suites = tuple(obj.get("suites", ()))
+        suites = obj.get("suites", [])
+        if not isinstance(suites, list):
+            raise ConfigError(f"suites must be a JSON array, got {suites!r}")
+        suites = tuple(suites)
         if not suites:
             raise ConfigError("config needs a nonempty list of suites")
         unknown = [s for s in suites if s not in ALL_SUITES]

@@ -53,6 +53,7 @@ from .timegrid import (
     EndpointMismatchError,
     MapBackend,
     Partition,
+    _store,
     common_refinement,
     interval_map,
     padded_map,
@@ -147,14 +148,31 @@ def delta_refinement(sys: TensorialSystem, coarse: Partition, fine: Partition) -
     return refinement_map(_backend(sys), coarse, fine, partial(partition_algebra, sys), sys._cache)
 
 
+def _cell_product(family, partition: Partition, cell, tensor):
+    """The left fold ``tensor(...tensor(cell(i0, i1), cell(i1, i2))..., cell(im, im+1))``.
+
+    Memoised per partition in ``family._cache``, read-only: each product is one
+    ``tensor`` call on the stored product over all but the last cell, so it is
+    bitwise the ``reduce`` of ``tensor`` over the cells.
+    """
+    out = family._cache.get(partition)
+    if out is None:
+        pts = partition.points
+        out = cell(pts[-2], pts[-1])
+        if len(pts) > 2:
+            out = tensor(_cell_product(family, Partition(pts[:-1]), cell, tensor), out)
+        out = _store(family._cache, partition, out)
+    return out
+
+
 def unit_on_partition(unit: UnitFamily, partition: Partition) -> AlgebraElement:
     """The ordered tensor of the pairwise unit projections over the cells."""
-    return reduce(tensor_element, (unit.p(a, b) for a, b in partition.pairs()))
+    return _cell_product(unit, partition, unit.p, tensor_element)
 
 
 def state_on_partition(fam: FunctionalFamily, partition: Partition) -> LinearFunctional:
     """The product functional over the cells; a state whenever the family is a co-unit."""
-    return reduce(functional_tensor, (fam.phi(a, b) for a, b in partition.pairs()))
+    return _cell_product(fam, partition, fam.phi, functional_tensor)
 
 
 def delta_cross(sys: TensorialSystem, unit: Optional[UnitFamily],

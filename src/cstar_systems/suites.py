@@ -376,7 +376,8 @@ def associativity_residual(phi: LinearFunctional) -> float:
 
     Every entry of the triple density is compared, with the same np.kron
     products that ``functional_tensor`` forms, but one block triple and one
-    row of the first factor at a time, so no triple density is held whole.
+    row of the pair density at a time: row (p, q) of block (i, j) against
+    rows q*nk..(q+1)*nk of block (j, k), so no triple density is held whole.
     """
     pair = functional_tensor(phi, phi).densities
     rhos = phi.densities
@@ -386,12 +387,14 @@ def associativity_residual(phi: LinearFunctional) -> float:
         for j, rj in enumerate(rhos):
             left = pair[i * nb + j]
             nj = rj.shape[0]
-            for k in range(nb):
+            for k, rk in enumerate(rhos):
                 right = pair[j * nb + k]
+                nk = rk.shape[0]
                 for p in range(ri.shape[0]):
-                    lhs = np.kron(left[p * nj:(p + 1) * nj], rhos[k])
-                    rhs = np.kron(ri[p:p + 1], right)
-                    res = max(res, max_abs(lhs - rhs))
+                    for q in range(nj):
+                        lhs = np.kron(left[p * nj + q], rk)
+                        rhs = np.kron(ri[p], right[q * nk:(q + 1) * nk])
+                        res = max(res, max_abs(lhs - rhs))
     return res
 
 

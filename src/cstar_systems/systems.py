@@ -59,22 +59,24 @@ class Grid:
     """The declared finite set of admissible time points."""
 
     points: tuple[Fraction, ...]
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __init__(self, points: Iterable[TimeLike]):
-        pts = tuple(as_timepoint(p) for p in points)
+        pts = tuple(map(as_timepoint, points))
         if len(pts) < 2 or any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError(f"grid needs >= 2 strictly increasing points, got {pts}")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_members", frozenset(pts))
 
     def __contains__(self, t) -> bool:
-        return t in self.points
+        return t in self._members
 
     def __iter__(self):
         return iter(self.points)
 
     def require(self, *ts: Fraction):
         for t in ts:
-            if t not in self.points:
+            if t not in self._members:
                 raise OffGridError(f"time point {t} is not on the grid {self.points}")
 
     def pairs(self) -> list[Pair]:
@@ -154,6 +156,7 @@ class UnitFamily:
 
     elements: Mapping[Pair, AlgebraElement]
     cache_token: int = field(default_factory=lambda: next(_unit_serial), compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def p(self, s, t) -> AlgebraElement:
         return self.elements[(s, t)]
@@ -164,6 +167,7 @@ class FunctionalFamily:
     """Functionals phi(s,t); a co-unit when all of them are states."""
 
     functionals: Mapping[Pair, LinearFunctional]
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def phi(self, s, t) -> LinearFunctional:
         return self.functionals[(s, t)]

@@ -1,21 +1,24 @@
 """Exact time points and interval partitions.
 
-Time points are strictly positive rationals (``fractions.Fraction``); every
-poset argument downstream relies on exact equality of cut points, so floats
-are never accepted here.  A partition is a strictly increasing tuple of at
-least two points; partitions ordered by set inclusion form the index poset of
-every inductive construction in this package.
+Time points are strictly positive rationals; every poset argument downstream
+relies on exact equality of cut points, so floats are never accepted here.
+``as_timepoint`` hash-conses them: it returns one ``TimePoint`` (a
+``Fraction``) per value, whose hash is computed once, so the partition keys of
+every cache hash and compare without rational arithmetic.  A partition is a
+strictly increasing tuple of at least two points; partitions ordered by set
+inclusion form the index poset of every inductive construction in this
+package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-TimePoint = Fraction
 TimeLike = Union[Fraction, int, str]
 
 
@@ -27,14 +30,77 @@ class EndpointMismatchError(ValueError):
     pass
 
 
-def as_timepoint(value: TimeLike) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to a positive exact rational."""
-    if isinstance(value, float):
-        raise TypeError(f"time points must be exact rationals, got float {value!r}")
-    t = Fraction(value)
+class TimePoint(Fraction):
+    """An interned time point: ``as_timepoint`` makes exactly one per rational value.
+
+    Its hash is ``hash(Fraction(value))``, computed once, so dicts keyed by
+    plain Fractions still find it.  Two time points are equal only when they
+    are the same object, and they order by integer cross-multiplication.
+    Copies and unpickled points are the interned object itself.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is TimePoint:
+            return self is other
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if type(other) is TimePoint:
+            return self._numerator * other._denominator < other._numerator * self._denominator
+        return Fraction.__lt__(self, other)
+
+    def __le__(self, other):
+        if type(other) is TimePoint:
+            return self._numerator * other._denominator <= other._numerator * self._denominator
+        return Fraction.__le__(self, other)
+
+    def __gt__(self, other):
+        if type(other) is TimePoint:
+            return self._numerator * other._denominator > other._numerator * self._denominator
+        return Fraction.__gt__(self, other)
+
+    def __ge__(self, other):
+        if type(other) is TimePoint:
+            return self._numerator * other._denominator >= other._numerator * self._denominator
+        return Fraction.__ge__(self, other)
+
+    def __reduce__(self):
+        return as_timepoint, (format_timepoint(self),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+# Never cleared: equality of time points is identity, so a value must keep its object.
+_INTERNED: dict[Fraction, TimePoint] = {}
+
+
+def as_timepoint(value: TimeLike) -> TimePoint:
+    """The interned time point of an int, Fraction or "p/q" string, which must be > 0."""
+    if type(value) is TimePoint:
+        return value
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"time points must be exact rationals, got {value!r}")
+    try:
+        t = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"time point {value!r} has a zero denominator") from None
     if t <= 0:
         raise ValueError(f"time points must be > 0, got {t}")
-    return t
+    point = _INTERNED.get(t)
+    if point is None:
+        point = Fraction.__new__(TimePoint, t.numerator, t.denominator)
+        point._hash = hash(t)
+        _INTERNED[t] = point
+    return point
 
 
 def format_timepoint(t: Fraction) -> str:
@@ -42,19 +108,35 @@ def format_timepoint(t: Fraction) -> str:
     return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """A finite partition of the interval [min, max]: >= 2 strictly increasing points."""
+    """A finite partition of the interval [min, max]: >= 2 strictly increasing points.
 
-    points: tuple[Fraction, ...]
+    The hash is computed once; equality tests identity, then the hash, then
+    the points.
+    """
+
+    points: tuple[TimePoint, ...]
+    _hash: int = field(init=False, repr=False)
 
     def __init__(self, points: Iterable[TimeLike]):
-        pts = tuple(as_timepoint(p) for p in points)
+        pts = tuple(map(as_timepoint, points))
         if len(pts) < 2:
             raise ValueError(f"a partition needs at least 2 points, got {pts}")
         if any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError(f"partition points must be strictly increasing: {pts}")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_hash", hash(pts))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Partition:
+            return NotImplemented
+        return self._hash == other._hash and self.points == other.points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -180,15 +262,31 @@ class MapBackend(NamedTuple):
     compose: Callable
 
 
-def _store(cache: dict, key, out):
-    """Cache a built map with its arrays as read-only views: callers share it."""
-    def frozen(x):
-        if isinstance(x, np.ndarray):
-            x = x.view()  # the system's own arrays stay writable
-            x.setflags(write=False)
-        return x
+def _frozen(x):
+    if isinstance(x, np.ndarray):
+        x = x.view()  # the owner's own arrays stay writable
+        x.setflags(write=False)
+    return x
 
-    cache[key] = out = tuple(map(frozen, out)) if isinstance(out, tuple) else frozen(out)
+
+def _store(cache: dict, key, out):
+    """Cache a built value with its arrays as read-only views: callers share it.
+
+    ``out`` is a map, an array or a tuple of them, or a dataclass such as an
+    algebra element or a functional, which is stored as a shallow copy whose
+    lists of block arrays hold read-only views.
+    """
+    if isinstance(out, tuple):
+        out = tuple(map(_frozen, out))
+    elif is_dataclass(out):
+        out = copy.copy(out)
+        for f in fields(out):
+            value = getattr(out, f.name)
+            if isinstance(value, list):
+                setattr(out, f.name, list(map(_frozen, value)))
+    else:
+        out = _frozen(out)
+    cache[key] = out
     return out
 
 

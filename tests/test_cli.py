@@ -294,6 +294,22 @@ def test_streamed_associativity_residual_equals_dense_residual():
     assert associativity_residual(phi) == dense
 
 
+def test_associativity_residual_memory_stays_bounded_on_m16():
+    # one row of the pair density at a time: no 16-MB slice of the triple density
+    setup = build_setup(config(system={"kind": "glue_hilbert", "cell_dims": [4, 4]},
+                               dim_cap=65536))
+    phi = setup.counit.phi(Fraction(1), Fraction(3))
+    assert phi.algebra.blocks == (16,)
+    tracemalloc.start()
+    try:
+        res = associativity_residual(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res <= 1e-15
+    assert peak < 8 * 2**20
+
+
 def test_algebra_suite_memory_stays_bounded_on_m16():
     cfg = config(
         grid=["1", "2", "3"],
@@ -371,6 +387,10 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     {"system": {"kind": "diagonal", "d": 2.5}},
     {"system": {"kind": "glue_hilbert", "cell_dims": [2, 2.5]}},
     {"measures": {"1,2": ["1/2", "1/2"], "2,3": ["1/2", "1/2"], "1,3": ["1/2", "1/2"]}},
+    {"grid": ["1/0", "2", "3"]},
+    {"grid": [True, 2, 3]},
+    {"grid": "1,2,3"},
+    {"suites": "axioms"},
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     path = tmp_path / "cfg.json"

@@ -1,9 +1,19 @@
 from fractions import Fraction as F
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from cstar_systems.algebra import DimensionCapError, tensor_element, vector_state
+from cstar_systems import partition_calculus, states_gns, suites
+from cstar_systems.algebra import (
+    AlgebraElement,
+    DimensionCapError,
+    LinearFunctional,
+    functional_tensor,
+    tensor_element,
+    vector_state,
+)
+from cstar_systems.cli import RunConfig, build_setup
 from cstar_systems.linalg import DEFAULT_TOL, compose, max_abs, superop_tensor
 from cstar_systems.partition_calculus import (
     Germ,
@@ -30,11 +40,14 @@ from cstar_systems.partition_calculus import (
     unit_on_partition,
 )
 from cstar_systems.systems import (
+    FunctionalFamily,
     Grid,
     MorphismFamily,
     OffGridError,
+    UnitFamily,
     constant_functional_family,
     diagonal_system,
+    enumerate_all_partitions,
     glue_hilbert_system,
     standard_unit,
 )
@@ -463,3 +476,72 @@ class TestLiftedMorphisms:
                                        Partition([2, 3]), Partition([1, 2, 3]),
                                        diag_unit, diag_unit)
         assert res >= 1e-4
+
+
+def random_families(sys, rng):
+    """A functional and an element per grid pair, all random: the fold's order shows bitwise."""
+    def draw(alg):
+        return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for n in alg.blocks]
+
+    return (FunctionalFamily({pair: LinearFunctional(alg, draw(alg))
+                              for pair, alg in sys.algebras.items()}),
+            UnitFamily({pair: AlgebraElement(alg, draw(alg))
+                        for pair, alg in sys.algebras.items()}))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: diagonal_system(Grid([1, 2, 3, 4, 5]), 2)[1],
+    lambda: glue_hilbert_system(Grid([1, 2, 3, 4]), [2, 3, 2])[1],
+], ids=["diagonal-d2-grid5", "glue-232-grid4"])
+@pytest.mark.parametrize("order", [1, -1], ids=["short-first", "long-first"])
+def test_memoised_products_are_the_left_fold(make, order):
+    sys = make()
+    fam, unit = random_families(sys, np.random.default_rng(5))
+    parts = enumerate_all_partitions(sys.grid, len(sys.grid.points))[::order]
+    for part in parts:
+        cells = part.pairs()
+        phi = state_on_partition(fam, part)
+        want = reduce(functional_tensor, [fam.phi(a, b) for a, b in cells])
+        assert phi.algebra == want.algebra
+        assert all(np.array_equal(x, y) for x, y in zip(phi.densities, want.densities))
+        p = unit_on_partition(unit, part)
+        want = reduce(tensor_element, [unit.p(a, b) for a, b in cells])
+        assert p.algebra == want.algebra
+        assert np.array_equal(p.vec(), want.vec())
+        assert state_on_partition(fam, part) is phi and unit_on_partition(unit, part) is p
+        with pytest.raises(ValueError):
+            phi.densities[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            p.block_matrices[0][0, 0] = 1.0
+    # the families' own arrays are shared read-only, never frozen in place
+    assert all(a.flags.writeable for f in fam.functionals.values() for a in f.densities)
+    assert all(a.flags.writeable for x in unit.elements.values() for a in x.block_matrices)
+
+
+def test_partition_products_are_built_once(monkeypatch):
+    # each product state the partition and gns suites use costs one
+    # functional_tensor call on top of its cached prefix, however often it is used
+    setup = build_setup(RunConfig.from_json({
+        "grid": ["1", "2", "3", "4", "5"], "system": {"kind": "diagonal", "d": 2},
+        "unit": {"kind": "standard"}, "counit": {"kind": "standard"},
+        "suites": ["partition", "gns"]}))
+    requested, calls = [], []
+    tensor, state = partition_calculus.functional_tensor, partition_calculus.state_on_partition
+
+    def counting_tensor(f, g):
+        calls.append(1)
+        return tensor(f, g)
+
+    def recording_state(fam, partition):
+        requested.append(partition)
+        return state(fam, partition)
+
+    monkeypatch.setattr(partition_calculus, "functional_tensor", counting_tensor)
+    for module in (partition_calculus, states_gns, suites):
+        monkeypatch.setattr(module, "state_on_partition", recording_state)
+    rng = np.random.default_rng(0)
+    assert suites.run_partition(setup, rng).passed and suites.run_gns(setup, rng).passed
+    products = {Partition(p.points[:k]) for p in requested for k in range(3, len(p) + 1)}
+    assert len(requested) > 2 * len(products)
+    assert 0 < len(calls) <= len(products)

@@ -1,13 +1,22 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstar_systems.systems import Grid, enumerate_all_partitions, enumerate_partitions
+from cstar_systems.systems import (
+    Grid,
+    OffGridError,
+    enumerate_all_partitions,
+    enumerate_partitions,
+)
 from cstar_systems.timegrid import (
     EndpointMismatchError,
     NotARefinementError,
     Partition,
+    TimePoint,
+    as_timepoint,
     common_refinement,
     format_timepoint,
     inner_decompose,
@@ -154,3 +163,60 @@ def test_refinement_helpers_match_naive_comprehensions(parts):
     assert refinement_pairs(parts) == pairs
     assert refinement_chains(parts) == chains
 
+
+rationals = st.fractions(min_value=F(1, 64), max_value=64, max_denominator=64)
+
+
+@given(rationals)
+def test_time_points_are_interned(q):
+    point = as_timepoint(q)
+    assert type(point) is TimePoint and point == q
+    assert as_timepoint(f"{q.numerator}/{q.denominator}") is point
+    assert as_timepoint(F(q.numerator * 3, q.denominator * 3)) is point
+    assert as_timepoint(point) is point
+    if q.denominator == 1:
+        assert as_timepoint(q.numerator) is point
+        assert as_timepoint(str(q.numerator)) is point
+    assert hash(point) == hash(F(q)) == hash(q)
+    assert {F(q): "found"}[point] == "found" and {point: "found"}[F(q)] == "found"
+    for copied in (copy.copy(point), copy.deepcopy(point), pickle.loads(pickle.dumps(point))):
+        assert copied is point
+        assert copied == q and hash(copied) == hash(F(q))
+
+
+@given(rationals, rationals)
+def test_time_point_order_matches_fractions(a, b):
+    pa, pb = as_timepoint(a), as_timepoint(b)
+    for x, y in ((pa, pb), (pa, b), (a, pb)):
+        assert (x < y, x <= y, x > y, x >= y, x == y) == (a < b, a <= b, a > b, a >= b, a == b)
+
+
+@given(st.lists(rationals, min_size=2, max_size=6, unique=True), st.data())
+def test_partitions_from_mixed_inputs_are_equal(values, data):
+    values = sorted(values)
+    mixed = [data.draw(st.sampled_from([v, f"{v.numerator}/{v.denominator}",
+                                        as_timepoint(v)])) for v in values]
+    a, b = Partition(values), Partition(mixed)
+    assert a == b and hash(a) == hash(b)
+    assert all(p is q for p, q in zip(a.points, b.points))
+    assert {a: 1}[b] == 1
+    for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert copied == a and hash(copied) == hash(a)
+    assert a != tuple(values) and a.points != a and Partition([1, 2]) != (1, 2)
+
+
+@pytest.mark.parametrize("value, error", [
+    (True, TypeError), (0.5, TypeError), ("1/0", ValueError), (0, ValueError),
+    ("-1/2", ValueError),
+])
+def test_as_timepoint_rejects(value, error):
+    with pytest.raises(error):
+        as_timepoint(value)
+
+
+def test_grid_membership_uses_values():
+    grid = Grid([1, "3/2", 2])
+    assert F(3, 2) in grid and 2 in grid and F(5, 4) not in grid
+    grid.require(F(3, 2), 1, as_timepoint("2"))
+    with pytest.raises(OffGridError):
+        grid.require(F(5, 4))
