@@ -14,6 +14,13 @@ comparison of maps and a rank.  Composition applies one map to the columns of
 the other; two composites are compared entry by entry by pushing the identity
 through both in column chunks (``composite_residual``); the rank is taken of
 a dense matrix, which only the small per-pair maps need.
+
+Two factored maps laid out alike (same factor shapes, identity factors,
+gather and scatter) are compared on their cores alone: the Kronecker products
+of their non-identity factors.  This peel is exact.  L - R is a permutation
+of the difference of the Kronecker products, and a shared identity factor
+makes each of its entries either 0 - 0 or an entry of the cores' difference,
+formed by the same products of factor entries in the same order.
 """
 from __future__ import annotations
 
@@ -208,19 +215,21 @@ class Superoperator:
             raise ValueError(
                 f"matrix shape {m.shape} does not match dom {tuple(dom)} -> cod {tuple(cod)}"
             )
-        self._fill((m,), None, None, dom, cod)
+        self._fill((m,), (_is_identity(m),), None, None, dom, cod)
 
     @classmethod
-    def factored(cls, factors, gather, scatter, dom: Blocks, cod: Blocks) -> "Superoperator":
+    def factored(cls, factors, skip, gather, scatter, dom: Blocks, cod: Blocks) -> "Superoperator":
+        """A map held as ``factors``; ``skip`` flags the identity factors, as
+        carried over from the maps the factors came from."""
         op = cls.__new__(cls)
-        op._fill(tuple(factors), gather, scatter, dom, cod)
+        op._fill(tuple(factors), tuple(skip), gather, scatter, dom, cod)
         return op
 
-    def _fill(self, factors, gather, scatter, dom, cod):
+    def _fill(self, factors, skip, gather, scatter, dom, cod):
         for a in (*factors, gather, scatter):
             if a is not None:
                 a.setflags(write=False)
-        self.factors, self.skip = factors, tuple(map(_is_identity, factors))
+        self.factors, self.skip = factors, skip
         self.gather, self.scatter = gather, scatter
         self.dom, self.cod = tuple(dom), tuple(cod)
         self.out_dim = math.prod(f.shape[0] for f in factors)
@@ -244,6 +253,8 @@ class Superoperator:
     def apply_many(self, x: np.ndarray) -> np.ndarray:
         """The map applied to each column of x (in_dim x k): the product matrix @ x."""
         x = np.asarray(x, dtype=complex)
+        if x.ndim != 2 or x.shape[0] != self.in_dim:
+            raise ValueError(f"cannot apply a map on dimension {self.in_dim} to shape {x.shape}")
         y = _kron_apply(self.factors, self.skip, x if self.gather is None else x[self.gather])
         if self.scatter is None:
             return y.copy() if np.may_share_memory(y, x) else y
@@ -254,6 +265,9 @@ class Superoperator:
     def rapply(self, r: np.ndarray) -> np.ndarray:
         """Each row of r (k x out_dim, or one row) times the map: the product r @ matrix."""
         r = np.asarray(r, dtype=complex)
+        if r.ndim not in (1, 2) or r.shape[-1] != self.out_dim:
+            raise ValueError(f"cannot apply a map onto dimension {self.out_dim} to rows of shape "
+                             f"{r.shape}")
         rt = np.atleast_2d(r).T
         z = _kron_apply([f.T for f in self.factors], self.skip,
                         rt if self.scatter is None else rt[self.scatter])
@@ -277,19 +291,67 @@ def compose(f: Superoperator, g: Superoperator) -> Superoperator:
     return Superoperator(f.apply_many(g.matrix), g.dom, f.cod)
 
 
+def _same_index(a, b) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _peel_shared_identities(lhs, rhs):
+    """Two one-map chains with the identity factors both maps share dropped.
+
+    The maps must have the same factor shapes, the same identity factors and
+    equal gathers and scatters; any other pair of chains is returned as given.
+    Then L - R is one permutation of K_L - K_R, the difference of the
+    Kronecker products, and each entry of that is either 0 - 0 (a shared
+    identity factor is off its diagonal) or an entry of C_L - C_R, the
+    difference of the cores: the Kronecker products of the other factors.
+    The cores act on plain vectors in the Kronecker layout, that is on 1 x 1
+    blocks.
+    """
+    if len(lhs) != 1 or len(rhs) != 1:
+        return lhs, rhs
+    a, b = lhs[0], rhs[0]
+    if (not any(a.skip) or a.skip != b.skip
+            or [f.shape for f in a.factors] != [f.shape for f in b.factors]
+            or not _same_index(a.gather, b.gather) or not _same_index(a.scatter, b.scatter)):
+        return lhs, rhs
+
+    def core(op):
+        kept = [f for f, s in zip(op.factors, op.skip) if not s]
+        rows, cols = (math.prod(f.shape[axis] for f in kept) for axis in (0, 1))
+        return Superoperator.factored(kept, (False,) * len(kept), None, None,
+                                      (1,) * cols, (1,) * rows)
+
+    return [core(a)], [core(b)]
+
+
 def composite_residual(lhs, rhs) -> float:
     """max_abs(L - R) for the composites L = lhs[0] o lhs[1] o ... and likewise R.
 
     Every column of the identity on the common domain goes through both
     sides, in chunks of ``unit_column_chunks``, so every entry of L - R is
     compared and no dense map is formed.
+
+    When each side is one factored map and the two share their identity
+    factors, gather and scatter, only their cores are streamed (an 81 x 9
+    core, say, in place of a 6561 x 729 map; ``_peel_shared_identities``).
+    This is exact, not a bound: every other entry of L - R is 0 - 0.  A unit
+    column meets one nonzero term in every sum of ``_kron_apply``, which
+    skips identity factors on both paths, so each entry is the same product
+    of factor entries in the same order.  With real entries, as in the
+    shipped 0/1 systems, the residual is the unpeeled one bit for bit; a
+    product of two complex entries may be rounded differently by the BLAS
+    kernel of another shape, by a few ulp of the entries.
     """
-    in_dim = lhs[-1].in_dim
-    if rhs[-1].in_dim != in_dim or lhs[0].out_dim != rhs[0].out_dim:
+    for chain in (lhs, rhs):
+        for outer, inner in zip(chain, chain[1:]):
+            if inner.cod != outer.dom:
+                raise ValueError(f"cannot compose: inner blocks {inner.cod} != {outer.dom}")
+    if lhs[-1].in_dim != rhs[-1].in_dim or lhs[0].out_dim != rhs[0].out_dim:
         raise ValueError("the two composites map between different spaces")
+    lhs, rhs = _peel_shared_identities(lhs, rhs)
     widest = max(op.out_dim for op in (*lhs, *rhs))
     worst = 0.0
-    for _, cols in unit_column_chunks(in_dim, widest):
+    for _, cols in unit_column_chunks(lhs[-1].in_dim, widest):
         left, right = cols, cols
         for op in reversed(lhs):
             left = op.apply_many(left)
@@ -326,7 +388,7 @@ def superop_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
     theirs with ``tensor_perm`` of the domains and of the codomains.
     """
     return Superoperator.factored(
-        f.factors + g.factors,
+        f.factors + g.factors, f.skip + g.skip,
         _merged_index(tensor_perm(f.dom, g.dom), f.gather, g.gather, f.in_dim, g.in_dim),
         _merged_index(tensor_perm(f.cod, g.cod), f.scatter, g.scatter, f.out_dim, g.out_dim),
         tensor_blocks(f.dom, g.dom), tensor_blocks(f.cod, g.cod),

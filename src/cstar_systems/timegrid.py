@@ -34,12 +34,13 @@ class TimePoint(Fraction):
     """An interned time point: ``as_timepoint`` makes exactly one per rational value.
 
     Its hash is ``hash(Fraction(value))``, computed once, so dicts keyed by
-    plain Fractions still find it.  Two time points are equal only when they
-    are the same object, and they order by integer cross-multiplication.
-    Copies and unpickled points are the interned object itself.
+    plain Fractions still find it, and so is its wire string ``"p/q"``.  Two
+    time points are equal only when they are the same object, and they order
+    by integer cross-multiplication.  Copies and unpickled points are the
+    interned object itself.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_wire")
 
     def __hash__(self):
         return self._hash
@@ -99,12 +100,15 @@ def as_timepoint(value: TimeLike) -> TimePoint:
     if point is None:
         point = Fraction.__new__(TimePoint, t.numerator, t.denominator)
         point._hash = hash(t)
+        point._wire = format_timepoint(t)
         _INTERNED[t] = point
     return point
 
 
 def format_timepoint(t: Fraction) -> str:
     """Render as "p/q", or just "p" for integers (the wire format)."""
+    if type(t) is TimePoint:
+        return t._wire
     return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -295,8 +296,12 @@ def test_factored_tensor_matches_dense_reference(case):
 
     from cstar_systems.linalg import superop_tensor_all
 
+    from cstar_systems.linalg import _is_identity
+
     factors, binary, rng = case
     op = superop_tensor_all(factors)
+    # the identity flags are inherited from the operands, never recomputed
+    assert op.skip == tuple(map(_is_identity, op.factors))
     ref = reduce(lambda f, g: Superoperator(dense_tensor(f, g), tensor_blocks(f.dom, g.dom),
                                             tensor_blocks(f.cod, g.cod)), factors).matrix
     assert op.matrix.shape == ref.shape == (op.out_dim, op.in_dim)
@@ -359,3 +364,193 @@ def test_composite_residual_covers_every_matrix_unit(monkeypatch):
     assert composite_residual([op, ident_in], [ident_out, op]) < 1e-12
     with pytest.raises(ValueError):
         composite_residual([op], [identity_superop((2,))])
+
+
+def test_maps_reject_inputs_of_the_wrong_size():
+    dense = Superoperator(random_complex((4, 4)), (2,), (2,))
+    with pytest.raises(ValueError):
+        dense.apply_many(np.eye(16))  # 16 rows would reshape into 4 x 4 columns
+    with pytest.raises(ValueError):
+        dense.rapply(np.eye(16))
+    factored = superop_tensor(identity_superop((1, 2)), dense)
+    with pytest.raises(ValueError):
+        factored.apply_many(np.eye(factored.in_dim + 1))
+    with pytest.raises(ValueError):
+        factored.rapply(np.ones(factored.out_dim - 1))
+
+
+def test_composite_residual_rejects_chains_that_do_not_compose():
+    from cstar_systems.linalg import composite_residual
+
+    a = Superoperator(random_complex((4, 16)), (4,), (2,))  # 16 -> 4: cannot follow itself
+    b = Superoperator(random_complex((4, 4)), (2,), (2,))
+    with pytest.raises(ValueError):
+        composite_residual([a, a], [b, a])
+    with pytest.raises(ValueError):
+        composite_residual([b, a], [a, a])
+    assert composite_residual([b, a], [b, a]) == 0.0
+
+
+# -- peeling shared identity factors off a map identity -----------------------------
+
+ENTRY_KINDS = ("binary", "real", "complex")
+
+
+@st.composite
+def peel_cases(draw):
+    """Two tensors of 2-4 factor maps with identity factors at the same positions.
+
+    Each other factor of the right side is the left one's matrix, copied or
+    perturbed.  Every non-identity matrix has entry (0, 0) nonzero, so a
+    perturbation always shows in the residual.  Entries are 0/1 ("binary"),
+    real or complex Gaussians; one-column constants have dom (1,).
+    """
+    from cstar_systems.linalg import blocks_dim
+
+    kind = draw(st.sampled_from(ENTRY_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size, left, right, perturbed = 1, [], [], False
+    for _ in range(draw(st.integers(2, 4))):
+        ident = draw(st.booleans())
+        fitting = [s for s in FACTOR_SPECS if s[2] == ident
+                   and size * blocks_dim(s[0]) * blocks_dim(s[1]) <= ENTRY_BUDGET]
+        dom, cod, _ = draw(st.sampled_from(fitting))
+        size *= blocks_dim(dom) * blocks_dim(cod)
+        if ident:
+            left.append(identity_superop(dom))
+            right.append(identity_superop(dom))
+            continue
+        shape = (blocks_dim(cod), blocks_dim(dom))
+        if kind == "binary":
+            mat = rng.integers(0, 2, shape).astype(complex)
+        elif kind == "real":
+            mat = rng.standard_normal(shape).astype(complex)
+        else:
+            mat = random_complex(shape)
+        mat[0, 0] = 1.0
+        other = mat.copy()
+        if draw(st.booleans()):
+            perturbed = True
+            r, c = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+            other[r, c] += 0.5 if kind == "binary" else 1e-3 * rng.standard_normal()
+        left.append(Superoperator(mat, dom, cod))
+        right.append(Superoperator(other, dom, cod))
+    from cstar_systems.linalg import superop_tensor_all
+
+    return superop_tensor_all(left), superop_tensor_all(right), kind, perturbed
+
+
+@settings(deadline=None, max_examples=80)
+@given(peel_cases())
+def test_peeled_residual_matches_the_unpeeled_reference(case):
+    from cstar_systems.linalg import _peel_shared_identities, composite_residual
+
+    lhs, rhs, kind, perturbed = case
+    reference = max_abs(lhs.matrix - rhs.matrix)  # every entry of the full maps
+    peeled = composite_residual([lhs], [rhs])
+    (core_l,), (core_r,) = _peel_shared_identities([lhs], [rhs])
+    kept = sum(not s for s in lhs.skip)
+    # a perturbed 1 x 1 factor [[1]] is an identity on the left side only
+    if lhs.skip == rhs.skip and any(lhs.skip):
+        assert len(core_l.factors) == len(core_r.factors) == kept
+        assert core_l.skip == core_r.skip == (False,) * kept
+        assert core_l.in_dim * math.prod(
+            f.shape[1] for f, s in zip(lhs.factors, lhs.skip) if s) == lhs.in_dim
+    else:
+        assert core_l is lhs and core_r is rhs
+    if not perturbed:
+        assert peeled == reference == 0.0
+    elif kind == "complex" and kept > 1:
+        # a product of two genuinely complex entries may be rounded differently
+        # by the BLAS kernel of each shape: a few ulp of the largest entry
+        scale = max(max_abs(lhs.matrix), max_abs(rhs.matrix))
+        assert peeled > 0 and abs(peeled - reference) <= 16 * np.finfo(float).eps * scale
+    else:
+        assert peeled == reference > 0
+
+
+def test_peeled_complex_residual_is_the_unpeeled_one_to_a_few_ulp():
+    from cstar_systems.linalg import composite_residual, superop_tensor_all
+
+    f, g = random_complex((4, 1)), random_complex((5, 4))
+    bumped = g.copy()
+    bumped[2, 3] += 1e-3
+    ident = identity_superop((1, 2))
+    lhs = superop_tensor_all([Superoperator(f, (1,), (2,)), ident, Superoperator(g, (2,), (1, 2))])
+    rhs = superop_tensor_all([Superoperator(f, (1,), (2,)), ident,
+                              Superoperator(bumped, (2,), (1, 2))])
+    reference = max_abs(lhs.matrix - rhs.matrix)
+    scale = max(max_abs(lhs.matrix), max_abs(rhs.matrix))
+    assert abs(composite_residual([lhs], [rhs]) - reference) <= 16 * np.finfo(float).eps * scale
+    assert reference > 1e-4
+
+
+def test_peel_leaves_maps_that_differ_in_layout_alone():
+    from cstar_systems.linalg import _peel_shared_identities, composite_residual
+
+    f = superop_from_conjugation(random_complex((2, 2)))
+    g = Superoperator(f.matrix + 0.25, f.dom, f.cod)
+    op = superop_tensor(identity_superop((1, 2)), f)
+    cases = {
+        # different identity flags: g in place of the identity factor
+        "skip": superop_tensor(Superoperator(np.ones((5, 5)), (1, 2), (1, 2)), f),
+        # a different gather over the same factors
+        "gather": Superoperator.factored(op.factors, op.skip, np.roll(op.gather, 1),
+                                         op.scatter, op.dom, op.cod),
+        # a different scatter over the same factors
+        "scatter": Superoperator.factored(op.factors, op.skip, op.gather,
+                                          op.scatter[::-1].copy(), op.dom, op.cod),
+        # different factor shapes (4 x 4 (x) 5 x 5) with the same flags and layout
+        "shapes": Superoperator.factored((np.eye(4), random_complex((5, 5))), op.skip,
+                                         op.gather, op.scatter, op.dom, op.cod),
+    }
+    for name, other in cases.items():
+        assert other.in_dim == op.in_dim and other.out_dim == op.out_dim, name
+        lhs, rhs = [op], [other]
+        assert _peel_shared_identities(lhs, rhs) == (lhs, rhs), name
+        assert composite_residual(lhs, rhs) == max_abs(op.matrix - other.matrix) > 0, name
+    # chains of more than one map are streamed as they are
+    ident = identity_superop(op.dom)
+    assert _peel_shared_identities([op, ident], [op]) == ([op, ident], [op])
+    peeled_l, peeled_r = _peel_shared_identities([op], [superop_tensor(
+        identity_superop((1, 2)), g)])
+    assert peeled_l[0].in_dim == f.in_dim and peeled_r[0].factors[0] is g.matrix
+
+
+def test_split_family_streams_only_core_columns(monkeypatch):
+    # refinement_map_splits_at_interior_point on diagonal d=3: each record streams the
+    # columns of its core, never those of the identity cells D[I,J] leaves unrefined
+    from cstar_systems import linalg, suites
+    from cstar_systems.cli import RunConfig, build_setup
+
+    setup = build_setup(RunConfig.from_json({
+        "grid": ["1", "2", "3", "4"], "system": {"kind": "diagonal", "d": 3},
+        "unit": {"kind": "standard"}, "counit": {"kind": "standard"},
+        "suites": ["partition"]}))
+    streamed, splits = [], []
+    chunks, residual = linalg.unit_column_chunks, suites.composite_residual
+
+    def recording_chunks(in_dim, out_dim):
+        streamed.append(in_dim)
+        return chunks(in_dim, out_dim)
+
+    def recording_residual(lhs, rhs):
+        start = len(streamed)
+        res = residual(lhs, rhs)
+        if len(lhs) == len(rhs) == 1:  # only the split family compares two single maps
+            splits.append((lhs[0], streamed[start:]))
+        return res
+
+    monkeypatch.setattr(linalg, "unit_column_chunks", recording_chunks)
+    monkeypatch.setattr(suites, "composite_residual", recording_residual)
+    report = suites.run_partition(setup, np.random.default_rng(0))
+    assert report.passed
+    records = [r for r in report.records if r.check == "refinement_map_splits_at_interior_point"]
+    assert len(splits) == len(records) > 0
+    full = core = 0
+    for op, columns in splits:
+        kept = math.prod(f.shape[1] for f, s in zip(op.factors, op.skip) if not s)
+        assert columns == [kept]
+        full, core = full + op.in_dim, core + kept
+    # {1,2,4} -> {1,2,3,4}: a 729 x 81 map whose core is the 81 x 9 split of [2,4]
+    assert core < full and (729, 81) in {(op.out_dim, op.in_dim) for op, _ in splits}

@@ -184,6 +184,22 @@ def test_time_points_are_interned(q):
         assert copied == q and hash(copied) == hash(F(q))
 
 
+@given(rationals)
+def test_time_points_carry_their_wire_string(q):
+    # the string stored at interning is the formatting of the plain Fraction
+    wire = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    inputs = [q, F(q.numerator * 2, q.denominator * 2), f"{q.numerator}/{q.denominator}"]
+    if q.denominator == 1:
+        inputs.append(q.numerator)
+    for value in inputs:
+        point = as_timepoint(value)
+        assert point._wire == format_timepoint(point) == format_timepoint(F(q)) == wire
+        for copied in (copy.copy(point), copy.deepcopy(point),
+                       pickle.loads(pickle.dumps(point))):
+            assert copied is point and format_timepoint(copied) == wire
+    assert str(Partition([q, q + 1])) == "{" + wire + ", " + format_timepoint(q + 1) + "}"
+
+
 @given(rationals, rationals)
 def test_time_point_order_matches_fractions(a, b):
     pa, pb = as_timepoint(a), as_timepoint(b)
