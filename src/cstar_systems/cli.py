@@ -120,6 +120,18 @@ def _tolerance(obj: dict) -> float:
     return float(value)
 
 
+def _report_path(obj: dict) -> Optional[str]:
+    value = obj.get("report_path")
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"report_path must be a string, got {value!r}")
+    return value
+
+
+CONFIG_KEYS = frozenset({"grid", "system", "suites", "unit", "counit", "measures", "tolerance",
+                         "max_interior_points", "dim_cap", "seed", "report_path",
+                         "perturb_delta"})
+
+
 @dataclass
 class RunConfig:
     grid: Grid
@@ -137,6 +149,11 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a config must be a JSON object, got {obj!r}")
+        unknown = sorted(set(obj) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; valid: {sorted(CONFIG_KEYS)}")
         grid = _grid(obj.get("grid"), "grid")
         system = obj.get("system")
         if not isinstance(system, dict) or "kind" not in system:
@@ -165,7 +182,7 @@ class RunConfig:
             max_interior_points=_integer(obj, "max_interior_points", 4),
             dim_cap=_integer(obj, "dim_cap", 4096),
             seed=_integer(obj, "seed", 42),
-            report_path=obj.get("report_path"),
+            report_path=_report_path(obj),
             perturb_delta=_object(obj, "perturb_delta"),
         )
         if config.max_interior_points < 0:

@@ -5,22 +5,28 @@ sizes alone.  An element is vectorized by stacking the row-major vec of each
 block.  A superoperator is a linear map between such vectors, tagged with the
 block descriptors of its domain and codomain.  It is held either as one dense
 (out_dim x in_dim) matrix, or, when it is a tensor of smaller maps, as their
-Kronecker factors with one input gather and one output scatter (Van Loan,
-"The ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000).  A
-factored map is applied one factor at a time and never stored densely.
+Kronecker factors, each with its own domain and codomain descriptors (Van
+Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000).
+The input gather and output scatter of a factored map follow from those
+descriptors and are cached per layout.  A factored map is applied one factor
+at a time and never stored densely.
 
 Every identity check reduces to three operations: composition, entrywise
-comparison of maps and a rank.  Composition applies one map to the columns of
-the other; two composites are compared entry by entry by pushing the identity
-through both in column chunks (``composite_residual``); the rank is taken of
-a dense matrix, which only the small per-pair maps need.
+comparison of maps and a rank.  Two factored maps whose layouts align compose
+factor by factor, by the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD, into
+one factored map; other pairs compose densely, applying one map to the columns
+of the other.  Two composites are compared entry by entry by pushing the
+identity through both in column chunks (``composite_residual``), after each
+chain has been merged as far as the layouts allow; the rank is taken of a
+dense matrix, which only the small per-pair maps need.
 
-Two factored maps laid out alike (same factor shapes, identity factors,
-gather and scatter) are compared on their cores alone: the Kronecker products
-of their non-identity factors.  This peel is exact.  L - R is a permutation
-of the difference of the Kronecker products, and a shared identity factor
-makes each of its entries either 0 - 0 or an entry of the cores' difference,
-formed by the same products of factor entries in the same order.
+Two factored maps laid out alike (same factor descriptors and identity
+factors) are compared on their cores alone: the Kronecker products of their
+non-identity factors.  This peel is exact.  L - R is a permutation of the
+difference of the Kronecker products, and a shared identity factor makes each
+of its entries either 0 - 0 or an entry of the cores' difference, formed by
+the same products of factor entries in the same order.  When even the cores
+hold equal factors, every entry is exactly 0 and nothing is streamed.
 """
 from __future__ import annotations
 
@@ -64,15 +70,20 @@ def is_isometry(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     return max_abs(gram - np.eye(v.shape[1])) <= tol.eps
 
 
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank by singular values, threshold eps * sigma_max * max(dims)."""
+def numerical_rank(m) -> int:
+    """Rank by singular values above max(dims) * machine eps * sigma_max.
+
+    The cutoff is the usual one for a matrix known to working precision
+    (Golub and Van Loan, *Matrix Computations*, 4th ed., section 5.4); it does
+    not depend on the residual tolerance of the checks.
+    """
     m = as_matrix(m)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol.eps * s[0] * max(m.shape)))
+    return int(np.sum(s > max(m.shape) * np.finfo(float).eps * s[0]))
 
 
 # -- block descriptor helpers -------------------------------------------------
@@ -191,53 +202,84 @@ def _kron_apply(factors, skip, x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, k)
 
 
+@lru_cache(maxsize=None)
+def _layout(descriptors: tuple[Blocks, ...]) -> tuple[Blocks, np.ndarray | None]:
+    """The blocks of the ordered tensor of the algebras ``descriptors`` and its index map.
+
+    ``index[k]`` is where entry k of the Kronecker layout ``vec_1 (x) ... (x) vec_m``
+    sits in the vec layout of the tensor algebra: the gather of a factored map
+    whose factors have these domains, or the scatter for their codomains; None
+    when it is the identity order.  Each layout extends the cached one of all
+    but its last descriptor by ``tensor_perm``, which is associative across
+    nested tensors, so the result does not depend on how the tensor was bracketed.
+    Blocks (1,) are neutral: they add no index and leave the layout unchanged.
+    Plain vectors, all of whose blocks are 1 x 1, are already in the Kronecker
+    layout; the empty tensor is the scalars.
+    """
+    if all(n == 1 for blocks in descriptors for n in blocks):
+        return (1,) * math.prod(map(len, descriptors)), None
+    last = descriptors[-1]
+    if len(descriptors) == 1:
+        return last, None
+    head, index = _layout(descriptors[:-1])
+    dim = blocks_dim(last)
+    index = np.arange(blocks_dim(head)) if index is None else index
+    out = tensor_perm(head, last)[(index[:, None] * dim + np.arange(dim)).reshape(-1)]
+    if np.array_equal(out, np.arange(out.size)):
+        out = None
+    else:
+        out.setflags(write=False)
+    return tensor_blocks(head, last), out
+
+
 class Superoperator:
     """A linear map between vectorized algebra elements, held as Kronecker factors.
 
     The map is x -> scatter((F_1 (x) ... (x) F_m) x[gather]): ``factors`` are
-    the matrices F_i, ``gather`` the index array that reads the input in the
-    Kronecker layout and ``scatter`` the one that writes the output back
-    (y[scatter] = y_kron); None stands for the identity order.  ``dom``/``cod``
-    are the block descriptors of domain and codomain.
+    the matrices F_i and factor i maps the blocks ``fdoms[i]`` to ``fcods[i]``.
+    ``gather`` reads the input in the Kronecker layout and ``scatter`` writes
+    the output back (y[scatter] = y_kron); both are derived from those
+    descriptors by ``_layout`` and shared between maps laid out alike, and
+    None stands for the identity order.  ``dom``/``cod`` are the block
+    descriptors of domain and codomain, the tensors of the factors' ones.
 
     ``Superoperator(matrix, dom, cod)`` is a dense map: one factor, no index
-    arrays.  ``superop_tensor`` builds the factored ones.  ``apply_many`` and
-    ``rapply`` act one factor at a time; ``matrix`` builds the dense
-    (out_dim x in_dim) matrix of a factored map on every access and keeps
-    nothing.  All arrays held are read-only.
+    arrays.  ``superop_tensor`` and ``compose`` build the factored ones.
+    ``apply_many`` and ``rapply`` act one factor at a time; ``matrix`` builds
+    the dense (out_dim x in_dim) matrix of a factored map on every access and
+    keeps nothing.  All arrays held are read-only.
     """
 
-    __slots__ = ("factors", "skip", "gather", "scatter", "dom", "cod", "in_dim", "out_dim")
+    __slots__ = ("factors", "skip", "fdoms", "fcods", "gather", "scatter", "dom", "cod",
+                 "in_dim", "out_dim")
 
     def __init__(self, matrix, dom: Blocks, cod: Blocks):
         m = as_matrix(matrix)
-        if m.shape != (blocks_dim(tuple(cod)), blocks_dim(tuple(dom))):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match dom {tuple(dom)} -> cod {tuple(cod)}"
-            )
-        self._fill((m,), (_is_identity(m),), None, None, dom, cod)
+        self._fill((m,), (_is_identity(m),), (tuple(dom),), (tuple(cod),))
 
     @classmethod
-    def factored(cls, factors, skip, gather, scatter, dom: Blocks, cod: Blocks) -> "Superoperator":
-        """A map held as ``factors``; ``skip`` flags the identity factors, as
-        carried over from the maps the factors came from."""
+    def factored(cls, factors, skip, fdoms, fcods) -> "Superoperator":
+        """A map held as ``factors``, factor i from blocks ``fdoms[i]`` to ``fcods[i]``;
+        ``skip`` flags the identity factors, as carried over from the maps the
+        factors came from."""
         op = cls.__new__(cls)
-        op._fill(tuple(factors), tuple(skip), gather, scatter, dom, cod)
+        op._fill(tuple(factors), tuple(skip), tuple(fdoms), tuple(fcods))
         return op
 
-    def _fill(self, factors, skip, gather, scatter, dom, cod):
-        for a in (*factors, gather, scatter):
-            if a is not None:
-                a.setflags(write=False)
-        self.factors, self.skip = factors, skip
-        self.gather, self.scatter = gather, scatter
-        self.dom, self.cod = tuple(dom), tuple(cod)
+    def _fill(self, factors, skip, fdoms, fcods):
+        for f, dom, cod in zip(factors, fdoms, fcods):
+            if f.shape != (blocks_dim(cod), blocks_dim(dom)):
+                raise ValueError(f"matrix shape {f.shape} does not match dom {dom} -> cod {cod}")
+            f.setflags(write=False)
+        self.factors, self.skip, self.fdoms, self.fcods = factors, skip, fdoms, fcods
+        self.dom, self.gather = _layout(fdoms)
+        self.cod, self.scatter = _layout(fcods)
         self.out_dim = math.prod(f.shape[0] for f in factors)
         self.in_dim = math.prod(f.shape[1] for f in factors)
 
     @property
     def is_dense(self) -> bool:
-        return len(self.factors) == 1 and self.gather is None and self.scatter is None
+        return len(self.factors) == 1
 
     @property
     def matrix(self) -> np.ndarray:
@@ -285,23 +327,85 @@ def identity_superop(blocks: Blocks) -> Superoperator:
 
 
 def compose(f: Superoperator, g: Superoperator) -> Superoperator:
+    """f after g: factor by factor when both maps are factored and their layouts
+    align (``_merge``), so the result stays factored; else ``compose_dense``."""
+    return _merge(f, g) or compose_dense(f, g)
+
+
+def compose_dense(f: Superoperator, g: Superoperator) -> Superoperator:
     """f after g, as a dense map: f applied to the columns of g's matrix."""
     if g.cod != f.dom:
         raise ValueError(f"cannot compose: inner blocks {g.cod} != {f.dom}")
     return Superoperator(f.apply_many(g.matrix), g.dom, f.cod)
 
 
-def _same_index(a, b) -> bool:
-    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+def _merge(f: Superoperator, g: Superoperator) -> Superoperator | None:
+    """f after g as one factored map, or None when either map is dense or their
+    layouts do not align.
+
+    The layouts align when each factor G_k of g meets a run of consecutive
+    factors of f whose domains tensor to G_k's codomain.  g's scatter then
+    reads back through f's gather as the runs' own gathers, and by the
+    mixed-product rule (A (x) B)(C (x) D) = AC (x) BD each run composes with
+    its G_k into one factor, (F_i (x) ... (x) F_j) G_k, from G_k's domain to
+    the tensor of the run's codomains.  The result has g's gather and f's
+    scatter.  A factor of f on blocks (1,), such as a unit constant of a
+    padded map, reads no input: it stays a factor of its own, unless it
+    borders the run of a G_k that reads none either.  That run then yields
+    one constant, as a padded map of the composite's span holds.
+    """
+    if f.is_dense or g.is_dense or g.cod != f.dom:
+        return None
+    out, i, m = [], 0, len(f.factors)
+
+    def own_constants(i):
+        while i < m and f.fdoms[i] == (1,):
+            out.append((f.factors[i], f.skip[i], (1,), f.fcods[i]))
+            i += 1
+        return i
+
+    for gk, flag, dom, cod in zip(g.factors, g.skip, g.fdoms, g.fcods):
+        constant = dom == (1,)
+        if not constant:
+            i = own_constants(i)
+        j, size = i, 1
+        while j < m and (size < gk.shape[0] or constant and f.fdoms[j] == (1,)):
+            size *= f.factors[j].shape[1]
+            j += 1
+        if size != gk.shape[0] or _layout(f.fdoms[i:j])[0] != cod:
+            return None
+        if j > i:
+            run = Superoperator.factored(f.factors[i:j], f.skip[i:j], f.fdoms[i:j],
+                                         f.fcods[i:j])
+            gk, cod = run.apply_many(gk), run.cod
+            flag = _is_identity(gk)
+        out.append((gk, flag, dom, cod))
+        i = j
+    if own_constants(i) < m:
+        return None
+    return Superoperator.factored(*zip(*out))
+
+
+def _merge_chain(chain):
+    """The chain with each map merged into the one before it wherever ``_merge`` can."""
+    out = [chain[0]]
+    for op in chain[1:]:
+        merged = _merge(out[-1], op)
+        if merged is None:
+            out.append(op)
+        else:
+            out[-1] = merged
+    return out
 
 
 def _peel_shared_identities(lhs, rhs):
     """Two one-map chains with the identity factors both maps share dropped.
 
-    The maps must have the same factor shapes, the same identity factors and
-    equal gathers and scatters; any other pair of chains is returned as given.
-    Then L - R is one permutation of K_L - K_R, the difference of the
-    Kronecker products, and each entry of that is either 0 - 0 (a shared
+    The maps must have the same identity factors and the same factor
+    descriptors, hence the same factor shapes, gather and scatter; any other
+    pair of chains is returned as given.  The test compares tuples, one entry
+    per factor.  Then L - R is one permutation of K_L - K_R, the difference of
+    the Kronecker products, and each entry of that is either 0 - 0 (a shared
     identity factor is off its diagonal) or an entry of C_L - C_R, the
     difference of the cores: the Kronecker products of the other factors.
     The cores act on plain vectors in the Kronecker layout, that is on 1 x 1
@@ -310,18 +414,27 @@ def _peel_shared_identities(lhs, rhs):
     if len(lhs) != 1 or len(rhs) != 1:
         return lhs, rhs
     a, b = lhs[0], rhs[0]
-    if (not any(a.skip) or a.skip != b.skip
-            or [f.shape for f in a.factors] != [f.shape for f in b.factors]
-            or not _same_index(a.gather, b.gather) or not _same_index(a.scatter, b.scatter)):
+    if not any(a.skip) or a.skip != b.skip or a.fdoms != b.fdoms or a.fcods != b.fcods:
         return lhs, rhs
 
     def core(op):
         kept = [f for f, s in zip(op.factors, op.skip) if not s]
-        rows, cols = (math.prod(f.shape[axis] for f in kept) for axis in (0, 1))
-        return Superoperator.factored(kept, (False,) * len(kept), None, None,
-                                      (1,) * cols, (1,) * rows)
+        return Superoperator.factored(kept, (False,) * len(kept),
+                                      [(1,) * f.shape[1] for f in kept],
+                                      [(1,) * f.shape[0] for f in kept])
 
     return [core(a)], [core(b)]
+
+
+def _same_maps(lhs, rhs) -> bool:
+    """Whether the two chains hold the same maps: equal descriptors and identity
+    flags, and factors that are equal and finite entry by entry.  Each column
+    then goes through the same products in the same order on both sides, so
+    every entry of L - R is exactly 0."""
+    return len(lhs) == len(rhs) and all(
+        a.skip == b.skip and a.fdoms == b.fdoms and a.fcods == b.fcods
+        and all(np.array_equal(f, g) and np.isfinite(f).all() for f, g in zip(a.factors, b.factors))
+        for a, b in zip(lhs, rhs))
 
 
 def composite_residual(lhs, rhs) -> float:
@@ -331,16 +444,25 @@ def composite_residual(lhs, rhs) -> float:
     sides, in chunks of ``unit_column_chunks``, so every entry of L - R is
     compared and no dense map is formed.
 
-    When each side is one factored map and the two share their identity
-    factors, gather and scatter, only their cores are streamed (an 81 x 9
-    core, say, in place of a 6561 x 729 map; ``_peel_shared_identities``).
-    This is exact, not a bound: every other entry of L - R is 0 - 0.  A unit
-    column meets one nonzero term in every sum of ``_kron_apply``, which
-    skips identity factors on both paths, so each entry is the same product
-    of factor entries in the same order.  With real entries, as in the
-    shipped 0/1 systems, the residual is the unpeeled one bit for bit; a
-    product of two complex entries may be rounded differently by the BLAS
-    kernel of another shape, by a few ulp of the entries.
+    First each chain is merged (``_merge_chain``): adjacent factored maps
+    whose layouts align become one factored map, as the right side
+    D[J,K] D[I,J] of a cocycle does.  The merged factors are the products a
+    dense composite would hold, so with 0/1 or integer entries, as in the
+    shipped systems, every entry is exact and the residual is the unmerged
+    chain's bit for bit; with other entries a sum may be rounded in another
+    order, by a few ulp of the entries.
+
+    When each side is then one factored map and the two share their identity
+    factors and descriptors, only their cores are streamed (an 81 x 9 core,
+    say, in place of a 6561 x 729 map; ``_peel_shared_identities``).  This is
+    exact, not a bound: every other entry of L - R is 0 - 0.  A unit column
+    meets one nonzero term in every sum of ``_kron_apply``, which skips
+    identity factors on both paths, so each entry is the same product of
+    factor entries in the same order.  With real entries the residual is the
+    unpeeled one bit for bit; a product of two complex entries may be rounded
+    differently by the BLAS kernel of another shape, by a few ulp of the
+    entries.  When the two sides then hold the same maps (``_same_maps``),
+    every entry of L - R is exactly 0 and nothing is streamed.
     """
     for chain in (lhs, rhs):
         for outer, inner in zip(chain, chain[1:]):
@@ -348,7 +470,9 @@ def composite_residual(lhs, rhs) -> float:
                 raise ValueError(f"cannot compose: inner blocks {inner.cod} != {outer.dom}")
     if lhs[-1].in_dim != rhs[-1].in_dim or lhs[0].out_dim != rhs[0].out_dim:
         raise ValueError("the two composites map between different spaces")
-    lhs, rhs = _peel_shared_identities(lhs, rhs)
+    lhs, rhs = _peel_shared_identities(_merge_chain(lhs), _merge_chain(rhs))
+    if _same_maps(lhs, rhs):
+        return 0.0
     widest = max(op.out_dim for op in (*lhs, *rhs))
     worst = 0.0
     for _, cols in unit_column_chunks(lhs[-1].in_dim, widest):
@@ -371,28 +495,14 @@ def superop_from_conjugation(u, dom: Blocks | None = None, cod: Blocks | None = 
     return Superoperator(np.kron(u, u.conj()), dom or (n,), cod or (m,))
 
 
-def _merged_index(perm: np.ndarray, a, b, dim_a: int, dim_b: int):
-    """The gather (or scatter) of a tensor: ``perm`` from ``tensor_perm`` taken at the
-    Kronecker pairs of the operands' own index arrays ``a`` and ``b`` (None for the
-    identity order); None when the result is the identity order itself."""
-    a = np.arange(dim_a) if a is None else a
-    b = np.arange(dim_b) if b is None else b
-    out = perm[(a[:, None] * dim_b + b[None, :]).reshape(-1)]
-    return None if np.array_equal(out, np.arange(out.size)) else out
-
-
 def superop_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
     """(f (x) g)(x (x) y) = f(x) (x) g(y), in the vec layout of the tensor algebras.
 
-    The result keeps the factors of f and g; its gather and scatter compose
-    theirs with ``tensor_perm`` of the domains and of the codomains.
+    The result keeps the factors of f and g with their descriptors; its gather
+    and scatter are the ``_layout`` of those.
     """
-    return Superoperator.factored(
-        f.factors + g.factors, f.skip + g.skip,
-        _merged_index(tensor_perm(f.dom, g.dom), f.gather, g.gather, f.in_dim, g.in_dim),
-        _merged_index(tensor_perm(f.cod, g.cod), f.scatter, g.scatter, f.out_dim, g.out_dim),
-        tensor_blocks(f.dom, g.dom), tensor_blocks(f.cod, g.cod),
-    )
+    return Superoperator.factored(f.factors + g.factors, f.skip + g.skip,
+                                  f.fdoms + g.fdoms, f.fcods + g.fcods)
 
 
 def superop_tensor_all(factors) -> Superoperator:
@@ -508,7 +618,7 @@ def check_star_homomorphism(
     sp_dom, sp_cod = star_perm(dom), star_perm(cod)
     adj = max_abs(mat[:, sp_dom] - mat.conj()[sp_cod, :])
 
-    rank = numerical_rank(mat, tol)
+    rank = numerical_rank(mat)
     injective = rank == f.in_dim
     surjective = rank == f.out_dim
     is_hom = mult <= tol.eps and adj <= tol.eps

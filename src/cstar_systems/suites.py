@@ -413,7 +413,7 @@ def run_algebra(setup: Setup, rng) -> Report:
         )
         data = gns(alg, phi, tol)
         brute = brute_force_gram(alg, phi)
-        rank = numerical_rank(brute, tol)
+        rank = numerical_rank(brute)
         report.add(CheckRecord(
             check="gns_dimension_matches_brute_force_gram_rank",
             law="dim H_phi = rank of [phi(e_b* e_a)]",

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -391,12 +392,43 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     {"grid": [True, 2, 3]},
     {"grid": "1,2,3"},
     {"suites": "axioms"},
+    {"bogus": 1},
+    {"report_path": True},
+    {"report_path": 5},
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(BASE, **override)))
     assert main(["--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, named", [
+    ({"bogus": 1, "seed": 1}, "['bogus']"),
+    ({"report_path": True}, "report_path must be a string, got True"),
+])
+def test_config_errors_name_the_offending_key(tmp_path, capsys, override, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE, **override)))
+    assert main(["--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        RunConfig.from_json([BASE])
+
+
+def test_rank_cutoff_does_not_follow_the_tolerance(tmp_path, capsys):
+    # a tolerance of 0.5 once cut every singular value of the comultiplications
+    # (all equal to 1), so their four homomorphism records failed with residual 0
+    raw = json.loads(ORACLE_CONFIG.read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(raw, tolerance=0.5, suites=["axioms"])))
+    assert main(["--config", str(path)]) == 0
+    # a huge tolerance no longer overflows the cutoff
+    path.write_text(json.dumps(dict(raw, tolerance=1e308, suites=["axioms"])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        main(["--config", str(path)])
 
 
 def load_benchmark_tracer(monkeypatch):

@@ -171,6 +171,15 @@ def test_numerical_rank():
     assert numerical_rank(np.outer([1, 2, 3], [1, 0, 1])) == 1
 
 
+def test_numerical_rank_cuts_at_machine_precision():
+    eps = np.finfo(float).eps
+    # the cutoff is max(dims) * eps * sigma_max = 2 * eps here
+    assert numerical_rank(np.diag([1.0, 1e-10])) == 2
+    assert numerical_rank(np.diag([1.0, 3 * eps])) == 2
+    assert numerical_rank(np.diag([1.0, eps])) == 1
+    assert numerical_rank(np.diag([1e300, 1e299])) == 2
+
+
 class TestStarHomomorphismCheck:
     def test_conjugation_by_isometry_is_monomorphism(self):
         u = np.zeros((4, 2), dtype=complex)
@@ -494,16 +503,16 @@ def test_peel_leaves_maps_that_differ_in_layout_alone():
     cases = {
         # different identity flags: g in place of the identity factor
         "skip": superop_tensor(Superoperator(np.ones((5, 5)), (1, 2), (1, 2)), f),
-        # a different gather over the same factors
-        "gather": Superoperator.factored(op.factors, op.skip, np.roll(op.gather, 1),
-                                         op.scatter, op.dom, op.cod),
-        # a different scatter over the same factors
-        "scatter": Superoperator.factored(op.factors, op.skip, op.gather,
-                                          op.scatter[::-1].copy(), op.dom, op.cod),
-        # different factor shapes (4 x 4 (x) 5 x 5) with the same flags and layout
+        # a different gather: the same factors, the identity read from blocks (2, 1)
+        "gather": Superoperator.factored(op.factors, op.skip, ((2, 1), (2,)), op.fcods),
+        # a different scatter: the same factors, the identity written to blocks (2, 1)
+        "scatter": Superoperator.factored(op.factors, op.skip, op.fdoms, ((2, 1), (2,))),
+        # different factor shapes (4 x 4 (x) 5 x 5) with the same flags and dimensions
         "shapes": Superoperator.factored((np.eye(4), random_complex((5, 5))), op.skip,
-                                         op.gather, op.scatter, op.dom, op.cod),
+                                         ((2,), (1, 2)), ((2,), (1, 2))),
     }
+    assert not np.array_equal(cases["gather"].gather, op.gather)
+    assert not np.array_equal(cases["scatter"].scatter, op.scatter)
     for name, other in cases.items():
         assert other.in_dim == op.in_dim and other.out_dim == op.out_dim, name
         lhs, rhs = [op], [other]
@@ -518,7 +527,8 @@ def test_peel_leaves_maps_that_differ_in_layout_alone():
 
 
 def test_split_family_streams_only_core_columns(monkeypatch):
-    # refinement_map_splits_at_interior_point on diagonal d=3: each record streams the
+    # refinement_map_splits_at_interior_point on diagonal d=3: both sides tensor the same
+    # cell maps, so no column is streamed; with one cell map bumped, a record streams the
     # columns of its core, never those of the identity cells D[I,J] leaves unrefined
     from cstar_systems import linalg, suites
     from cstar_systems.cli import RunConfig, build_setup
@@ -549,8 +559,187 @@ def test_split_family_streams_only_core_columns(monkeypatch):
     assert len(splits) == len(records) > 0
     full = core = 0
     for op, columns in splits:
+        assert columns == []
+        i = op.skip.index(False)
+        bumped = op.factors[i].copy()
+        bumped[0, 0] += 0.5
+        other = Superoperator.factored(op.factors[:i] + (bumped,) + op.factors[i + 1:], op.skip,
+                                       op.fdoms, op.fcods)
+        start = len(streamed)
+        assert linalg.composite_residual([op], [other]) == 0.5
         kept = math.prod(f.shape[1] for f, s in zip(op.factors, op.skip) if not s)
-        assert columns == [kept]
+        assert streamed[start:] == [kept]
         full, core = full + op.in_dim, core + kept
     # {1,2,4} -> {1,2,3,4}: a 729 x 81 map whose core is the 81 x 9 split of [2,4]
     assert core < full and (729, 81) in {(op.out_dim, op.in_dim) for op, _ in splits}
+
+
+# -- composing factored maps factor by factor ---------------------------------------
+
+RUN_DESCRIPTORS = [(1, 1), (2,), (1, 2)]
+SOURCE_DESCRIPTORS = [(1,), (1, 1), (2,)]
+CHAIN_BUDGET = 256  # largest domain or codomain dimension of a generated chain
+
+
+@st.composite
+def aligned_chains(draw):
+    """Factor lists of f and g whose tensors compose with aligned layouts, and an entry kind.
+
+    g has 2-3 factors, each mapping onto the tensor of a run of 1-2 factors of f.  A factor
+    of g may be a one-column constant (domain (1,)) and f may carry constants between and
+    around its runs; identity factors appear on both sides.  Entries are 0/1 ("binary"),
+    real or complex Gaussians.
+    """
+    from functools import reduce
+
+    from cstar_systems.linalg import blocks_dim
+
+    kind = draw(st.sampled_from(ENTRY_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def factor(dom, cod, ident):
+        if ident:
+            return identity_superop(dom)
+        shape = (blocks_dim(cod), blocks_dim(dom))
+        if kind == "binary":
+            return Superoperator(rng.integers(0, 2, shape).astype(complex), dom, cod)
+        if kind == "real":
+            return Superoperator(rng.standard_normal(shape).astype(complex), dom, cod)
+        return Superoperator(random_complex(shape), dom, cod)
+
+    def maybe_constant(size):
+        fitting = [d for d in RUN_DESCRIPTORS if size * blocks_dim(d) <= CHAIN_BUDGET]
+        if not fitting or not draw(st.booleans()):
+            return size
+        cod = draw(st.sampled_from(fitting))
+        fs.append(factor((1,), cod, False))
+        return size * blocks_dim(cod)
+
+    fs, gs, mid_size = [], [], 1
+    out_size = maybe_constant(1)
+    for _ in range(draw(st.integers(2, 3))):
+        run = []
+        for _ in range(draw(st.integers(1, 2))):
+            fitting = [d for d in RUN_DESCRIPTORS
+                       if max(mid_size, out_size) * blocks_dim(d) <= CHAIN_BUDGET] or [(1, 1)]
+            dom = draw(st.sampled_from(fitting))
+            ident = draw(st.booleans())
+            cod = dom if ident else draw(st.sampled_from(fitting))
+            run.append((dom, cod, ident))
+            mid_size *= blocks_dim(dom)
+            out_size *= blocks_dim(cod)
+        target = reduce(tensor_blocks, [dom for dom, _, _ in run])
+        if draw(st.booleans()):
+            gs.append(identity_superop(target))
+        else:
+            gs.append(factor(draw(st.sampled_from(SOURCE_DESCRIPTORS)), target, False))
+        fs.extend(factor(*spec) for spec in run)
+        out_size = maybe_constant(out_size)
+    return fs, gs, kind
+
+
+def _abs_tensor(ops):
+    from cstar_systems.linalg import superop_tensor_all
+
+    return superop_tensor_all([Superoperator(np.abs(op.matrix), op.dom, op.cod) for op in ops])
+
+
+@settings(deadline=None, max_examples=60)
+@given(aligned_chains())
+def test_merged_chain_matches_the_unmerged_chain(case):
+    from cstar_systems.linalg import _merge, composite_residual, superop_tensor_all
+
+    fs, gs, kind = case
+    f, g = superop_tensor_all(fs), superop_tensor_all(gs)
+    merged = _merge(f, g)
+    assert merged is not None and not merged.is_dense
+    assert (merged.dom, merged.cod) == (g.dom, f.cod)
+    assert merged.in_dim == g.in_dim and merged.out_dim == f.out_dim
+    cols = np.eye(g.in_dim, dtype=complex)
+    chain = f.apply_many(g.apply_many(cols))  # the unmerged chain, streamed
+    got = merged.apply_many(cols)
+    assert np.array_equal(compose(f, g).matrix, merged.matrix)
+    target = chain.copy()
+    target[-1, 0] += 0.5
+    target = Superoperator(target, g.dom, f.cod)
+    residual = composite_residual([target], [f, g])
+    reference = max_abs(target.matrix - chain)
+    if kind == "binary":
+        assert np.array_equal(got, chain)
+        assert residual == reference == 0.5
+    else:
+        # a sum of products may be rounded in another order: a few ulp of the largest entry
+        scale = max_abs(_abs_tensor(fs).apply_many(_abs_tensor(gs).apply_many(cols)))
+        assert max_abs(got - chain) <= 16 * np.finfo(float).eps * scale
+        assert abs(residual - reference) <= 16 * np.finfo(float).eps * scale
+
+
+def test_merge_leaves_dense_operands_and_mismatched_layouts_alone():
+    from cstar_systems.linalg import _merge, compose_dense
+
+    a = Superoperator(random_complex((4, 2)), (1, 1), (2,))
+    b = Superoperator(random_complex((5, 4)), (2,), (1, 2))
+    factored = superop_tensor(a, b)
+    dense = Superoperator(factored.matrix, factored.dom, factored.cod)
+    after = superop_tensor(identity_superop((2,)), Superoperator(random_complex((2, 5)),
+                                                                 (1, 2), (1, 1)))
+    cases = {
+        "dense inner map": (after, dense),
+        "dense outer map": (Superoperator(after.matrix, after.dom, after.cod), factored),
+        # one factor of f, on (2,) (x) (2,) = (4,), would read two factors of g
+        "a run across factors of g": (
+            superop_tensor(Superoperator(random_complex((3, 16)), (4,), (1, 1, 1)),
+                           Superoperator(random_complex((2, 1)), (1,), (1, 1))),
+            superop_tensor(Superoperator(random_complex((4, 2)), (1, 1), (2,)),
+                           Superoperator(random_complex((4, 4)), (2,), (2,)))),
+        # g's factors map onto (2,) then (1, 1); f's read (1, 1) then (2,): both tensor to (2, 2)
+        "runs of other sizes": (
+            superop_tensor(Superoperator(random_complex((2, 2)), (1, 1), (1, 1)),
+                           Superoperator(random_complex((4, 4)), (2,), (2,))),
+            superop_tensor(Superoperator(random_complex((4, 4)), (2,), (2,)),
+                           Superoperator(random_complex((2, 2)), (1, 1), (1, 1)))),
+    }
+    for name, (f, g) in cases.items():
+        assert g.cod == f.dom, name
+        assert _merge(f, g) is None, name
+        composed = compose(f, g)
+        assert composed.is_dense, name
+        assert np.array_equal(composed.matrix, compose_dense(f, g).matrix), name
+
+
+def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):
+    # dense-d3's partition suite: the right side D[J,K] D[I,J] of every refinement and padded
+    # cocycle record whose two maps are factored becomes one factored map laid out as the
+    # left side D[I,K], so the identity peel reaches it
+    from cstar_systems import linalg, suites
+    from cstar_systems.cli import RunConfig, build_setup
+
+    setup = build_setup(RunConfig.from_json({
+        "grid": ["1", "2", "3", "4", "5"], "system": {"kind": "diagonal", "d": 3},
+        "unit": {"kind": "standard"}, "counit": {"kind": "standard"},
+        "suites": ["partition"], "max_interior_points": 3, "dim_cap": 8192}))
+    merges, sides = [], []
+    merge, residual = linalg._merge, suites.composite_residual
+
+    def recording_merge(f, g):
+        out = merge(f, g)
+        if not (f.is_dense or g.is_dense):
+            merges.append(out)
+        return out
+
+    def recording_residual(lhs, rhs):
+        start = len(merges)
+        res = residual(lhs, rhs)
+        if len(rhs) == 2 and len(merges) > start:
+            sides.append((lhs[0], merges[start]))
+        return res
+
+    monkeypatch.setattr(linalg, "_merge", recording_merge)
+    monkeypatch.setattr(suites, "composite_residual", recording_residual)
+    report = suites.run_partition(setup, np.random.default_rng(0))
+    assert report.passed
+    cocycles = [r for r in report.records if r.check in ("refinement_cocycle", "padded_cocycle")]
+    assert len(cocycles) == 158
+    assert len(merges) == len(sides) == 111 and all(m is not None for m in merges)
+    for lhs, one in sides:
+        assert (one.fdoms, one.fcods, one.skip) == (lhs.fdoms, lhs.fcods, lhs.skip)
