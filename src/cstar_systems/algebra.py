@@ -133,9 +133,6 @@ class AlgebraElement:
             and (self * self).distance(self) <= tol.eps
         )
 
-    def is_zero(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return max_abs(self.vec()) <= tol.eps
-
 
 def tensor_algebra(a: FiniteCStarAlgebra, b: FiniteCStarAlgebra) -> FiniteCStarAlgebra:
     return FiniteCStarAlgebra(tensor_blocks(a.blocks, b.blocks))

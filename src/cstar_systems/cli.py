@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys as _sys
 import time
 from dataclasses import dataclass
@@ -124,6 +125,8 @@ def _report_path(obj: dict) -> Optional[str]:
     value = obj.get("report_path")
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"report_path must be a string, got {value!r}")
+    if value and not os.path.isdir(os.path.dirname(value) or "."):
+        raise ConfigError(f"report_path {value!r} is in a directory that does not exist")
     return value
 
 
@@ -482,9 +485,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     if config.report_path:
-        with open(config.report_path, "w") as fh:
-            json.dump(out, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(config.report_path, "w") as fh:
+                json.dump(out, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"report error: cannot write {config.report_path}: {exc.strerror or exc}",
+                  file=_sys.stderr)
+            return 2
 
     for suite, body in out["suites"].items():
         s = body["summary"]

@@ -247,14 +247,15 @@ class Superoperator:
     arrays.  ``superop_tensor`` and ``compose`` build the factored ones.
     ``apply_many`` and ``rapply`` act one factor at a time; ``matrix`` builds
     the dense (out_dim x in_dim) matrix of a factored map on every access and
-    keeps nothing.  All arrays held are read-only.
+    keeps nothing.  All arrays held are read-only; a dense map holds a view
+    of the caller's matrix, which stays writable.
     """
 
     __slots__ = ("factors", "skip", "fdoms", "fcods", "gather", "scatter", "dom", "cod",
                  "in_dim", "out_dim")
 
     def __init__(self, matrix, dom: Blocks, cod: Blocks):
-        m = as_matrix(matrix)
+        m = as_matrix(matrix).view()
         self._fill((m,), (_is_identity(m),), (tuple(dom),), (tuple(cod),))
 
     @classmethod
@@ -485,14 +486,14 @@ def composite_residual(lhs, rhs) -> float:
     return worst
 
 
-def superop_from_conjugation(u, dom: Blocks | None = None, cod: Blocks | None = None) -> Superoperator:
+def superop_from_conjugation(u) -> Superoperator:
     """The map x -> u x u* between single-block algebras, as a superoperator.
 
     For row-major vec, vec(u x u*) = (u (x) conj(u)) vec(x).
     """
     u = as_matrix(u)
     m, n = u.shape
-    return Superoperator(np.kron(u, u.conj()), dom or (n,), cod or (m,))
+    return Superoperator(np.kron(u, u.conj()), (n,), (m,))
 
 
 def superop_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
@@ -579,23 +580,14 @@ def _product_index(blocks: Blocks) -> np.ndarray:
     return idx
 
 
-def check_star_homomorphism(
-    f: Superoperator,
-    dom: Blocks | None = None,
-    cod: Blocks | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> HomReport:
+def check_star_homomorphism(f: Superoperator, tol: Tolerance = DEFAULT_TOL) -> HomReport:
     """Test multiplicativity, adjoint preservation and injectivity on the matrix-unit basis.
 
     Cost is quadratic in the domain dimension (all basis pairs); intended for
     the pairwise algebras of a system, not for large partition algebras
     (those maps are homomorphisms by construction).
     """
-    dom = tuple(dom) if dom is not None else f.dom
-    cod = tuple(cod) if cod is not None else f.cod
-    if (blocks_dim(dom), blocks_dim(cod)) != (f.in_dim, f.out_dim):
-        raise ValueError(f"descriptors {dom}->{cod} do not match map dims {f.in_dim}->{f.out_dim}")
-
+    dom, cod = f.dom, f.cod
     n = f.in_dim
     mat = f.matrix
     prod_idx = _product_index(dom)

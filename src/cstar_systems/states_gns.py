@@ -7,12 +7,11 @@ functional is the idempotent state of the system algebra; its marginals
 recover the family.
 
 Applying the GNS construction per pair produces a Hilbert-space system whose
-isometries mirror the comultiplication; partition-level isometries between
-the GNS spaces then carry the dilation of that Hilbert system, and its
-agreement with the GNS system of the dilated states reduces to Gram-matrix
-preservation along refinements, which is checked here.  The Gram matrix of a
-product state is block diagonal, kron(I_n, rho_k^T) on block k, so the check
-applies it block by block and never forms a dense Gram matrix.
+isometries mirror the comultiplication; the agreement of its dilation with the
+GNS system of the dilated states reduces to Gram-matrix preservation along
+refinements, which is checked here.  The Gram matrix of a product state is
+block diagonal, kron(I_n, rho_k^T) on block k, so the check applies it block
+by block and never forms a dense Gram matrix.
 """
 from __future__ import annotations
 
@@ -57,14 +56,7 @@ from .systems import (
     check_comultiplicative,
     enumerate_all_partitions,
 )
-from .timegrid import (
-    MapBackend,
-    Partition,
-    common_refinement,
-    interval_map,
-    refinement_map,
-    refinement_pairs,
-)
+from .timegrid import Partition, refinement_pairs
 
 Pair = tuple[Fraction, Fraction]
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -229,21 +221,14 @@ def _tensor_gns_unitary(a: FiniteCStarAlgebra, b: FiniteCStarAlgebra,
 
 
 def gns_isometry(sys: TensorialSystem, fam: FunctionalFamily, r, s, t,
-                 gns_cache: dict, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+                 gns_data: Mapping[Pair, GnsData], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """V[r,s,t]: H(r,t) -> H(r,s) (x) H(s,t) induced by the comultiplication."""
-    def data(u, v):
-        key = (u, v)
-        if key not in gns_cache:
-            gns_cache[key] = gns(sys.alg(u, v), fam.phi(u, v), tol)
-        return gns_cache[key]
-
     a, b = sys.alg(r, s), sys.alg(s, t)
     prod_alg = tensor_algebra(a, b)
     prod_state = functional_tensor(fam.phi(r, s), fam.phi(s, t))
     gab = gns(prod_alg, prod_state, tol)
-    w = _tensor_gns_unitary(a, b, data(r, s), data(s, t), gab)
-    v = w.conj().T @ gab.eta @ sys.delta(r, s, t).matrix @ data(r, t).lift
-    return v
+    w = _tensor_gns_unitary(a, b, gns_data[(r, s)], gns_data[(s, t)], gab)
+    return w.conj().T @ gab.eta @ sys.delta(r, s, t).matrix @ gns_data[(r, t)].lift
 
 
 def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
@@ -255,17 +240,14 @@ def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
     """
     if not fam.is_counit(tol):
         raise ValueError("the functional family must consist of states")
-    cache: dict = {
-        (s, t): gns(sys.alg(s, t), fam.phi(s, t), tol) for (s, t) in sys.grid.pairs()
-    }
+    gns_data = {(s, t): gns(sys.alg(s, t), fam.phi(s, t), tol) for (s, t) in sys.grid.pairs()}
     isometries = {}
     for (r, s, t) in sys.grid.triples():
-        v = gns_isometry(sys, fam, r, s, t, cache, tol)
+        v = gns_isometry(sys, fam, r, s, t, gns_data, tol)
         if not is_isometry(v, Tolerance(max(tol.eps, 1e-7))):
             res = max_abs(v.conj().T @ v - np.eye(v.shape[1]))
             raise GnsIsometryError((r, s, t), res)
         isometries[(r, s, t)] = v
-    gns_data = {pair: cache[pair] for pair in sys.grid.pairs()}
     return GnsSystem(sys=sys, fam=fam, gns_data=gns_data, isometries=isometries)
 
 
@@ -286,58 +268,6 @@ def gns_unit_vector_residual(sys: TensorialSystem, gsys: GnsSystem,
         worst = max(worst, max_abs(
             v @ coords[(r, t)] - np.kron(coords[(r, s)], coords[(s, t)])))
     return worst
-
-
-# -- partition isometries of a Hilbert system -----------------------------------
-
-def _hs_backend(hs: HilbertSystem) -> MapBackend:
-    return MapBackend(lambda a, b: np.eye(hs.dim(a, b), dtype=complex), hs.u, np.kron, np.matmul)
-
-
-def _hs_guard(hs: HilbertSystem):
-    return lambda partition: hs.grid.require(*partition.points)
-
-
-def hs_interval_isometry(hs: HilbertSystem, partition: Partition) -> np.ndarray:
-    """H(s,t) -> H_I, splitting off the last cell recursively (mirror of the algebra map)."""
-    return interval_map(_hs_backend(hs), partition, _hs_guard(hs), hs._cache)
-
-
-def bm_partition_isometries(hs: HilbertSystem, coarse: Partition, fine: Partition) -> np.ndarray:
-    """The connecting isometry H_I -> H_J: cellwise tensor of interval isometries."""
-    return refinement_map(_hs_backend(hs), coarse, fine, _hs_guard(hs), hs._cache)
-
-
-@dataclass(frozen=True)
-class HilbertGerm:
-    """A finite-level representative (partition, vector) of a dilated Hilbert space."""
-
-    partition: Partition
-    vector: np.ndarray
-
-
-def hs_germ_push(hs: HilbertSystem, g: HilbertGerm, target: Partition) -> np.ndarray:
-    return bm_partition_isometries(hs, g.partition, target) @ g.vector
-
-
-def hs_germ_distance(hs: HilbertSystem, g1: HilbertGerm, g2: HilbertGerm) -> float:
-    target = common_refinement(g1.partition, g2.partition)
-    return max_abs(hs_germ_push(hs, g1, target) - hs_germ_push(hs, g2, target))
-
-
-def hs_germ_split(hs: HilbertSystem, g: HilbertGerm, s: Fraction
-                  ) -> tuple[Partition, Partition, np.ndarray]:
-    """Split a Hilbert germ at an interior grid point: pure re-indexing.
-
-    Returns (left partition, right partition, joint vector); the joint space
-    H_L (x) H_R has the same coordinates as H_{L u R}.
-    """
-    lo, hi = g.partition.endpoints
-    if not (lo < s < hi):
-        raise ValueError(f"cut {s} is not interior to {g.partition}")
-    target = common_refinement(g.partition, Partition([lo, s, hi]))
-    vec = hs_germ_push(hs, g, target)
-    return target.restrict(lo, s), target.restrict(s, hi), vec
 
 
 # -- dilation agreement (Gram preservation) --------------------------------------

@@ -509,6 +509,23 @@ class TestMainEntryPoint:
         missing = tmp_path / "missing.json"
         assert main(["--config", str(missing)]) == 2
 
+    def test_report_in_a_missing_directory_exits_two_before_any_suite(self, tmp_path, capsys):
+        path = self.write(tmp_path, BASE)
+        report = tmp_path / "nonexistent" / "r.json"
+        assert main(["--config", str(path), "--report", str(report)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "config error:" in out.err and "does not exist" in out.err
+
+    def test_unwritable_report_exits_two_and_names_the_path(self, tmp_path, capsys):
+        path = self.write(tmp_path, BASE)
+        assert main(["--config", str(path), "--report", str(tmp_path)]) == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+    def test_huge_tolerance_still_finds_the_unit_non_zero(self, tmp_path):
+        raw = dict(json.loads(ORACLE_CONFIG.read_text()), suites=["axioms"], tolerance=1e308)
+        assert main(["--config", str(self.write(tmp_path, raw))]) == 0
+
     def test_failing_checks_exit_one(self, tmp_path):
         raw = dict(BASE, perturb_delta={"epsilon": 1e-3})
         path = self.write(tmp_path, raw)

@@ -17,28 +17,25 @@ from cstar_systems.commutative import (
     measure_family_functionals,
     to_cstar,
 )
-from cstar_systems.linalg import is_isometry, max_abs
+from cstar_systems.linalg import composite_residual, is_isometry, max_abs
 from cstar_systems.partition_calculus import (
     cross_germ,
     delta_cross,
     delta_interval_to_partition,
     delta_refinement,
+    germ_distance,
     partition_algebra,
+    sharp_comultiplication,
     sharp_germ,
     state_on_partition,
     unit_on_partition,
 )
 from cstar_systems.states_gns import (
-    HilbertGerm,
-    bm_partition_isometries,
     build_idempotent_state,
     counit_dilation_eval,
     dilation_isomorphism_check,
     gns_system,
     gram_preservation_residual,
-    hs_germ_distance,
-    hs_germ_split,
-    hs_interval_isometry,
     idempotency_residual,
     marginal_states,
 )
@@ -268,25 +265,27 @@ def test_gns_images_of_the_unit_form_a_normalized_unit(diag, diag_families):
 
 
 class TestHilbertPartitionIsometries:
+    """The partition isometries of a Hilbert system are the maps of its vector system."""
+
     def test_identity_refinement(self, diag):
         hs, _ = diag
         part = Partition([1, 3])
-        assert max_abs(bm_partition_isometries(hs, part, part) - np.eye(2)) == 0
+        assert max_abs(delta_refinement(hs.vectors, part, part).matrix - np.eye(2)) == 0
 
     def test_single_block_is_interval_isometry(self, diag):
         hs, _ = diag
         coarse, fine = Partition([1, 4]), Partition([1, 2, 3, 4])
-        assert max_abs(bm_partition_isometries(hs, coarse, fine)
-                       - hs_interval_isometry(hs, fine)) == 0
+        assert max_abs(delta_refinement(hs.vectors, coarse, fine).matrix
+                       - delta_interval_to_partition(hs.vectors, fine).matrix) == 0
 
     def test_diagonal_interval_isometry_on_basis(self, diag):
         hs, _ = diag
-        v = hs_interval_isometry(hs, Partition([1, 2, 3, 4]))
+        v = delta_interval_to_partition(hs.vectors, Partition([1, 2, 3, 4]))
         for i in range(2):
             e = np.zeros(2)
             e[i] = 1.0
             expected = np.kron(np.kron(e, e), e)
-            assert max_abs(v @ e - expected) == 0
+            assert max_abs(v.apply(e) - expected) == 0
 
     @pytest.mark.parametrize("make", [
         lambda: diagonal_system(Grid([1, 2, 3, 4, 5, 6]), 2),
@@ -296,27 +295,29 @@ class TestHilbertPartitionIsometries:
         hs, sys = make()
         lo, hi = sys.grid.points[0], sys.grid.points[-1]
         for part in enumerate_partitions(sys.grid, lo, hi, 4):
-            v = hs_interval_isometry(hs, part)
+            v = delta_interval_to_partition(hs.vectors, part).matrix
             assert np.array_equal(delta_interval_to_partition(sys, part).matrix,
                                   np.kron(v, v.conj()))
 
     def test_cocycle(self, diag):
         hs, _ = diag
         small, mid, big = Partition([1, 4]), Partition([1, 2, 4]), Partition([1, 2, 3, 4])
-        lhs = bm_partition_isometries(hs, small, big)
-        rhs = bm_partition_isometries(hs, mid, big) @ bm_partition_isometries(hs, small, mid)
-        assert max_abs(lhs - rhs) < 1e-12
+        assert composite_residual(
+            [delta_refinement(hs.vectors, small, big)],
+            [delta_refinement(hs.vectors, mid, big), delta_refinement(hs.vectors, small, mid)],
+        ) < 1e-12
 
     def test_germ_split_mirrors_interval_split(self, diag):
         hs, _ = diag
-        g = HilbertGerm(Partition([1, 4]), np.array([1.0, 0.0]))
-        left, right, vec = hs_germ_split(hs, g, F(2))
-        assert (left, right) == (Partition([1, 2]), Partition([2, 4]))
-        e1 = np.zeros(2)
-        e1[0] = 1.0
-        assert max_abs(vec - np.kron(e1, e1)) == 0
-        pushed = HilbertGerm(Partition([1, 2, 4]), vec)
-        assert hs_germ_distance(hs, g, pushed) < 1e-12
+        coarse = Partition([1, 4])
+        e1 = np.array([1.0, 0.0])
+        g = sharp_germ(hs.vectors, coarse,
+                       partition_algebra(hs.vectors, coarse).from_vec(e1))
+        split = sharp_comultiplication(hs.vectors, g, F(2))
+        assert split.left_partition == Partition([1, 2])
+        assert split.right_partition == Partition([2, 4])
+        assert max_abs(split.element.vec() - np.kron(e1, e1)) == 0
+        assert germ_distance(hs.vectors, g, split.merged()) < 1e-12
 
 
 class TestGramPreservation:

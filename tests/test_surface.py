@@ -1,8 +1,7 @@
 """Every top-level function and class of the package has a caller.
 
 A definition counts as reached when another part of ``src/cstar_systems``
-uses it, when ``perfbench/tracer.py`` names it in ``TARGETS``, or when it is on
-``ALLOWED`` below with the reason it stays.  A use is an ``ast.Name`` outside
+uses it or when ``perfbench/tracer.py`` names it in ``TARGETS``.  A use is an ``ast.Name`` outside
 the definition itself or an entry of a ``from .module import`` statement;
 attribute accesses such as ``np.kron`` do not count.  The package root
 re-exports nothing, and a re-export is not a use, so ``__init__.py`` is not
@@ -14,13 +13,6 @@ from pathlib import Path
 from test_cli import load_benchmark_tracer
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cstar_systems"
-
-ALLOWED = {
-    "hs_interval_isometry": "Hilbert-side dilation; waits to be wired into the gns suite",
-    "hs_germ_distance": "Hilbert-side dilation; waits to be wired into the gns suite",
-    "hs_germ_split": "Hilbert-side dilation; waits to be wired into the gns suite",
-}
-
 
 def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -52,11 +44,9 @@ def test_every_definition_is_reached(monkeypatch):
     traced = {(module, fn) for module, names in tracer.TARGETS.items() for fn in names}
     modules = _modules()
     used = _uses(modules)
-    unreached = {fn: f"{module}.{fn}" for module, fn in _definitions(modules)
-                 if fn not in used and (module, fn) not in traced}
-    assert sorted(where for fn, where in unreached.items() if fn not in ALLOWED) == []
-    # an entry whose definition is gone or has found a caller leaves the list
-    assert set(ALLOWED) <= set(unreached)
+    unreached = [f"{module}.{fn}" for module, fn in _definitions(modules)
+                 if fn not in used and (module, fn) not in traced]
+    assert sorted(unreached) == []
 
 
 def test_package_root_exports_nothing():

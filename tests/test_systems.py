@@ -21,6 +21,7 @@ from cstar_systems.systems import (
     MorphismFamily,
     OffGridError,
     TensorialSystem,
+    UnitFamily,
     check_comultiplicative,
     check_hilbert_axioms,
     check_morphism,
@@ -179,6 +180,13 @@ class TestFamilies:
         elements[(F(1), F(2))] = self.sys.alg(F(1), F(2)).matrix_unit(0, 1, 1)
         rep = check_unit(self.sys, type(unit)(elements))
         assert not rep.passed
+
+    def test_zero_unit_is_not_a_unit(self):
+        zero = UnitFamily({pair: alg.zero() for pair, alg in self.sys.algebras.items()})
+        rep = check_unit(self.sys, zero)
+        projections = [r for r in rep.records if r.check == "unit_is_projection"]
+        assert len(projections) == len(GRID.pairs())
+        assert not any(r.passed for r in projections)
 
     def test_vector_state_family_is_counit(self):
         fam = constant_functional_family(self.sys, vector_state)
