@@ -257,7 +257,10 @@ def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEF
 
     The quotient dimension is the numerical rank of G: eigenvalues <= eps *
     lambda_max count as kernel, with lambda_max taken over all blocks, so the
-    rank is sum_k n_k * r_k.  The dim x dim Gram matrix is never formed.
+    rank is sum_k n_k * r_k.  lambda_max itself is never kernel, so a
+    tolerance of 1 or more keeps its eigenspace rather than an empty space;
+    below 1 the cut is eps * lambda_max exactly.  The dim x dim Gram matrix
+    is never formed.
     """
     neg, norm_err = phi.state_residuals()
     if neg > tol.eps or norm_err > tol.eps:
@@ -267,7 +270,7 @@ def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEF
     grams = [rho.T for rho in phi.densities]
     evals = [np.linalg.eigvalsh(g) for g in grams]
     lam_max = max(float(ev[-1]) for ev in evals)
-    threshold = tol.eps * max(lam_max, 0.0)
+    threshold = min(tol.eps * max(lam_max, 0.0), np.nextafter(lam_max, 0.0))
     factors = [
         _gram_schmidt(g, int(np.sum(ev > threshold)), threshold)
         for g, ev in zip(grams, evals)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys as _sys
 import time
@@ -113,11 +112,12 @@ def _grid(value, name: str) -> Grid:
         raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
-def _tolerance(obj: dict) -> float:
-    value = obj.get("tolerance", 1e-9)
+def _finite(value, name: str, minimum: float = -_sys.float_info.max) -> float:
+    """A finite JSON number of at least ``minimum``; a boolean is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value) or value < 0:
-        raise ConfigError(f"tolerance must be a finite number >= 0, got {value!r}")
+            or not minimum <= value <= _sys.float_info.max:
+        bound = f" >= {minimum:g}" if minimum > -_sys.float_info.max else ""
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
     return float(value)
 
 
@@ -159,8 +159,8 @@ class RunConfig:
             raise ConfigError(f"unknown config keys {unknown}; valid: {sorted(CONFIG_KEYS)}")
         grid = _grid(obj.get("grid"), "grid")
         system = obj.get("system")
-        if not isinstance(system, dict) or "kind" not in system:
-            raise ConfigError("config needs a system object with a 'kind'")
+        if not isinstance(system, dict) or not isinstance(system.get("kind"), str):
+            raise ConfigError("config needs a system object with a string 'kind'")
         if "grid" in system:
             # standalone system objects carry their grid; it must agree
             if _grid(system["grid"], "system grid").points != grid.points:
@@ -181,15 +181,16 @@ class RunConfig:
             unit_spec=_object(obj, "unit"),
             counit_spec=_object(obj, "counit"),
             measures=_object(obj, "measures"),
-            tolerance=_tolerance(obj),
+            tolerance=_finite(obj.get("tolerance", 1e-9), "tolerance", 0),
             max_interior_points=_integer(obj, "max_interior_points", 4),
             dim_cap=_integer(obj, "dim_cap", 4096),
             seed=_integer(obj, "seed", 42),
             report_path=_report_path(obj),
             perturb_delta=_object(obj, "perturb_delta"),
         )
-        if config.max_interior_points < 0:
-            raise ConfigError("max_interior_points must be >= 0")
+        for name in ("max_interior_points", "seed"):
+            if getattr(config, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         return config
 
     def normalized(self) -> dict:
@@ -220,11 +221,13 @@ class Built(NamedTuple):
 
 
 class SystemKind(NamedTuple):
-    """A payload builder ``(payload, grid, dim_cap) -> Built`` and the kind's standard families."""
+    """A payload builder ``(payload, grid, dim_cap) -> Built``, the kind's standard families
+    and the payload keys the builder reads, besides ``kind`` and ``grid``."""
 
     build: Callable[[dict, Grid, int], Built]
     unit: Callable[[TensorialSystem], UnitFamily]
     counit: Callable[..., FunctionalFamily]  # (system, mult, measures)
+    keys: tuple[str, ...]
 
 
 def _keyed(table: dict, arity: int, make: Callable) -> dict:
@@ -329,12 +332,16 @@ def _measures_or_uniform(system, mult, measures) -> FunctionalFamily:
 # coproducts); and on the commutative models their configured measures, or the
 # uniform ones when none are configured.
 SYSTEM_KINDS = {
-    "diagonal": SystemKind(_build_diagonal, standard_unit, _vector_states),
-    "glue_hilbert": SystemKind(_build_glue_hilbert, standard_unit, _faithful_cell_product),
-    "trivial_bialgebra": SystemKind(_build_bialgebra, trivial_unit, _vector_states),
-    "one_parameter": SystemKind(_build_one_parameter, standard_unit, _vector_states),
-    "custom": SystemKind(_build_custom, standard_unit, _vector_states),
-    "commutative": SystemKind(_build_commutative, trivial_unit, _measures_or_uniform),
+    "diagonal": SystemKind(_build_diagonal, standard_unit, _vector_states, ("d",)),
+    "glue_hilbert": SystemKind(_build_glue_hilbert, standard_unit, _faithful_cell_product,
+                               ("cell_dims",)),
+    "trivial_bialgebra": SystemKind(_build_bialgebra, trivial_unit, _vector_states,
+                                    ("model", "blocks", "delta")),
+    "one_parameter": SystemKind(_build_one_parameter, standard_unit, _vector_states,
+                                ("durations", "maps")),
+    "custom": SystemKind(_build_custom, standard_unit, _vector_states, ("algebras", "deltas")),
+    "commutative": SystemKind(_build_commutative, trivial_unit, _measures_or_uniform,
+                              ("model", "base", "spaces", "chi")),
 }
 UNIT_KINDS = {"trivial": trivial_unit, "first_point_indicator": indicator_unit}
 COUNIT_KINDS = {
@@ -352,7 +359,7 @@ def _perturbed(system: TensorialSystem, spec: dict) -> TensorialSystem:
     key = parse_time_key(spec["triple"]) if "triple" in spec else system.grid.triples()[0]
     old = system.deltas[key]
     mat = old.matrix.copy()
-    mat[0, 0] += float(spec.get("epsilon", 1e-3))
+    mat[0, 0] += _finite(spec.get("epsilon", 1e-3), "perturb_delta epsilon")
     deltas = {**system.deltas, key: Superoperator(mat, old.dom, old.cod)}
     return TensorialSystem(system.grid, system.algebras, deltas, dim_cap=system.dim_cap,
                            kind=system.kind + "+perturbed", payload=system.payload)
@@ -388,13 +395,18 @@ def _resolve_counit(spec: Optional[dict], kind: SystemKind, system: TensorialSys
 
 
 def build_setup(config: RunConfig) -> Setup:
-    kind = SYSTEM_KINDS.get(config.system["kind"])
+    name = config.system["kind"]
+    kind = SYSTEM_KINDS.get(name)
     if kind is None:
-        raise ConfigError(f"unknown system kind {config.system['kind']!r}")
+        raise ConfigError(f"unknown system kind {name!r}")
+    allowed = {"kind", "grid", *kind.keys}
+    unknown = sorted(set(config.system) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in a {name!r} system; valid: {sorted(allowed)}")
     try:
         built = kind.build(config.system, config.grid, config.dim_cap)
         if config.measures is not None and built.mult is None:
-            raise ConfigError(f"measures need a commutative system, not {config.system['kind']!r}")
+            raise ConfigError(f"measures need a commutative system, not {name!r}")
         system, expected = built.system, built.expected
         if config.perturb_delta:
             system, expected = _perturbed(system, config.perturb_delta), None

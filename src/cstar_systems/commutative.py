@@ -22,9 +22,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .algebra import FiniteCStarAlgebra, LinearFunctional
-from .linalg import Superoperator
+from .linalg import Superoperator, Tolerance
 from .report import CheckRecord, Report
-from .systems import FunctionalFamily, Grid, TensorialSystem, UnitFamily
+from .systems import FunctionalFamily, Grid, TensorialSystem, UnitFamily, check_comultiplicative
 from .timegrid import MapBackend, Partition, padded_map
 
 Pair = tuple[Fraction, Fraction]
@@ -222,9 +222,6 @@ def check_measure_family(sys: FiniteMultSystem, mu: Mapping[Pair, Measure],
     residual beyond rounding would flag an encoding bug, while a rational
     discrepancy is a genuine counterexample to the measure law.
     """
-    from .systems import check_comultiplicative
-    from .linalg import Tolerance
-
     report = Report()
     measures = {pair: as_measure(mu[pair]) for pair in mu}
     for (r, s, t) in sys.grid.triples():

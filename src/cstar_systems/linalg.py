@@ -12,21 +12,13 @@ descriptors and are cached per layout.  A factored map is applied one factor
 at a time and never stored densely.
 
 Every identity check reduces to three operations: composition, entrywise
-comparison of maps and a rank.  Two factored maps whose layouts align compose
-factor by factor, by the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD, into
-one factored map; other pairs compose densely, applying one map to the columns
-of the other.  Two composites are compared entry by entry by pushing the
-identity through both in column chunks (``composite_residual``), after each
-chain has been merged as far as the layouts allow; the rank is taken of a
-dense matrix, which only the small per-pair maps need.
-
-Two factored maps laid out alike (same factor descriptors and identity
-factors) are compared on their cores alone: the Kronecker products of their
-non-identity factors.  This peel is exact.  L - R is a permutation of the
-difference of the Kronecker products, and a shared identity factor makes each
-of its entries either 0 - 0 or an entry of the cores' difference, formed by
-the same products of factor entries in the same order.  When even the cores
-hold equal factors, every entry is exactly 0 and nothing is streamed.
+comparison of maps and a rank.  ``compose`` is dense: one map applied to the
+columns of the other.  Every map identity is one ``composite_residual`` call.
+It merges factored maps factor by factor, by the mixed-product rule
+(A (x) B)(C (x) D) = AC (x) BD; returns 0 when the merged sides hold the same
+maps; and otherwise peels their shared identity factors and pushes the
+identity through both sides in column chunks, so no composite is formed.  The
+rank is taken of a dense matrix, which only the small per-pair maps need.
 """
 from __future__ import annotations
 
@@ -61,13 +53,10 @@ def max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def is_isometry(v, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """v* v == identity, entrywise within eps (long matrices only)."""
+def isometry_residual(v) -> float:
+    """max_abs(v* v - 1); an isometry also needs rows >= cols, which callers check."""
     v = as_matrix(v)
-    if v.shape[0] < v.shape[1]:
-        return False
-    gram = v.conj().T @ v
-    return max_abs(gram - np.eye(v.shape[1])) <= tol.eps
+    return max_abs(v.conj().T @ v - np.eye(v.shape[1]))
 
 
 def numerical_rank(m) -> int:
@@ -244,7 +233,8 @@ class Superoperator:
     descriptors of domain and codomain, the tensors of the factors' ones.
 
     ``Superoperator(matrix, dom, cod)`` is a dense map: one factor, no index
-    arrays.  ``superop_tensor`` and ``compose`` build the factored ones.
+    arrays.  ``superop_tensor`` builds the factored ones, and
+    ``composite_residual`` merges them (``_merge``).
     ``apply_many`` and ``rapply`` act one factor at a time; ``matrix`` builds
     the dense (out_dim x in_dim) matrix of a factored map on every access and
     keeps nothing.  All arrays held are read-only; a dense map holds a view
@@ -328,12 +318,6 @@ def identity_superop(blocks: Blocks) -> Superoperator:
 
 
 def compose(f: Superoperator, g: Superoperator) -> Superoperator:
-    """f after g: factor by factor when both maps are factored and their layouts
-    align (``_merge``), so the result stays factored; else ``compose_dense``."""
-    return _merge(f, g) or compose_dense(f, g)
-
-
-def compose_dense(f: Superoperator, g: Superoperator) -> Superoperator:
     """f after g, as a dense map: f applied to the columns of g's matrix."""
     if g.cod != f.dom:
         raise ValueError(f"cannot compose: inner blocks {g.cod} != {f.dom}")
@@ -429,12 +413,13 @@ def _peel_shared_identities(lhs, rhs):
 
 def _same_maps(lhs, rhs) -> bool:
     """Whether the two chains hold the same maps: equal descriptors and identity
-    flags, and factors that are equal and finite entry by entry.  Each column
-    then goes through the same products in the same order on both sides, so
-    every entry of L - R is exactly 0."""
+    flags, and other factors that are equal and finite entry by entry.  Each
+    column then goes through the same products in the same order on both
+    sides, so every entry of L - R is exactly 0."""
     return len(lhs) == len(rhs) and all(
         a.skip == b.skip and a.fdoms == b.fdoms and a.fcods == b.fcods
-        and all(np.array_equal(f, g) and np.isfinite(f).all() for f, g in zip(a.factors, b.factors))
+        and all(s or np.array_equal(f, g) and np.isfinite(f).all()
+                for f, g, s in zip(a.factors, b.factors, a.skip))
         for a, b in zip(lhs, rhs))
 
 
@@ -443,7 +428,8 @@ def composite_residual(lhs, rhs) -> float:
 
     Every column of the identity on the common domain goes through both
     sides, in chunks of ``unit_column_chunks``, so every entry of L - R is
-    compared and no dense map is formed.
+    compared and no dense map is formed.  This is the one comparator of map
+    identities, and the only place where factored maps are merged.
 
     First each chain is merged (``_merge_chain``): adjacent factored maps
     whose layouts align become one factored map, as the right side
@@ -453,17 +439,18 @@ def composite_residual(lhs, rhs) -> float:
     chain's bit for bit; with other entries a sum may be rounded in another
     order, by a few ulp of the entries.
 
-    When each side is then one factored map and the two share their identity
-    factors and descriptors, only their cores are streamed (an 81 x 9 core,
-    say, in place of a 6561 x 729 map; ``_peel_shared_identities``).  This is
-    exact, not a bound: every other entry of L - R is 0 - 0.  A unit column
-    meets one nonzero term in every sum of ``_kron_apply``, which skips
-    identity factors on both paths, so each entry is the same product of
-    factor entries in the same order.  With real entries the residual is the
+    When the merged sides hold the same maps (``_same_maps``), every entry of
+    L - R is exactly 0 and nothing is streamed.  Otherwise, when each side is
+    one factored map and the two share their identity factors and
+    descriptors, only their cores are streamed (an 81 x 9 core, say, in place
+    of a 6561 x 729 map; ``_peel_shared_identities``).  This is exact, not a
+    bound: every other entry of L - R is 0 - 0.  A unit column meets one
+    nonzero term in every sum of ``_kron_apply``, which skips identity
+    factors on both paths, so each entry is the same product of factor
+    entries in the same order.  With real entries the residual is the
     unpeeled one bit for bit; a product of two complex entries may be rounded
     differently by the BLAS kernel of another shape, by a few ulp of the
-    entries.  When the two sides then hold the same maps (``_same_maps``),
-    every entry of L - R is exactly 0 and nothing is streamed.
+    entries.
     """
     for chain in (lhs, rhs):
         for outer, inner in zip(chain, chain[1:]):
@@ -471,9 +458,10 @@ def composite_residual(lhs, rhs) -> float:
                 raise ValueError(f"cannot compose: inner blocks {inner.cod} != {outer.dom}")
     if lhs[-1].in_dim != rhs[-1].in_dim or lhs[0].out_dim != rhs[0].out_dim:
         raise ValueError("the two composites map between different spaces")
-    lhs, rhs = _peel_shared_identities(_merge_chain(lhs), _merge_chain(rhs))
+    lhs, rhs = _merge_chain(lhs), _merge_chain(rhs)
     if _same_maps(lhs, rhs):
         return 0.0
+    lhs, rhs = _peel_shared_identities(lhs, rhs)
     widest = max(op.out_dim for op in (*lhs, *rhs))
     worst = 0.0
     for _, cols in unit_column_chunks(lhs[-1].in_dim, widest):

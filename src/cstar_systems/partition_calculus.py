@@ -41,7 +41,6 @@ from .algebra import (
 from .linalg import (
     Superoperator,
     compose,
-    compose_dense,
     composite_residual,
     identity_superop,
     max_abs,
@@ -112,8 +111,8 @@ def interval_map_left_nested(sys: TensorialSystem, partition: Partition) -> Supe
     """Oracle: iterated products (D[i0,i1,i2] (x) id...) ... D[i0,im,i(m+1)].
 
     Splits the last cell off first and keeps expanding the leading factor;
-    written independently of the recursive builder, and composed densely,
-    without the factor-by-factor merge of ``compose``.
+    written independently of the recursive builder, and composed densely
+    (``compose``), without the factor-by-factor merge of ``composite_residual``.
     """
     _check_on_grid(sys, partition)
     pts = partition.points
@@ -124,7 +123,7 @@ def interval_map_left_nested(sys: TensorialSystem, partition: Partition) -> Supe
         step = sys.delta(pts[0], pts[k], pts[k + 1])
         ids = [identity_superop(sys.alg(a, b).blocks) for a, b in zip(pts[k + 1:-1], pts[k + 2:])]
         factors.append(superop_tensor_all([step, *ids]) if ids else step)
-    return reduce(compose_dense, reversed(factors))
+    return reduce(compose, reversed(factors))
 
 
 def interval_map_right_nested(sys: TensorialSystem, partition: Partition) -> Superoperator:
@@ -142,7 +141,7 @@ def interval_map_right_nested(sys: TensorialSystem, partition: Partition) -> Sup
         step = sys.delta(pts[k], pts[k + 1], pts[-1])
         ids = [identity_superop(sys.alg(a, b).blocks) for a, b in zip(pts[:k], pts[1:k + 1])]
         factors.append(superop_tensor_all([*ids, step]) if ids else step)
-    return reduce(compose_dense, reversed(factors))
+    return reduce(compose, reversed(factors))
 
 
 def delta_refinement(sys: TensorialSystem, coarse: Partition, fine: Partition) -> Superoperator:

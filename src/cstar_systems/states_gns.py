@@ -34,7 +34,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     block_offsets,
-    is_isometry,
+    isometry_residual,
     max_abs,
     tensor_perm,
 )
@@ -203,7 +203,6 @@ class GnsSystem:
     """Per-pair GNS data and per-triple isometries forming a Hilbert system."""
 
     sys: TensorialSystem
-    fam: FunctionalFamily
     gns_data: Mapping[Pair, GnsData]
     isometries: Mapping[Triple, np.ndarray]
 
@@ -244,15 +243,14 @@ def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
     isometries = {}
     for (r, s, t) in sys.grid.triples():
         v = gns_isometry(sys, fam, r, s, t, gns_data, tol)
-        if not is_isometry(v, Tolerance(max(tol.eps, 1e-7))):
-            res = max_abs(v.conj().T @ v - np.eye(v.shape[1]))
+        res = isometry_residual(v)
+        if v.shape[0] < v.shape[1] or not res <= max(tol.eps, 1e-7):
             raise GnsIsometryError((r, s, t), res)
         isometries[(r, s, t)] = v
-    return GnsSystem(sys=sys, fam=fam, gns_data=gns_data, isometries=isometries)
+    return GnsSystem(sys=sys, gns_data=gns_data, isometries=isometries)
 
 
-def gns_unit_vector_residual(sys: TensorialSystem, gsys: GnsSystem,
-                             unit: UnitFamily) -> float:
+def gns_unit_vector_residual(gsys: GnsSystem, unit: UnitFamily) -> float:
     """How far the GNS images of a normalized unit are from a unit of the Hilbert system.
 
     For phi(p) = 1 the cosets xi(s,t) = eta(p(s,t)) are unit vectors with

@@ -159,7 +159,7 @@ def run_partition(setup: Setup, rng) -> Report:
             "interval_map_oracle_equivalence",
             "recursive interval map = left-nested product = right-nested product",
             {"I": part},
-            max(max_abs(rec.matrix - left.matrix), max_abs(rec.matrix - right.matrix)),
+            max(composite_residual([rec], [left]), composite_residual([rec], [right])),
             tol.eps,
         )
     for coarse, fine in refinement_pairs(sharp):
@@ -507,7 +507,7 @@ def run_gns(setup: Setup, rng) -> Report:
             report.residual_record(
                 "gns_unit_vectors",
                 "eta(p) are unit vectors with V eta(p(r,t)) = eta(p(r,s)) (x) eta(p(s,t))",
-                {}, gns_unit_vector_residual(sys, gsys, setup.unit), tol.eps,
+                {}, gns_unit_vector_residual(gsys, setup.unit), tol.eps,
             )
             phi = build_idempotent_state(sys, setup.unit, fam, tol,
                                          max_interior=min(2, setup.max_interior_points))
@@ -556,7 +556,7 @@ def run_commutative(setup: Setup, rng) -> Report:
             point_map = chi_cross(mult, coarse, fine)
             lifted = superop_from_point_map(point_map, space_on_partition(mult, coarse))
             alg_map = delta_cross(cstar, ones, coarse, fine)
-            exact = np.array_equal(lifted.matrix, alg_map.matrix)
+            exact = composite_residual([lifted], [alg_map]) == 0.0
             report.add(CheckRecord(
                 check="partition_map_duality_exact",
                 law="pullback of the point-level map = algebra-level connecting map",

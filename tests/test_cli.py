@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -13,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_systems.algebra import FiniteCStarAlgebra, LinearFunctional, functional_tensor
 from cstar_systems.cli import ALL_SUITES, ConfigError, RunConfig, build_setup, main, run
@@ -395,6 +400,15 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     {"bogus": 1},
     {"report_path": True},
     {"report_path": 5},
+    {"seed": -5},
+    {"system": {"kind": ["diagonal"]}},
+    {"perturb_delta": {"epsilon": float("nan")}},
+    {"perturb_delta": {"epsilon": float("inf")}},
+    {"perturb_delta": {"epsilon": True}},
+    {"perturb_delta": {"epsilon": 10**400}},
+    {"tolerance": 10**400},
+    {"system": {"kind": "diagonal", "d": 2, "cell_dims": [2]}},
+    {"system": {"kind": "glue_hilbert", "cell_dims": [2, 2], "d": 2}},
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     path = tmp_path / "cfg.json"
@@ -406,6 +420,7 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, override):
 @pytest.mark.parametrize("override, named", [
     ({"bogus": 1, "seed": 1}, "['bogus']"),
     ({"report_path": True}, "report_path must be a string, got True"),
+    ({"system": {"kind": "diagonal", "cell_dims": [2]}}, "unknown keys ['cell_dims']"),
 ])
 def test_config_errors_name_the_offending_key(tmp_path, capsys, override, named):
     path = tmp_path / "cfg.json"
@@ -429,6 +444,54 @@ def test_rank_cutoff_does_not_follow_the_tolerance(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         main(["--config", str(path)])
+
+
+@pytest.mark.parametrize("tolerance", [1, 1e308])
+def test_a_tolerance_of_one_or_more_keeps_every_gns_space(tmp_path, capsys, tolerance):
+    # a cut at tolerance * lambda_max once emptied every GNS space, and the gns
+    # suite ended in a ValueError from an algebra without blocks
+    raw = json.loads(ORACLE_CONFIG.read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(raw, tolerance=tolerance)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(path)]) in (0, 1)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_DELETE = object()
+FUZZ_VALUES = st.sampled_from([
+    _DELETE, None, True, False, 0, 1, -1, -5, 0.5, -0.5, 2**63, 10**400, 1e308, -1e308,
+    math.nan, math.inf, -math.inf, "", "x", "1,2,3", [], [1], ["x"], {}, {"kind": 1},
+    {"kind": ["x"]}, {"kind": "none"},
+])
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.tuples(st.sampled_from(sorted(json.loads(ORACLE_CONFIG.read_text()))),
+                          FUZZ_VALUES), min_size=1, max_size=2))
+def test_mutated_oracle_configs_exit_cleanly(mutations):
+    # each top-level key of the oracle config deleted, retyped or set to a negative,
+    # non-finite, boolean or huge number: a report or a config error, never a traceback
+    raw = json.loads(ORACLE_CONFIG.read_text())
+    for key, value in mutations:
+        if value is _DELETE:
+            raw.pop(key, None)
+        else:
+            raw[key] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["--config", path])
+    assert code in (0, 1, 2), mutations
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], mutations
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def load_benchmark_tracer(monkeypatch):

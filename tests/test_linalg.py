@@ -11,7 +11,7 @@ from cstar_systems.linalg import (
     check_star_homomorphism,
     compose,
     identity_superop,
-    is_isometry,
+    isometry_residual,
     max_abs,
     numerical_rank,
     superop_from_conjugation,
@@ -47,12 +47,12 @@ def test_kron_associative_exactly():
     assert max_abs(left - right) == 0
 
 
-def test_is_isometry():
-    assert is_isometry(np.eye(3))
-    assert is_isometry(np.array([[1], [1]]) / np.sqrt(2))
-    assert not is_isometry(np.diag([1.0, 2.0]))
+def test_isometry_residual():
+    assert isometry_residual(np.eye(3)) == 0
+    assert isometry_residual(np.array([[1], [1]]) / np.sqrt(2)) <= 1e-15
+    assert isometry_residual(np.diag([1.0, 2.0])) == 3.0
     u, v = np.linalg.qr(random_complex((4, 4)))[0], np.linalg.qr(random_complex((3, 3)))[0]
-    assert is_isometry(np.kron(u[:, :2], v[:, :2]))
+    assert isometry_residual(np.kron(u[:, :2], v[:, :2])) <= 1e-14
 
 
 def test_is_projection():
@@ -136,6 +136,22 @@ def test_compose_matches_sequential_application():
     assert max_abs(compose(f, g).apply(x) - f.apply(g.apply(x))) < 1e-13 * scale
     with pytest.raises(ValueError):
         compose(g, f)
+
+
+def test_compose_is_always_dense():
+    # factored maps whose layouts align compose densely too: only composite_residual merges
+    from cstar_systems.linalg import _merge
+
+    a = Superoperator(random_complex((4, 2)), (1, 1), (2,))
+    b = Superoperator(random_complex((4, 4)), (2,), (2,))
+    g = superop_tensor(a, identity_superop((2,)))
+    f = superop_tensor(b, Superoperator(random_complex((5, 4)), (2,), (1, 2)))
+    assert _merge(f, g) is not None
+    for outer, inner in ((f, g), (b, a), (f, Superoperator(g.matrix, g.dom, g.cod))):
+        composed = compose(outer, inner)
+        assert composed.is_dense
+        assert (composed.dom, composed.cod) == (inner.dom, outer.cod)
+        assert np.array_equal(composed.matrix, outer.apply_many(inner.matrix))
 
 
 def test_superop_tensor_const_pads_both_sides():
@@ -534,13 +550,15 @@ def test_split_family_streams_only_core_columns(monkeypatch):
     # columns of its core, never those of the identity cells D[I,J] leaves unrefined
     from cstar_systems import linalg, suites
     from cstar_systems.cli import RunConfig, build_setup
+    from cstar_systems.report import Report
 
     setup = build_setup(RunConfig.from_json({
         "grid": ["1", "2", "3", "4"], "system": {"kind": "diagonal", "d": 3},
         "unit": {"kind": "standard"}, "counit": {"kind": "standard"},
         "suites": ["partition"]}))
-    streamed, splits = [], []
+    streamed, pending, calls = [], [], {}
     chunks, residual = linalg.unit_column_chunks, suites.composite_residual
+    record = Report.residual_record
 
     def recording_chunks(in_dim, out_dim):
         streamed.append(in_dim)
@@ -549,15 +567,24 @@ def test_split_family_streams_only_core_columns(monkeypatch):
     def recording_residual(lhs, rhs):
         start = len(streamed)
         res = residual(lhs, rhs)
-        if len(lhs) == len(rhs) == 1:  # only the split family compares two single maps
-            splits.append((lhs[0], streamed[start:]))
+        pending.append((lhs, rhs, streamed[start:]))
         return res
+
+    def recording_record(self, check, *args, **kwargs):
+        # the comparisons made since the previous record belong to this one
+        calls.setdefault(check, []).extend(pending)
+        pending.clear()
+        return record(self, check, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "unit_column_chunks", recording_chunks)
     monkeypatch.setattr(suites, "composite_residual", recording_residual)
+    monkeypatch.setattr(Report, "residual_record", recording_record)
     report = suites.run_partition(setup, np.random.default_rng(0))
     assert report.passed
     records = [r for r in report.records if r.check == "refinement_map_splits_at_interior_point"]
+    split_calls = calls["refinement_map_splits_at_interior_point"]
+    assert all(len(lhs) == len(rhs) == 1 for lhs, rhs, _ in split_calls)
+    splits = [(lhs[0], columns) for lhs, _, columns in split_calls]
     assert len(splits) == len(records) > 0
     full = core = 0
     for op, columns in splits:
@@ -658,9 +685,8 @@ def test_merged_chain_matches_the_unmerged_chain(case):
     assert (merged.dom, merged.cod) == (g.dom, f.cod)
     assert merged.in_dim == g.in_dim and merged.out_dim == f.out_dim
     cols = np.eye(g.in_dim, dtype=complex)
-    chain = f.apply_many(g.apply_many(cols))  # the unmerged chain, streamed
+    chain = compose(f, g).matrix  # the unmerged chain, dense
     got = merged.apply_many(cols)
-    assert np.array_equal(compose(f, g).matrix, merged.matrix)
     target = chain.copy()
     target[-1, 0] += 0.5
     target = Superoperator(target, g.dom, f.cod)
@@ -677,7 +703,7 @@ def test_merged_chain_matches_the_unmerged_chain(case):
 
 
 def test_merge_leaves_dense_operands_and_mismatched_layouts_alone():
-    from cstar_systems.linalg import _merge, compose_dense
+    from cstar_systems.linalg import _merge
 
     a = Superoperator(random_complex((4, 2)), (1, 1), (2,))
     b = Superoperator(random_complex((5, 4)), (2,), (1, 2))
@@ -706,7 +732,8 @@ def test_merge_leaves_dense_operands_and_mismatched_layouts_alone():
         assert _merge(f, g) is None, name
         composed = compose(f, g)
         assert composed.is_dense, name
-        assert np.array_equal(composed.matrix, compose_dense(f, g).matrix), name
+        scale = max_abs(np.abs(f.matrix) @ np.abs(g.matrix))
+        assert max_abs(composed.matrix - f.matrix @ g.matrix) <= 16 * np.finfo(float).eps * scale
 
 
 def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):

@@ -316,3 +316,83 @@ class TestConjugatedSystem:
         lhs = delta_refinement(self.other, coarse, part).matrix @ \
             delta_interval_to_partition(self.other, coarse).matrix
         assert max_abs(rec - lhs) < 1e-12
+
+
+class TestComparatorMatchesDenseReferences:
+    """The streamed residuals on a gauged system, whose entries are not all 0 or 1.
+
+    Each residual is compared with max_abs(L - R) of the dense matrices.  Both
+    sum the same products in another order, so they agree to a few ulp of the
+    scale of |L| |R|: the largest entry of the products of the entrywise
+    absolute values.
+    """
+
+    def setup_method(self):
+        _, sys = diagonal_system(GRID, 2)
+        self.sys, self.theta = conjugated_copy(sys, np.random.default_rng(53))
+        # one bumped entry makes the residuals of the laws it enters nonzero
+        key = GRID.triples()[0]
+        old = self.sys.deltas[key]
+        bumped = old.matrix.copy()
+        bumped[0, 0] += 1e-3
+        self.bumped = TensorialSystem(GRID, self.sys.algebras,
+                                      {**self.sys.deltas, key: Superoperator(bumped, old.dom,
+                                                                             old.cod)})
+
+    @staticmethod
+    def dense_residual(lhs, rhs):
+        """max_abs(L - R) for two-map chains, and the scale of |L| |R|."""
+        left, right = (a.matrix @ b.matrix for a, b in (lhs, rhs))
+        scale = max(max_abs(np.abs(a.matrix) @ np.abs(b.matrix)) for a, b in (lhs, rhs))
+        return max_abs(left - right), scale
+
+    def assert_close(self, got, reference, scale):
+        assert abs(got - reference) <= 16 * np.finfo(float).eps * scale
+
+    def test_coassociativity(self):
+        from cstar_systems.linalg import superop_tensor
+        from cstar_systems.systems import coassociativity_residual
+
+        for sys in (self.sys, self.bumped):
+            nonzero = 0
+            for (r, s, t, u) in GRID.quadruples():
+                ref, scale = self.dense_residual(
+                    (superop_tensor(identity_superop(sys.alg(r, s).blocks), sys.delta(s, t, u)),
+                     sys.delta(r, s, u)),
+                    (superop_tensor(sys.delta(r, s, t), identity_superop(sys.alg(t, u).blocks)),
+                     sys.delta(r, t, u)))
+                self.assert_close(coassociativity_residual(sys, r, s, t, u), ref, scale)
+                nonzero += ref > 1e-6
+            assert nonzero == (sys is self.bumped)
+
+    def test_morphism(self):
+        from cstar_systems.linalg import superop_tensor
+
+        _, base = diagonal_system(GRID, 2)
+        for target in (self.sys, self.bumped):
+            rep = check_morphism(base, target, self.theta)
+            for rec in rep.records:
+                r, s, t = rec.params["r"], rec.params["s"], rec.params["t"]
+                th = self.theta.theta
+                ref, scale = self.dense_residual(
+                    (target.delta(r, s, t), th(r, t)),
+                    (superop_tensor(th(r, s), th(s, t)), base.delta(r, s, t)))
+                self.assert_close(rec.residual, ref, scale)
+            assert rep.passed == (target is self.sys)
+
+    def test_comultiplicative(self):
+        from cstar_systems.algebra import functional_tensor
+
+        for sys in (self.sys, self.bumped):
+            fam = constant_functional_family(sys, vector_state)
+            rep = check_comultiplicative(sys, fam)
+            residuals = [rec for rec in rep.records if rec.residual is not None]
+            assert len(residuals) == len(GRID.triples())
+            for rec in residuals:
+                r, s, t = rec.params["r"], rec.params["s"], rec.params["t"]
+                row = functional_tensor(fam.phi(r, s), fam.phi(s, t)).row()
+                mat = sys.delta(r, s, t).matrix
+                ref = max_abs(row @ mat - fam.phi(r, t).row())
+                scale = max(max_abs(np.abs(row) @ np.abs(mat)), max_abs(fam.phi(r, t).row()))
+                self.assert_close(rec.residual, ref, scale)
+            assert max(rec.residual for rec in residuals) > 1e-6
