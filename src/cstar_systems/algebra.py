@@ -250,31 +250,37 @@ def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEF
     The Gram matrix is G = (+)_k kron(I_n, rho_k^T): block diagonal, and the
     same n x n matrix rho_k^T on every row of block k.  Modified Gram-Schmidt
     over the matrix units in index order therefore never mixes rows, so it is
-    run once per block, on rho_k^T alone, giving coefficients C_k (n x r_k);
-    eta and lift are kron(I_n, C_k^* rho_k^T) and kron(I_n, C_k) along the
-    diagonal.  The basis order is block, then row, then Gram-Schmidt order,
-    which keeps it canonical under structural degeneracy.
+    run once per block, on the n x n form g_k, giving coefficients C_k
+    (n x r_k); eta and lift are kron(I_n, C_k^* g_k) and kron(I_n, C_k) along
+    the diagonal.  The basis order is block, then row, then Gram-Schmidt
+    order, which keeps it canonical under structural degeneracy.
 
     The quotient dimension is the numerical rank of G: eigenvalues <= eps *
     lambda_max count as kernel, with lambda_max taken over all blocks, so the
     rank is sum_k n_k * r_k.  lambda_max itself is never kernel, so a
     tolerance of 1 or more keeps its eigenspace rather than an empty space;
-    below 1 the cut is eps * lambda_max exactly.  The dim x dim Gram matrix
-    is never formed.
+    nor is the cut ever below rounding level, max(blocks) * machine eps *
+    lambda_max.  g_k is rho_k^T with its kernel eigenvalues taken out, so
+    Gram-Schmidt, which drops only residuals at rounding level, finds exactly
+    r_k vectors even where the diagonal of a non-diagonal rho_k lies below
+    the cut; kernel eigenvalues that are exact zeros leave rho_k^T bit for
+    bit.  The dim x dim Gram matrix is never formed.
     """
     neg, norm_err = phi.state_residuals()
     if neg > tol.eps or norm_err > tol.eps:
         raise ValueError(
             f"not a state: positivity residual {neg:.3g}, trace error {norm_err:.3g}"
         )
-    grams = [rho.T for rho in phi.densities]
-    evals = [np.linalg.eigvalsh(g) for g in grams]
-    lam_max = max(float(ev[-1]) for ev in evals)
-    threshold = min(tol.eps * max(lam_max, 0.0), np.nextafter(lam_max, 0.0))
-    factors = [
-        _gram_schmidt(g, int(np.sum(ev > threshold)), threshold)
-        for g, ev in zip(grams, evals)
-    ]
+    spectra = [np.linalg.eigh(rho.T) for rho in phi.densities]
+    lam_max = max(float(ev[-1]) for ev, _ in spectra)
+    floor = max(algebra.blocks) * np.finfo(float).eps * max(lam_max, 0.0)
+    threshold = max(min(tol.eps * lam_max, np.nextafter(lam_max, 0.0)), floor)
+    grams, factors = [], []
+    for rho, (ev, vecs) in zip(phi.densities, spectra):
+        kernel = ev <= threshold
+        g = rho.T - (vecs[:, kernel] * ev[kernel]) @ vecs[:, kernel].conj().T
+        grams.append(g)
+        factors.append(_gram_schmidt(g, int(np.sum(~kernel)), floor))
     rank = sum(n * c.shape[1] for n, c in zip(algebra.blocks, factors))
     eta = np.zeros((rank, algebra.dim), dtype=complex)
     lift = np.zeros((algebra.dim, rank), dtype=complex)
@@ -290,12 +296,12 @@ def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEF
     return GnsData(dim=rank, eta=eta, lift=lift)
 
 
-def _gram_schmidt(g: np.ndarray, rank: int, threshold: float) -> np.ndarray:
-    """Modified Gram-Schmidt of the unit vectors under the PSD form g.
+def _gram_schmidt(g: np.ndarray, rank: int, floor: float) -> np.ndarray:
+    """Modified Gram-Schmidt of the unit vectors under the PSD form g of rank ``rank``.
 
     Returns the coefficients (n x rank): column m expresses the m-th
     orthonormal vector in the unit vectors, which are taken in index order
-    and dropped when their residual norm^2 is <= threshold.
+    and dropped when their residual norm^2 is <= floor.
     """
     n = g.shape[0]
     coeffs = []
@@ -308,7 +314,7 @@ def _gram_schmidt(g: np.ndarray, rank: int, threshold: float) -> np.ndarray:
             for w in coeffs:
                 u = u - w * (w.conj() @ g @ u)
         nrm2 = float((u.conj() @ g @ u).real)
-        if nrm2 > threshold:
+        if nrm2 > floor:
             coeffs.append(u / np.sqrt(nrm2))
     if len(coeffs) != rank:
         raise ArithmeticError(

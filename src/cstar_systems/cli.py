@@ -358,8 +358,12 @@ def _perturbed(system: TensorialSystem, spec: dict) -> TensorialSystem:
     """The system with one entry of one comultiplication bumped by ``epsilon``."""
     key = parse_time_key(spec["triple"]) if "triple" in spec else system.grid.triples()[0]
     old = system.deltas[key]
+    epsilon = _finite(spec.get("epsilon", 1e-3), "perturb_delta epsilon")
+    if abs(epsilon) > 1:
+        # no larger than the 0/1 entries it bumps; far larger ones overflow the residuals
+        raise ConfigError(f"perturb_delta epsilon must lie in [-1, 1], got {epsilon!r}")
     mat = old.matrix.copy()
-    mat[0, 0] += _finite(spec.get("epsilon", 1e-3), "perturb_delta epsilon")
+    mat[0, 0] += epsilon
     deltas = {**system.deltas, key: Superoperator(mat, old.dom, old.cod)}
     return TensorialSystem(system.grid, system.algebras, deltas, dim_cap=system.dim_cap,
                            kind=system.kind + "+perturbed", payload=system.payload)

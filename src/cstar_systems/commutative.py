@@ -11,11 +11,16 @@ Point encoding: X_I for a partition I is the cartesian product of the cell
 spaces in order, indexed in row-major mixed radix (first cell most
 significant).  This matches the vec layout of the tensor function algebras,
 which is what makes the duality checks entrywise comparisons.
+
+The partition point maps are built here from the gluing tables, and nothing
+here comes from ``partition_calculus``: by Gelfand duality their pullbacks
+must be the connecting maps built there, and the commutative suite checks
+this entry by entry, so the two constructions test each other.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -25,7 +30,7 @@ from .algebra import FiniteCStarAlgebra, LinearFunctional
 from .linalg import Superoperator, Tolerance
 from .report import CheckRecord, Report
 from .systems import FunctionalFamily, Grid, TensorialSystem, UnitFamily, check_comultiplicative
-from .timegrid import MapBackend, Partition, padded_map
+from .timegrid import NotARefinementError, Partition, is_refinement
 
 Pair = tuple[Fraction, Fraction]
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -70,7 +75,6 @@ class FiniteMultSystem:
     grid: Grid
     spaces: Mapping[Pair, FiniteSpace]
     chi: Mapping[Triple, MultMap]
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def space(self, s, t) -> FiniteSpace:
         self.grid.require(s, t)
@@ -114,11 +118,11 @@ def check_mult_system(sys: FiniteMultSystem) -> Report:
             params={"r": r, "s": s, "t": t}, passed=surj,
             detail="bijective" if m.bijective() else ("surjective" if surj else "not onto"),
         ))
-    bk = _point_backend(sys)
     for (r, s, t, u) in sys.grid.quadruples():
-        left = bk.compose(bk.tensor(bk.triple(r, s, t), bk.identity(t, u)), bk.triple(r, t, u))
-        right = bk.compose(bk.tensor(bk.identity(r, s), bk.triple(s, t, u)), bk.triple(r, s, u))
-        bad = np.count_nonzero(left[0] != right[0])
+        # entry (a, b, c): chi[r,t,u](chi[r,s,t](a, b), c) and chi[r,s,u](a, chi[s,t,u](b, c))
+        left = sys.glue(r, t, u).table[sys.glue(r, s, t).table]
+        right = sys.glue(r, s, u).table[:, sys.glue(s, t, u).table]
+        bad = np.count_nonzero(left != right)
         report.add(CheckRecord(
             check="gluing_associative",
             law="chi[r,t,u](chi[r,s,t] x id) = chi[r,s,u](id x chi[s,t,u])",
@@ -286,43 +290,32 @@ def space_on_partition(sys: FiniteMultSystem, partition: Partition) -> int:
     return math.prod(sys.space(a, b).size for a, b in partition.pairs())
 
 
-def _point_tensor(f: tuple, g: tuple) -> tuple:
-    """(x, y) -> (f(x), g(y)) on row-major product points."""
-    return np.add.outer(f[0] * g[1], g[0]).reshape(-1), f[1] * g[1]
-
-
-def _point_backend(sys: FiniteMultSystem) -> MapBackend:
-    """Point maps as (table, codomain size); they run against the algebra maps,
-    so f after g in the algebra is the table g[f]."""
-    def identity(a, b):
-        n = sys.space(a, b).size
-        return np.arange(n, dtype=np.intp), n
-
-    def triple(r, s, t):
-        m = sys.glue(r, s, t)
-        return m.table.reshape(-1), m.out_size
-
-    return MapBackend(identity, triple, _point_tensor, lambda f, g: (g[0][f[0]], g[1]))
-
-
-def _point_guard(sys: FiniteMultSystem):
-    return lambda partition: sys.grid.require(*partition.points)
-
-
 def chi_cross(sys: FiniteMultSystem, coarse: Partition, fine: Partition) -> np.ndarray:
-    """The point map X_J -> X_I: project onto the middle cells, then refine.
+    """The point map X_J -> X_I of a refinement I <= J, as the table of its values.
 
-    With equal endpoints this is the refinement point map (blockwise
-    products); otherwise it mirrors the unit-padded algebra map for the
-    trivial (all-ones) unit.
+    Each point of X_J is read as its coordinates on the cells of J (mixed
+    radix).  The coordinates on the cells outside [min I, max I] are dropped,
+    and the cells of J inside each cell [a, b] of I are glued from left to
+    right: x -> chi[a, c, d](x, y) for each next cell [c, d].  The glued
+    coordinates, one per cell of I, give the point of X_I.  Its pullback is
+    the algebra map padded with the all-ones unit; the map is computed here
+    from the gluing tables alone, so the duality check compares two separate
+    constructions.
     """
-    def pad(middle, lower, upper):
-        table, size = middle
-        below, above = (1 if p is None else space_on_partition(sys, p) for p in (lower, upper))
-        return np.tile(np.repeat(table, above), below), size
-
-    return padded_map(_point_backend(sys), coarse, fine, _point_guard(sys), sys._cache,
-                      pad, "all_ones")[0]
+    if not is_refinement(coarse, fine):
+        raise NotARefinementError(f"{fine} does not refine {coarse}")
+    cells = fine.pairs()
+    coords = np.indices([sys.space(a, b).size for a, b in cells]).reshape(len(cells), -1)
+    lo, hi = coarse.endpoints
+    inside = {a: (b, x) for (a, b), x in zip(cells, coords) if lo <= a and b <= hi}
+    glued = []
+    for a, b in coarse.pairs():
+        c, x = inside[a]
+        while c != b:
+            d, y = inside[c]
+            x, c = sys.glue(a, c, d).table[x, y], d
+        glued.append(x)
+    return np.ravel_multi_index(glued, [sys.space(a, b).size for a, b in coarse.pairs()])
 
 
 def superop_from_point_map(point_map: np.ndarray, dom_size: int) -> Superoperator:

@@ -5,7 +5,11 @@ is the ordered tensor product of the pair algebras over consecutive points.
 The interval-to-partition map A(s,t) -> A_I is built recursively by splitting
 off the last cell; refinement maps A_I -> A_J tensor these over the cells of
 I, and unit-padded maps A_I -> A_J additionally pad the stretches of J below
-min I and above max I with unit projections.
+min I and above max I with unit projections.  This module is the one place
+that builds these maps, for algebra systems and, through
+``HilbertSystem.vectors``, for Hilbert systems.  The commutative model
+computes its point maps on its own (``commutative.chi_cross``), so their
+pullback duality checks this recursion rather than repeating it.
 
 Inductive limits are represented at finite level by germs: pairs (partition,
 element), identified when pushing both representatives to a common refinement
@@ -17,14 +21,16 @@ residual checks.
 Equality of germs is decided at the single common refinement I u J; agreement
 at every finer partition follows from the cocycle law, which is itself under
 test.  Per-system caches keyed by partitions keep repeated map construction
-cheap; systems are otherwise immutable.
+cheap; systems are otherwise immutable.  Cached maps are shared as they are:
+a ``Superoperator`` holds only read-only arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -51,13 +57,10 @@ from .linalg import (
 from .systems import FunctionalFamily, MorphismFamily, TensorialSystem, UnitFamily
 from .timegrid import (
     EndpointMismatchError,
-    MapBackend,
     Partition,
-    _store,
     common_refinement,
-    interval_map,
-    padded_map,
-    refinement_map,
+    inner_decompose,
+    outer_decompose,
 )
 
 
@@ -92,19 +95,29 @@ def partition_algebra(sys: TensorialSystem, partition: Partition) -> FiniteCStar
     return sys._cache[key]
 
 
-def _backend(sys: TensorialSystem) -> MapBackend:
-    return MapBackend(lambda a, b: identity_superop(sys.alg(a, b).blocks), sys.delta,
-                      superop_tensor, compose)
-
-
 def delta_interval_to_partition(sys: TensorialSystem, partition: Partition) -> Superoperator:
     """The map A(s,t) -> A_I, splitting off the last cell recursively.
 
     The two-point case is the identity (forced by the refinement-map
     convention D[I,I] = id and required for uniform code paths); three points
-    give the comultiplication itself.
+    give the comultiplication itself.  Beyond that the map is
+    (map of the head (x) id) after D[s, second to last point, t].
     """
-    return interval_map(_backend(sys), partition, partial(partition_algebra, sys), sys._cache)
+    key = ("interval", partition)
+    if key in sys._cache:
+        return sys._cache[key]
+    partition_algebra(sys, partition)
+    pts = partition.points
+    if len(pts) == 2:
+        out = identity_superop(sys.alg(*pts).blocks)
+    elif len(pts) == 3:
+        out = sys.delta(*pts)
+    else:
+        head = delta_interval_to_partition(sys, Partition(pts[:-1]))
+        out = compose(superop_tensor(head, identity_superop(sys.alg(*pts[-2:]).blocks)),
+                      sys.delta(pts[0], pts[-2], pts[-1]))
+    sys._cache[key] = out
+    return out
 
 
 def interval_map_left_nested(sys: TensorialSystem, partition: Partition) -> Superoperator:
@@ -145,8 +158,35 @@ def interval_map_right_nested(sys: TensorialSystem, partition: Partition) -> Sup
 
 
 def delta_refinement(sys: TensorialSystem, coarse: Partition, fine: Partition) -> Superoperator:
-    """The connecting map A_I -> A_J for a same-endpoint refinement I <= J."""
-    return refinement_map(_backend(sys), coarse, fine, partial(partition_algebra, sys), sys._cache)
+    """The connecting map A_I -> A_J for a same-endpoint refinement I <= J.
+
+    It is the tensor of the interval maps over the cells of I.  D[I,I] is the
+    identity; it is rebuilt from the cached cell identities on every call
+    rather than stored, so the cache holds no identity of A_I.
+    """
+    key = ("refine", coarse, fine)
+    if key in sys._cache:
+        return sys._cache[key]
+    blocks = inner_decompose(coarse, fine)
+    partition_algebra(sys, fine)
+    out = reduce(superop_tensor, [delta_interval_to_partition(sys, b) for b in blocks])
+    if coarse != fine:
+        sys._cache[key] = out
+    return out
+
+
+def _read_only(x):
+    """A shallow copy of an element or functional whose lists of block arrays hold
+    read-only views, so callers can share it; the owner's arrays stay writable."""
+    x = copy.copy(x)
+    for f in fields(x):
+        value = getattr(x, f.name)
+        if isinstance(value, list):
+            views = [a.view() for a in value]
+            for a in views:
+                a.setflags(write=False)
+            setattr(x, f.name, views)
+    return x
 
 
 def _cell_product(family, partition: Partition, cell, tensor):
@@ -162,7 +202,7 @@ def _cell_product(family, partition: Partition, cell, tensor):
         out = cell(pts[-2], pts[-1])
         if len(pts) > 2:
             out = tensor(_cell_product(family, Partition(pts[:-1]), cell, tensor), out)
-        out = _store(family._cache, partition, out)
+        out = family._cache[partition] = _read_only(out)
     return out
 
 
@@ -184,8 +224,15 @@ def delta_cross(sys: TensorialSystem, unit: Optional[UnitFamily],
     stretches of J outside [min I, max I] are filled with unit projections:
     x -> p_lower (x) D[I, middle](x) (x) p_upper.
     """
-    if unit is None and coarse.endpoints != fine.endpoints:
+    if coarse.endpoints == fine.endpoints:
+        return delta_refinement(sys, coarse, fine)
+    if unit is None:
         raise ValueError(f"padding {coarse} -> {fine} requires a unit family")
+    key = ("cross", unit.cache_token, coarse, fine)
+    if key in sys._cache:
+        return sys._cache[key]
+    dec = outer_decompose(coarse, fine)
+    partition_algebra(sys, fine)
 
     def const(piece: Optional[Partition]):
         if piece is None:
@@ -193,9 +240,10 @@ def delta_cross(sys: TensorialSystem, unit: Optional[UnitFamily],
         p = unit_on_partition(unit, piece)
         return p.algebra.blocks, p.vec()
 
-    return padded_map(_backend(sys), coarse, fine, partial(partition_algebra, sys), sys._cache,
-                      lambda middle, lo, hi: superop_tensor_const(middle, const(lo), const(hi)),
-                      None if unit is None else unit.cache_token)
+    out = superop_tensor_const(delta_refinement(sys, coarse, dec.middle),
+                               const(dec.lower), const(dec.upper))
+    sys._cache[key] = out
+    return out
 
 
 # -- germs ---------------------------------------------------------------------

@@ -291,14 +291,14 @@ def gram_preservation_residual(sys: TensorialSystem, fam: FunctionalFamily,
     phi_fine = state_on_partition(fam, fine)
     weighted = gram_apply(alg_fine, phi_fine, mat)
     if perturbation:
-        # hit the entry with the largest Gram weight so the injected error
-        # shows up at full strength regardless of the state's scale; only
-        # column c of the map changes, so only column c of G_K D is redone
+        # hit the entry with the largest Gram weight w and divide by conj(w):
+        # entry (c, c) of D^H G_K D then moves by about 2 * perturbation
+        # whatever the state's scale; only column c of the map changes, so
+        # only column c of G_K D is redone
         j, c = np.unravel_index(np.argmax(np.abs(weighted)), weighted.shape)
         w = weighted[j, c]
-        phase = w / abs(w) if w != 0 else 1.0
         mat = mat.copy()
-        mat[j, c] += perturbation * phase
+        mat[j, c] += perturbation / np.conj(w) if w != 0 else perturbation
         weighted[:, c] = gram_apply(alg_fine, phi_fine, mat[:, c])
     prod = mat.conj().T @ weighted
     alg_coarse = partition_algebra(sys, coarse)

@@ -80,8 +80,7 @@ class Grid:
                 raise OffGridError(f"time point {t} is not on the grid {self.points}")
 
     def pairs(self) -> list[Pair]:
-        pts = self.points
-        return [(s, t) for i, s in enumerate(pts) for t in pts[i + 1:]]
+        return list(combinations(self.points, 2))
 
     def cells(self, s: Fraction, t: Fraction) -> list[Pair]:
         """The consecutive grid pairs inside [s, t], in order."""
@@ -89,23 +88,10 @@ class Grid:
         return [(a, b) for a, b in zip(pts, pts[1:]) if s <= a and b <= t]
 
     def triples(self) -> list[Triple]:
-        pts = self.points
-        return [
-            (r, s, t)
-            for i, r in enumerate(pts)
-            for j, s in enumerate(pts[i + 1:], i + 1)
-            for t in pts[j + 1:]
-        ]
+        return list(combinations(self.points, 3))
 
     def quadruples(self) -> list[tuple[Fraction, ...]]:
-        pts = self.points
-        out = []
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                for k in range(j + 1, len(pts)):
-                    for m in range(k + 1, len(pts)):
-                        out.append((pts[i], pts[j], pts[k], pts[m]))
-        return out
+        return list(combinations(self.points, 4))
 
 
 @dataclass

@@ -11,13 +11,9 @@ package.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
-
-import numpy as np
+from typing import Iterable, Optional, Sequence, Union
 
 TimeLike = Union[Fraction, int, str]
 
@@ -248,104 +244,3 @@ def outer_decompose(coarse: Partition, fine: Partition) -> OuterDecomposition:
 def common_refinement(one: Partition, other: Partition) -> Partition:
     """The join in the refinement poset: sorted union of the point sets."""
     return Partition(sorted(set(one.points) | set(other.points)))
-
-
-# -- the partition-map builder ---------------------------------------------------
-
-class MapBackend(NamedTuple):
-    """What a kind of system supplies to build its partition maps.
-
-    ``identity(a, b)`` is the identity on the cell object, ``triple(r, s, t)``
-    the system's map for (r, s, t), ``tensor(f, g)`` the ordered tensor and
-    ``compose(f, g)`` is f after g, all in the direction of the algebra maps.
-    """
-
-    identity: Callable
-    triple: Callable
-    tensor: Callable
-    compose: Callable
-
-
-def _frozen(x):
-    if isinstance(x, np.ndarray):
-        x = x.view()  # the owner's own arrays stay writable
-        x.setflags(write=False)
-    return x
-
-
-def _store(cache: dict, key, out):
-    """Cache a built value with its arrays as read-only views: callers share it.
-
-    ``out`` is a map, an array or a tuple of them, or a dataclass such as an
-    algebra element or a functional, which is stored as a shallow copy whose
-    lists of block arrays hold read-only views.
-    """
-    if isinstance(out, tuple):
-        out = tuple(map(_frozen, out))
-    elif is_dataclass(out):
-        out = copy.copy(out)
-        for f in fields(out):
-            value = getattr(out, f.name)
-            if isinstance(value, list):
-                setattr(out, f.name, list(map(_frozen, value)))
-    else:
-        out = _frozen(out)
-    cache[key] = out
-    return out
-
-
-def interval_map(backend: MapBackend, partition: Partition, guard: Callable, cache: dict):
-    """The map of [s, t] into the partition I of it, splitting off the last cell recursively.
-
-    Two points give the identity and three the triple map itself; beyond that
-    the map is (map of the head (x) id) after the triple map at (s, second to
-    last point, t).  ``guard(I)`` rejects a partition before its map is built.
-    """
-    key = ("interval", partition)
-    if key in cache:
-        return cache[key]
-    guard(partition)
-    pts = partition.points
-    if len(pts) == 2:
-        out = backend.identity(*pts)
-    elif len(pts) == 3:
-        out = backend.triple(*pts)
-    else:
-        head = interval_map(backend, Partition(pts[:-1]), guard, cache)
-        out = backend.compose(backend.tensor(head, backend.identity(*pts[-2:])),
-                              backend.triple(pts[0], pts[-2], pts[-1]))
-    return _store(cache, key, out)
-
-
-def refinement_map(backend: MapBackend, coarse: Partition, fine: Partition,
-                   guard: Callable, cache: dict):
-    """The map for a same-endpoint refinement: the tensor of interval maps over the cells of I.
-
-    D[I,I] is the identity.  It is rebuilt from the cached cell identities on
-    every call rather than stored, so the cache holds no identity of A_I.
-    """
-    key = ("refine", coarse, fine)
-    if key in cache:
-        return cache[key]
-    blocks = inner_decompose(coarse, fine)
-    guard(fine)
-    out = reduce(backend.tensor, [interval_map(backend, b, guard, cache) for b in blocks])
-    return out if coarse == fine else _store(cache, key, out)
-
-
-def padded_map(backend: MapBackend, coarse: Partition, fine: Partition, guard: Callable,
-               cache: dict, pad: Callable, token):
-    """The map for any refinement: with equal endpoints the refinement map, else
-    ``pad(middle map, lower piece, upper piece)`` over the outer decomposition.
-
-    ``token`` names the padding in the cache key; pieces that are absent are None.
-    """
-    if coarse.endpoints == fine.endpoints:
-        return refinement_map(backend, coarse, fine, guard, cache)
-    key = ("cross", token, coarse, fine)
-    if key in cache:
-        return cache[key]
-    dec = outer_decompose(coarse, fine)
-    guard(fine)
-    middle = refinement_map(backend, coarse, dec.middle, guard, cache)
-    return _store(cache, key, pad(middle, dec.lower, dec.upper))

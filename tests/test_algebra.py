@@ -13,7 +13,13 @@ from cstar_systems.algebra import (
     trace_functional,
     vector_state,
 )
-from cstar_systems.linalg import DEFAULT_TOL, max_abs, numerical_rank, superop_from_conjugation
+from cstar_systems.linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    max_abs,
+    numerical_rank,
+    superop_from_conjugation,
+)
 from cstar_systems.systems import (
     Grid,
     check_comultiplicative,
@@ -156,6 +162,22 @@ class TestGns:
     def test_lift_is_right_inverse(self):
         phi = LinearFunctional(M3, [np.diag([0.5, 0.5, 0.0])])
         data = gns(M3, phi)
+        assert max_abs(data.eta @ data.lift - np.eye(data.dim)) < 1e-12
+
+    @pytest.mark.parametrize("eps", [0.4, 0.6, 1, 2])
+    def test_non_diagonal_state_at_large_tolerance(self, eps):
+        # both diagonal entries (0.5) lie below the cut from 0.6 on, the
+        # eigenvalue 1 above it: the quotient is one vector per row
+        phi = LinearFunctional(M2, [np.full((2, 2), 0.5)])
+        data = gns(M2, phi, Tolerance(eps))
+        assert data.dim == 2
+        assert max_abs(data.eta @ data.lift - np.eye(data.dim)) < 1e-12
+
+    def test_large_tolerance_drops_the_small_weight(self):
+        # at tolerance 0.5 the weight 0.3 is kernel: e_00 and e_10 have no coset
+        data = gns(M2, LinearFunctional(M2, [np.diag([0.3, 0.7])]), Tolerance(0.5))
+        assert data.dim == 2
+        assert max_abs(data.eta[:, [0, 2]]) == 0
         assert max_abs(data.eta @ data.lift - np.eye(data.dim)) < 1e-12
 
 

@@ -409,6 +409,9 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     {"tolerance": 10**400},
     {"system": {"kind": "diagonal", "d": 2, "cell_dims": [2]}},
     {"system": {"kind": "glue_hilbert", "cell_dims": [2, 2], "d": 2}},
+    {"perturb_delta": {"epsilon": 1e155}},
+    {"perturb_delta": {"epsilon": 1e308}},
+    {"perturb_delta": {"epsilon": -1e200}},
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     path = tmp_path / "cfg.json"
@@ -421,6 +424,7 @@ def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     ({"bogus": 1, "seed": 1}, "['bogus']"),
     ({"report_path": True}, "report_path must be a string, got True"),
     ({"system": {"kind": "diagonal", "cell_dims": [2]}}, "unknown keys ['cell_dims']"),
+    ({"perturb_delta": {"epsilon": 1.5}}, "perturb_delta epsilon must lie in [-1, 1], got 1.5"),
 ])
 def test_config_errors_name_the_offending_key(tmp_path, capsys, override, named):
     path = tmp_path / "cfg.json"

@@ -24,7 +24,10 @@ from cstar_systems.commutative import (
     superop_from_point_map,
     to_cstar,
 )
+from cstar_systems import partition_calculus
+from cstar_systems.cli import RunConfig, build_setup
 from cstar_systems.partition_calculus import delta_cross, delta_refinement
+from cstar_systems.suites import run_commutative
 from cstar_systems.systems import (
     Grid,
     check_comultiplicative,
@@ -33,7 +36,12 @@ from cstar_systems.systems import (
     enumerate_all_partitions,
     trivial_unit,
 )
-from cstar_systems.timegrid import Partition
+from cstar_systems.timegrid import (
+    NotARefinementError,
+    OuterDecomposition,
+    Partition,
+    outer_decompose,
+)
 
 GRID5 = Grid([1, 2, 3, 4, 5])
 
@@ -171,10 +179,6 @@ class TestPartitionPointMaps:
         pm = chi_cross(glue, part, part)
         assert pm.tolist() == list(range(space_on_partition(glue, part)))
 
-    def test_cached_tables_are_read_only(self, glue):
-        with pytest.raises(ValueError, match="read-only"):
-            chi_cross(glue, Partition([1, 3, 5]), Partition([1, 2, 3, 4, 5]))[0] = 1
-
     def test_glue_refinement_is_a_bijection(self, glue):
         coarse, fine = Partition([1, 3, 5]), Partition([1, 2, 3, 4, 5])
         pm = chi_cross(glue, coarse, fine)
@@ -214,6 +218,28 @@ class TestPartitionPointMaps:
             for m in range(n_mid):
                 for hi in range(n_upper):
                     assert pm[(lo * n_mid + m) * n_upper + hi] == m
+
+    def test_rejects_a_partition_that_does_not_refine(self, glue):
+        with pytest.raises(NotARefinementError):
+            chi_cross(glue, Partition([1, 3, 5]), Partition([1, 2, 5]))
+
+    def test_duality_detects_swapped_pad_pieces(self, monkeypatch):
+        """The point maps are built apart from the algebra maps, so a fault in
+        the padding of the algebra maps fails the duality records."""
+        def swapped(coarse, fine):
+            dec = outer_decompose(coarse, fine)
+            return OuterDecomposition(dec.upper, dec.middle, dec.lower)
+
+        monkeypatch.setattr(partition_calculus, "outer_decompose", swapped)
+        config = RunConfig.from_json({"grid": ["1", "2", "3", "4", "5"],
+                                      "system": {"kind": "commutative", "model": "glue"},
+                                      "suites": ["commutative"]})
+        report = run_commutative(build_setup(config), np.random.default_rng(0))
+        failing = [r for r in report.records
+                   if r.check == "partition_map_duality_exact" and not r.passed]
+        assert failing
+        assert {r.check for r in report.records if not r.passed} == {
+            "partition_map_duality_exact"}
 
 
 class TestPointSplitting:

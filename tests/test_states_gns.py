@@ -14,6 +14,7 @@ from cstar_systems.algebra import (
 from cstar_systems.commutative import (
     FiniteSpace,
     glue_system,
+    indicator_unit,
     measure_family_functionals,
     to_cstar,
 )
@@ -81,9 +82,8 @@ def dense_gram_preservation_residual(sys, fam, coarse, fine, unit=None, perturba
         weighted = g_fine @ mat
         j, c = np.unravel_index(np.argmax(np.abs(weighted)), weighted.shape)
         w = weighted[j, c]
-        phase = w / abs(w) if w != 0 else 1.0
         mat = mat.copy()
-        mat[j, c] += perturbation * phase
+        mat[j, c] += perturbation / np.conj(w) if w != 0 else perturbation
     return max_abs(mat.conj().T @ g_fine @ mat - g_coarse)
 
 
@@ -120,6 +120,16 @@ def bernoulli_glue():
                          itertools.product(letters, repeat=len(grid.cells(s, t)))]
                 for (s, t) in grid.pairs()}
     return sys, trivial_unit(sys), measure_family_functionals(sys, measures)
+
+
+def indicator_glue_base3():
+    """The commutative glue system on words over {0, 1, 2} with uniform letters and
+    the first-point indicator unit: the largest Gram weight is far below 1."""
+    grid = Grid([1, 2, 3, 4])
+    sys = to_cstar(glue_system(grid, FiniteSpace(3)))
+    measures = {(s, t): [F(1, 3 ** len(grid.cells(s, t)))] * 3 ** len(grid.cells(s, t))
+                for (s, t) in grid.pairs()}
+    return sys, indicator_unit(sys), measure_family_functionals(sys, measures)
 
 
 class TestDilatedFunctional:
@@ -359,8 +369,9 @@ class TestGramPreservation:
         assert control.check.endswith("negative_control")
         assert control.passed and control.residual >= 1e-4
 
-    @pytest.mark.parametrize("make", [faithful_glue, bernoulli_glue],
-                             ids=["glue_23_faithful", "commutative_bernoulli"])
+    @pytest.mark.parametrize("make", [faithful_glue, bernoulli_glue, indicator_glue_base3],
+                             ids=["glue_23_faithful", "commutative_bernoulli",
+                                  "commutative_base3_indicator"])
     def test_blockwise_matches_dense_formula(self, make):
         sys, unit, fam = make()
         pairs = refinement_pairs(enumerate_all_partitions(sys.grid, len(sys.grid.points)))

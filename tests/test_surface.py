@@ -5,7 +5,7 @@ uses it or when ``perfbench/tracer.py`` names it in ``TARGETS``.  A use is an ``
 the definition itself or an entry of a ``from .module import`` statement;
 attribute accesses such as ``np.kron`` do not count.  The package root
 re-exports nothing, and a re-export is not a use, so ``__init__.py`` is not
-scanned for uses.
+scanned for uses.  No module imports another's private (``_``-prefixed) names.
 """
 import ast
 from pathlib import Path
@@ -52,3 +52,10 @@ def test_every_definition_is_reached(monkeypatch):
 def test_package_root_exports_nothing():
     tree = _modules()["__init__"]
     assert len(tree.body) == 1 and isinstance(tree.body[0].value, ast.Constant)
+
+
+def test_no_module_imports_a_private_name():
+    private = [f"{name}: {node.module}.{alias.name}" for name, tree in _modules().items()
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
