@@ -286,7 +286,8 @@ def _build_custom(payload: dict, grid: Grid, dim_cap: int) -> Built:
 def _build_commutative(payload: dict, grid: Grid, dim_cap: int) -> Built:
     model = payload.get("model", "explicit")
     if model == "glue":
-        mult, expected = glue_system(grid, FiniteSpace(_integer(payload, "base", 2))), "product"
+        base = FiniteSpace(_integer(payload, "base", 2))
+        mult, expected = glue_system(grid, base, dim_cap=dim_cap), "product"
     elif model == "z2":
         mult, expected = modular_addition_system(grid, 2), "subproduct"
     elif model == "explicit":

@@ -22,14 +22,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import FiniteCStarAlgebra, LinearFunctional
+from .algebra import DEFAULT_DIM_CAP, FiniteCStarAlgebra, LinearFunctional
 from .linalg import Superoperator, Tolerance
 from .report import CheckRecord, Report
-from .systems import FunctionalFamily, Grid, TensorialSystem, UnitFamily, check_comultiplicative
+from .systems import (
+    FunctionalFamily,
+    Grid,
+    TensorialSystem,
+    UnitFamily,
+    check_comultiplicative,
+    check_triple_dims,
+)
 from .timegrid import NotARefinementError, Partition, is_refinement
 
 Pair = tuple[Fraction, Fraction]
@@ -140,12 +148,16 @@ def check_mult_system(sys: FiniteMultSystem) -> Report:
 
 # -- built-in generators ----------------------------------------------------------
 
-def glue_system(grid: Grid, base: FiniteSpace) -> FiniteMultSystem:
+def glue_system(grid: Grid, base: FiniteSpace,
+                dim_cap: int = DEFAULT_DIM_CAP) -> FiniteMultSystem:
     """X(s,t) = base^(cells in (s,t]); gluing = concatenation of words.
 
     With the row-major point encoding, concatenation is (a, b) -> a * |Y| + b.
+    The gluing tables are as large as the function algebras' dimensions, so
+    they are built only within ``dim_cap``.
     """
     sizes = {(s, t): base.size ** len(grid.cells(s, t)) for (s, t) in grid.pairs()}
+    check_triple_dims(grid, sizes, dim_cap)
     spaces = {pair: FiniteSpace(sizes[pair]) for pair in sizes}
     chi = {}
     for (r, s, t) in grid.triples():
@@ -165,12 +177,13 @@ def modular_addition_system(grid: Grid, modulus: int = 2) -> FiniteMultSystem:
 
 # -- Gelfand bridge ----------------------------------------------------------------
 
-def to_cstar(sys: FiniteMultSystem, dim_cap: int = 4096) -> TensorialSystem:
+def to_cstar(sys: FiniteMultSystem, dim_cap: int = DEFAULT_DIM_CAP) -> TensorialSystem:
     """Function algebras with pullback comultiplications (f -> f o chi).
 
     The identification C(X x Y) = C(X) (x) C(Y) uses the same row-major pair
     order as the tensor algebra, so the superoperators are exact 0/1 matrices.
     """
+    check_triple_dims(sys.grid, {pair: sp.size for pair, sp in sys.spaces.items()}, dim_cap)
     algebras = {
         pair: FiniteCStarAlgebra([1] * sp.size) for pair, sp in sys.spaces.items()
     }
@@ -205,13 +218,9 @@ def indicator_unit(cstar: TensorialSystem, point: int = 0) -> UnitFamily:
 
 # -- measures ----------------------------------------------------------------------
 
-def pushforward(m: MultMap, mu_left: Measure, mu_right: Measure) -> Measure:
-    """Exact pushforward of the product measure along a gluing map."""
-    out = [Fraction(0)] * m.out_size
-    for a, wa in enumerate(mu_left):
-        for b, wb in enumerate(mu_right):
-            out[m(a, b)] += wa * wb
-    return tuple(out)
+def measure_product(mu_left: Measure, mu_right: Measure) -> Measure:
+    """The exact product measure on X x Y, in the row-major point order."""
+    return tuple(x * y for x in mu_left for y in mu_right)
 
 
 def measure_discrepancy(expected: Measure, actual: Measure) -> Fraction:
@@ -229,7 +238,10 @@ def check_measure_family(sys: FiniteMultSystem, mu: Mapping[Pair, Measure],
     report = Report()
     measures = {pair: as_measure(mu[pair]) for pair in mu}
     for (r, s, t) in sys.grid.triples():
-        pf = pushforward(sys.glue(r, s, t), measures[(r, s)], measures[(s, t)])
+        m = sys.glue(r, s, t)
+        pf = pushforward_point_map(m.table.reshape(-1),
+                                   measure_product(measures[(r, s)], measures[(s, t)]),
+                                   m.out_size)
         disc = measure_discrepancy(measures[(r, t)], pf)
         report.add(CheckRecord(
             check="measure_multiplication_law",
@@ -252,11 +264,8 @@ def check_measure_family(sys: FiniteMultSystem, mu: Mapping[Pair, Measure],
 
 def measure_on_partition(mu: Mapping[Pair, Measure], partition: Partition) -> Measure:
     """Product measure over the cells, row-major."""
-    out = (Fraction(1),)
-    for (a, b) in partition.pairs():
-        cell = as_measure(mu[(a, b)])
-        out = tuple(x * y for x in out for y in cell)
-    return out
+    return reduce(measure_product, (as_measure(mu[pair]) for pair in partition.pairs()),
+                  (Fraction(1),))
 
 
 def pushforward_point_map(point_map: np.ndarray, mu: Measure, out_size: int) -> Measure:
@@ -373,5 +382,4 @@ def split_measure_idempotence(sys: FiniteMultSystem, joint: Measure,
     multiplicative family always does, while correlated joints do not.
     """
     mu_l, mu_r = split_marginals(sys, joint, partition, s)
-    glued = tuple(x * y for x in mu_l for y in mu_r)
-    return measure_discrepancy(as_measure(joint), glued)
+    return measure_discrepancy(as_measure(joint), measure_product(mu_l, mu_r))

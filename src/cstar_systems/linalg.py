@@ -16,9 +16,9 @@ comparison of maps and a rank.  ``compose`` is dense: one map applied to the
 columns of the other.  Every map identity is one ``composite_residual`` call.
 It merges factored maps factor by factor, by the mixed-product rule
 (A (x) B)(C (x) D) = AC (x) BD; returns 0 when the merged sides hold the same
-maps; and otherwise peels their shared identity factors and pushes the
-identity through both sides in column chunks, so no composite is formed.  The
-rank is taken of a dense matrix, which only the small per-pair maps need.
+maps; and otherwise pushes the identity through both sides in column chunks,
+so no composite is formed.  The rank is taken of a dense matrix, which only
+the small per-pair maps need.
 """
 from __future__ import annotations
 
@@ -383,34 +383,6 @@ def _merge_chain(chain):
     return out
 
 
-def _peel_shared_identities(lhs, rhs):
-    """Two one-map chains with the identity factors both maps share dropped.
-
-    The maps must have the same identity factors and the same factor
-    descriptors, hence the same factor shapes, gather and scatter; any other
-    pair of chains is returned as given.  The test compares tuples, one entry
-    per factor.  Then L - R is one permutation of K_L - K_R, the difference of
-    the Kronecker products, and each entry of that is either 0 - 0 (a shared
-    identity factor is off its diagonal) or an entry of C_L - C_R, the
-    difference of the cores: the Kronecker products of the other factors.
-    The cores act on plain vectors in the Kronecker layout, that is on 1 x 1
-    blocks.
-    """
-    if len(lhs) != 1 or len(rhs) != 1:
-        return lhs, rhs
-    a, b = lhs[0], rhs[0]
-    if not any(a.skip) or a.skip != b.skip or a.fdoms != b.fdoms or a.fcods != b.fcods:
-        return lhs, rhs
-
-    def core(op):
-        kept = [f for f, s in zip(op.factors, op.skip) if not s]
-        return Superoperator.factored(kept, (False,) * len(kept),
-                                      [(1,) * f.shape[1] for f in kept],
-                                      [(1,) * f.shape[0] for f in kept])
-
-    return [core(a)], [core(b)]
-
-
 def _same_maps(lhs, rhs) -> bool:
     """Whether the two chains hold the same maps: equal descriptors and identity
     flags, and other factors that are equal and finite entry by entry.  Each
@@ -440,17 +412,8 @@ def composite_residual(lhs, rhs) -> float:
     order, by a few ulp of the entries.
 
     When the merged sides hold the same maps (``_same_maps``), every entry of
-    L - R is exactly 0 and nothing is streamed.  Otherwise, when each side is
-    one factored map and the two share their identity factors and
-    descriptors, only their cores are streamed (an 81 x 9 core, say, in place
-    of a 6561 x 729 map; ``_peel_shared_identities``).  This is exact, not a
-    bound: every other entry of L - R is 0 - 0.  A unit column meets one
-    nonzero term in every sum of ``_kron_apply``, which skips identity
-    factors on both paths, so each entry is the same product of factor
-    entries in the same order.  With real entries the residual is the
-    unpeeled one bit for bit; a product of two complex entries may be rounded
-    differently by the BLAS kernel of another shape, by a few ulp of the
-    entries.
+    L - R is exactly 0 and nothing is streamed.  Otherwise every column of the
+    common domain is streamed.
     """
     for chain in (lhs, rhs):
         for outer, inner in zip(chain, chain[1:]):
@@ -461,7 +424,6 @@ def composite_residual(lhs, rhs) -> float:
     lhs, rhs = _merge_chain(lhs), _merge_chain(rhs)
     if _same_maps(lhs, rhs):
         return 0.0
-    lhs, rhs = _peel_shared_identities(lhs, rhs)
     widest = max(op.out_dim for op in (*lhs, *rhs))
     worst = 0.0
     for _, cols in unit_column_chunks(lhs[-1].in_dim, widest):

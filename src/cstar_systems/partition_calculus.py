@@ -13,10 +13,12 @@ pullback duality checks this recursion rather than repeating it.
 
 Inductive limits are represented at finite level by germs: pairs (partition,
 element), identified when pushing both representatives to a common refinement
-makes them equal.  All the dilation-level structure (splitting an interval
-germ at an interior time, embedding into a larger interval, the one-parameter
-comultiplication on padded germs) then becomes explicit re-indexing plus
-residual checks.
+makes them equal.  Both limits of the paper use this one calculus: the
+dilation (germs over one fixed interval) and the system algebra (germs over
+all grid partitions, padded with a unit).  Passing a unit family decides
+between them: without one, a representative that needs padding raises
+``EndpointMismatchError``.  Splitting at a time (``comultiplication``) and
+embedding into a larger interval are explicit re-indexing plus residual checks.
 
 Equality of germs is decided at the single common refinement I u J; agreement
 at every finer partition follows from the cocycle law, which is itself under
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, fields
-from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from typing import Optional
@@ -64,25 +65,9 @@ from .timegrid import (
 )
 
 
-class SpaceTag(Enum):
-    """Which germ calculus an element belongs to.
-
-    SHARP germs live over the partitions of one fixed interval [s,t] (the
-    dilated pair algebra); CROSS germs live over all grid partitions with
-    unit-padded connecting maps (the system algebra).
-    """
-
-    SHARP = "sharp"
-    CROSS = "cross"
-
-
-def _check_on_grid(sys: TensorialSystem, partition: Partition):
-    sys.grid.require(*partition.points)
-
-
 def partition_algebra(sys: TensorialSystem, partition: Partition) -> FiniteCStarAlgebra:
     """The ordered tensor product of the pair algebras over the cells of the partition."""
-    _check_on_grid(sys, partition)
+    sys.grid.require(*partition.points)
     key = ("alg", partition)
     if key not in sys._cache:
         alg = reduce(tensor_algebra, (sys.alg(a, b) for a, b in partition.pairs()))
@@ -127,7 +112,7 @@ def interval_map_left_nested(sys: TensorialSystem, partition: Partition) -> Supe
     written independently of the recursive builder, and composed densely
     (``compose``), without the factor-by-factor merge of ``composite_residual``.
     """
-    _check_on_grid(sys, partition)
+    sys.grid.require(*partition.points)
     pts = partition.points
     if len(pts) == 2:
         return identity_superop(sys.alg(*pts).blocks)
@@ -145,7 +130,7 @@ def interval_map_right_nested(sys: TensorialSystem, partition: Partition) -> Sup
     Splits the first cell off first and keeps expanding the trailing factor.
     Agreement with the left-nested expansion encodes co-associativity.
     """
-    _check_on_grid(sys, partition)
+    sys.grid.require(*partition.points)
     pts = partition.points
     if len(pts) == 2:
         return identity_superop(sys.alg(*pts).blocks)
@@ -222,12 +207,13 @@ def delta_cross(sys: TensorialSystem, unit: Optional[UnitFamily],
 
     With equal endpoints this is the plain refinement map; otherwise the
     stretches of J outside [min I, max I] are filled with unit projections:
-    x -> p_lower (x) D[I, middle](x) (x) p_upper.
+    x -> p_lower (x) D[I, middle](x) (x) p_upper.  Without a unit family there
+    is no padding, and different endpoints raise ``EndpointMismatchError``.
     """
     if coarse.endpoints == fine.endpoints:
         return delta_refinement(sys, coarse, fine)
     if unit is None:
-        raise ValueError(f"padding {coarse} -> {fine} requires a unit family")
+        raise EndpointMismatchError(f"padding {coarse} -> {fine} requires a unit family")
     key = ("cross", unit.cache_token, coarse, fine)
     if key in sys._cache:
         return sys._cache[key]
@@ -250,34 +236,26 @@ def delta_cross(sys: TensorialSystem, unit: Optional[UnitFamily],
 
 @dataclass(frozen=True)
 class Germ:
-    """A finite-level representative (partition, element) of a limit element."""
+    """A finite-level representative (partition, element) of a limit element, in
+    either limit: the unit passed to the operations decides which."""
 
     partition: Partition
     element: AlgebraElement
-    tag: SpaceTag
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
         return self.partition.endpoints
 
 
-def sharp_germ(sys: TensorialSystem, partition: Partition, element: AlgebraElement) -> Germ:
-    _validate_germ(sys, partition, element)
-    return Germ(partition, element, SpaceTag.SHARP)
-
-
-def cross_germ(sys: TensorialSystem, partition: Partition, element: AlgebraElement) -> Germ:
-    _validate_germ(sys, partition, element)
-    return Germ(partition, element, SpaceTag.CROSS)
-
-
-def _validate_germ(sys: TensorialSystem, partition: Partition, element: AlgebraElement):
+def germ(sys: TensorialSystem, partition: Partition, element: AlgebraElement) -> Germ:
+    """The germ of ``element``, which must lie in A_I for I = ``partition``."""
     alg = partition_algebra(sys, partition)
     if element.algebra.blocks != alg.blocks:
         raise ValueError(
             f"element blocks {element.algebra.blocks} do not match "
             f"A_{partition} = {alg.blocks}"
         )
+    return Germ(partition, element)
 
 
 def push_germ(sys: TensorialSystem, unit: Optional[UnitFamily], g: Germ,
@@ -286,48 +264,28 @@ def push_germ(sys: TensorialSystem, unit: Optional[UnitFamily], g: Germ,
 
     On its own partition a germ is its element: D[I,I] is the identity.
     Otherwise the connecting map is the refinement map when the endpoints
-    agree and the map padded with ``unit`` when they do not.
+    agree and the map padded with ``unit`` when they do not; without a unit,
+    different endpoints raise ``EndpointMismatchError``.
     """
     if g.partition == target:
-        _validate_germ(sys, target, g.element)
-        return g.element
+        return germ(sys, target, g.element).element
     mapper = delta_cross(sys, unit, g.partition, target)
     return partition_algebra(sys, target).from_vec(mapper.apply(g.element.vec()))
-
-
-def _join_target(g1: Germ, g2: Germ) -> Partition:
-    if g1.tag is not g2.tag:
-        raise ValueError(f"cannot mix germ spaces {g1.tag} and {g2.tag}")
-    if g1.tag is SpaceTag.SHARP and g1.interval != g2.interval:
-        raise EndpointMismatchError(
-            f"interval germs live over fixed intervals: {g1.interval} vs {g2.interval}"
-        )
-    return common_refinement(g1.partition, g2.partition)
 
 
 def germ_distance(sys: TensorialSystem, g1: Germ, g2: Germ,
                   unit: Optional[UnitFamily] = None) -> float:
     """Max-abs difference of the two representatives at their common refinement."""
-    target = _join_target(g1, g2)
+    target = common_refinement(g1.partition, g2.partition)
     return push_germ(sys, unit, g1, target).distance(push_germ(sys, unit, g2, target))
 
 
 def germ_binop(sys: TensorialSystem, g1: Germ, g2: Germ, op,
                unit: Optional[UnitFamily] = None) -> Germ:
-    target = _join_target(g1, g2)
-    x = push_germ(sys, unit, g1, target)
-    y = push_germ(sys, unit, g2, target)
-    return Germ(target, op(x, y), g1.tag)
-
-
-def germ_add(sys: TensorialSystem, g1: Germ, g2: Germ,
-             unit: Optional[UnitFamily] = None) -> Germ:
-    return germ_binop(sys, g1, g2, lambda x, y: x + y, unit)
-
-
-def germ_mul(sys: TensorialSystem, g1: Germ, g2: Germ,
-             unit: Optional[UnitFamily] = None) -> Germ:
-    return germ_binop(sys, g1, g2, lambda x, y: x * y, unit)
+    """The germ of ``op`` (``operator.add``, say) on the representatives at the common
+    refinement."""
+    target = common_refinement(g1.partition, g2.partition)
+    return Germ(target, op(push_germ(sys, unit, g1, target), push_germ(sys, unit, g2, target)))
 
 
 @dataclass(frozen=True)
@@ -342,7 +300,6 @@ class SplitGerm:
     left_partition: Partition
     right_partition: Partition
     element: AlgebraElement
-    tag: SpaceTag
 
     @property
     def joint_partition(self) -> Partition:
@@ -350,48 +307,46 @@ class SplitGerm:
 
     def merged(self) -> Germ:
         """Forget the split: the germ of the joint representative."""
-        return Germ(self.joint_partition, self.element, self.tag)
+        return Germ(self.joint_partition, self.element)
 
 
-def _split_at(partition: Partition, element: AlgebraElement, s: Fraction,
-              tag: SpaceTag) -> SplitGerm:
-    if s not in partition.points or s in partition.endpoints:
-        raise ValueError(f"cut point {s} must be interior to {partition}")
-    return SplitGerm(
-        left_partition=partition.restrict(partition.points[0], s),
-        right_partition=partition.restrict(s, partition.points[-1]),
-        element=element,
-        tag=tag,
-    )
+def _straddling(sys: TensorialSystem, partition: Partition, s: Fraction) -> Partition:
+    """The partition with s added, and the nearest grid point beyond s added where
+    s would be an endpoint, so that s is interior."""
+    points = set(partition.points) | {s}
+    if min(points) == s:
+        points.add(max(p for p in sys.grid.points if p < s))
+    if max(points) == s:
+        points.add(min(p for p in sys.grid.points if p > s))
+    return Partition(sorted(points))
 
 
-def sharp_comultiplication(sys: TensorialSystem, g: Germ, s: Fraction) -> SplitGerm:
-    """Split an interval germ over [r,t] at an interior grid point s.
+def comultiplication(sys: TensorialSystem, unit: Optional[UnitFamily], g: Germ,
+                     s: Fraction) -> SplitGerm:
+    """Split a germ at a grid point s with grid points on both sides.
 
-    Refine the representative so its partition contains s, then read the
-    partition algebra as A_L (x) A_R; the limit-level comultiplication is this
-    re-indexing.
+    The representative is refined so its partition contains s and straddles
+    it, then read as A_L (x) A_R.  For s interior to the germ's interval this
+    only refines: the split of an interval germ.  Otherwise it is padded with
+    ``unit``, the one-parameter D_s on padded germs; without a unit that
+    raises ``EndpointMismatchError``.
     """
-    if g.tag is not SpaceTag.SHARP:
-        raise ValueError("interval splitting acts on interval (sharp) germs")
-    r, t = g.interval
     sys.grid.require(s)
-    if not (r < s < t):
-        raise ValueError(f"cut {s} is not interior to [{r},{t}]")
-    target = common_refinement(g.partition, Partition([r, s, t]))
-    pushed = push_germ(sys, None, g, target)
-    return _split_at(target, pushed, s, SpaceTag.SHARP)
+    if not sys.grid.points[0] < s < sys.grid.points[-1]:
+        raise ValueError(f"the grid cannot straddle {s}")
+    target = _straddling(sys, g.partition, s)
+    lo, hi = target.endpoints
+    return SplitGerm(target.restrict(lo, s), target.restrict(s, hi),
+                     push_germ(sys, unit, g, target))
 
 
-def sharp_embedding(sys: TensorialSystem, unit: UnitFamily, g: Germ,
+def interval_embedding(sys: TensorialSystem, unit: UnitFamily, g: Germ,
                     u: Fraction, v: Fraction) -> Germ:
     """Embed an interval germ over [s,t] into the calculus over [u,v] >= [s,t].
 
     The representative picks up unit projections over [u,s] and [t,v]:
     (I, x) -> ({u} u I u {v}, padded x).
     """
-    if g.tag is not SpaceTag.SHARP:
-        raise ValueError("interval embedding acts on interval (sharp) germs")
     s, t = g.interval
     sys.grid.require(u, v)
     if not (u <= s and t <= v):
@@ -399,37 +354,12 @@ def sharp_embedding(sys: TensorialSystem, unit: UnitFamily, g: Germ,
     if (u, v) == (s, t):
         return g
     target = Partition(sorted({u, v} | set(g.partition.points)))
-    return Germ(target, push_germ(sys, unit, g, target), SpaceTag.SHARP)
-
-
-def one_param_comultiplication(sys: TensorialSystem, unit: UnitFamily, g: Germ,
-                               s: Fraction) -> SplitGerm:
-    """Split a padded (cross) germ at a grid point s with grid points on both sides.
-
-    The representative is padded/refined so its partition contains s and
-    straddles it, then split; on elementary tensors over partitions already
-    split at s this is the identity re-indexing.
-    """
-    if g.tag is not SpaceTag.CROSS:
-        raise ValueError("the one-parameter comultiplication acts on padded (cross) germs")
-    sys.grid.require(s)
-    below = [p for p in sys.grid.points if p < s]
-    above = [p for p in sys.grid.points if p > s]
-    if not below or not above:
-        raise ValueError(f"the grid cannot straddle {s}")
-    points = set(g.partition.points) | {s}
-    if min(points) == s:
-        points.add(below[-1])
-    if max(points) == s:
-        points.add(above[0])
-    target = Partition(sorted(points))
-    pushed = push_germ(sys, unit, g, target)
-    return _split_at(target, pushed, s, SpaceTag.CROSS)
+    return Germ(target, push_germ(sys, unit, g, target))
 
 
 def unit_germ(sys: TensorialSystem, unit: UnitFamily, partition: Partition) -> Germ:
     """The padded germ of the unit projection over a partition."""
-    return cross_germ(sys, partition, unit_on_partition(unit, partition))
+    return germ(sys, partition, unit_on_partition(unit, partition))
 
 
 def one_param_coassociativity_residual(sys: TensorialSystem, unit: UnitFamily,
@@ -444,32 +374,18 @@ def one_param_coassociativity_residual(sys: TensorialSystem, unit: UnitFamily,
     if not r < s:
         raise ValueError(f"cuts must satisfy r < s, got {r} >= {s}")
 
-    def expand_left(sg: SplitGerm, cut: Fraction) -> tuple[Partition, np.ndarray]:
-        pts = set(sg.left_partition.points) | {cut}
-        if min(pts) == cut:
-            pts.add(max(p for p in sys.grid.points if p < cut))
-        refined = Partition(sorted(pts))
-        big = superop_tensor(
-            delta_cross(sys, unit, sg.left_partition, refined),
-            identity_superop(partition_algebra(sys, sg.right_partition).blocks),
-        )
-        joint = Partition(sorted(set(refined.points) | set(sg.right_partition.points)))
-        return joint, big.apply(sg.element.vec())
+    def expand(sg: SplitGerm, side: int, cut: Fraction) -> tuple[Partition, np.ndarray]:
+        """Split one side of ``sg`` (0 left, 1 right) again at ``cut``, the other side fixed."""
+        parts = [sg.left_partition, sg.right_partition]
+        refined = _straddling(sys, parts[side], cut)
+        maps = [delta_cross(sys, unit, p, refined) if i == side
+                else identity_superop(partition_algebra(sys, p).blocks)
+                for i, p in enumerate(parts)]
+        parts[side] = refined
+        return common_refinement(*parts), superop_tensor(*maps).apply(sg.element.vec())
 
-    def expand_right(sg: SplitGerm, cut: Fraction) -> tuple[Partition, np.ndarray]:
-        pts = set(sg.right_partition.points) | {cut}
-        if max(pts) == cut:
-            pts.add(min(p for p in sys.grid.points if p > cut))
-        refined = Partition(sorted(pts))
-        big = superop_tensor(
-            identity_superop(partition_algebra(sys, sg.left_partition).blocks),
-            delta_cross(sys, unit, sg.right_partition, refined),
-        )
-        joint = Partition(sorted(set(sg.left_partition.points) | set(refined.points)))
-        return joint, big.apply(sg.element.vec())
-
-    part_a, vec_a = expand_left(one_param_comultiplication(sys, unit, g, s), r)
-    part_b, vec_b = expand_right(one_param_comultiplication(sys, unit, g, r), s)
+    part_a, vec_a = expand(comultiplication(sys, unit, g, s), 0, r)
+    part_b, vec_b = expand(comultiplication(sys, unit, g, r), 1, s)
     target = common_refinement(part_a, part_b)
     pushed_a = delta_cross(sys, unit, part_a, target).apply(vec_a)
     pushed_b = delta_cross(sys, unit, part_b, target).apply(vec_b)
@@ -481,7 +397,7 @@ def one_param_coassociativity_residual(sys: TensorialSystem, unit: UnitFamily,
 def lift_morphism(sys: TensorialSystem, thetas: MorphismFamily,
                   partition: Partition) -> Superoperator:
     """The ordered tensor of the pairwise maps over the cells of a partition."""
-    _check_on_grid(sys, partition)
+    sys.grid.require(*partition.points)
     return superop_tensor_all([thetas.theta(a, b) for a, b in partition.pairs()])
 
 

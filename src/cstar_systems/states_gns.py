@@ -40,9 +40,8 @@ from .linalg import (
 )
 from .partition_calculus import (
     Germ,
-    SpaceTag,
+    comultiplication,
     delta_cross,
-    one_param_comultiplication,
     partition_algebra,
     state_on_partition,
     unit_germ,
@@ -154,7 +153,7 @@ def idempotent_state_report(sys: TensorialSystem, unit: UnitFamily, phi: GermFun
 def idempotency_residual(sys: TensorialSystem, unit: UnitFamily, phi: GermFunctional,
                          g: Germ, s: Fraction) -> float:
     """| (phi (x) phi)(D_s g) - phi(g) | via the joint split representative."""
-    split = one_param_comultiplication(sys, unit, g, s)
+    split = comultiplication(sys, unit, g, s)
     lhs = state_on_partition(phi.family, split.joint_partition)(split.element)
     return abs(lhs - phi(g))
 
@@ -165,7 +164,7 @@ def marginal_states(phi: GermFunctional, sys: TensorialSystem) -> FunctionalFami
     for (s, t) in sys.grid.pairs():
         alg = sys.alg(s, t)
         row = np.array([
-            phi(Germ(Partition([s, t]), alg.from_vec(_unit_vec(alg.dim, a)), SpaceTag.CROSS))
+            phi(Germ(Partition([s, t]), alg.from_vec(_unit_vec(alg.dim, a))))
             for a in range(alg.dim)
         ])
         out[(s, t)] = _functional_from_row(alg, row)

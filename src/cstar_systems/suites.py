@@ -8,6 +8,7 @@ tensor they check.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -45,23 +46,20 @@ from .linalg import (
 )
 from .partition_calculus import (
     Germ,
-    cross_germ,
+    comultiplication,
     delta_cross,
     delta_interval_to_partition,
     delta_refinement,
-    germ_add,
+    germ,
+    germ_binop,
     germ_distance,
-    germ_mul,
+    interval_embedding,
     interval_map_left_nested,
     interval_map_right_nested,
     lifted_morphism_residual,
     one_param_coassociativity_residual,
-    one_param_comultiplication,
     partition_algebra,
     push_germ,
-    sharp_comultiplication,
-    sharp_embedding,
-    sharp_germ,
     state_on_partition,
     unit_germ,
     unit_on_partition,
@@ -249,15 +247,14 @@ def run_dilation(setup: Setup, rng) -> Report:
     grid = sys.grid
     lo, hi = grid.points[0], grid.points[-1]
 
-    def random_sharp(partition: Partition) -> Germ:
-        return sharp_germ(sys, partition,
-                          partition_algebra(sys, partition).random_element(rng))
+    def random_germ(partition: Partition) -> Germ:
+        return germ(sys, partition, partition_algebra(sys, partition).random_element(rng))
 
     # split-then-merge round trips over the full interval
     base = Partition([lo, hi])
     for cut in grid.points[1:-1]:
-        g = random_sharp(base)
-        split = sharp_comultiplication(sys, g, cut)
+        g = random_germ(base)
+        split = comultiplication(sys, None, g, cut)
         report.residual_record(
             "interval_split_round_trip",
             "splitting at s then merging reproduces the germ",
@@ -273,10 +270,10 @@ def run_dilation(setup: Setup, rng) -> Report:
     ]
     if setup.unit is not None:
         for (q, r), (s, t), (u, v) in nested:
-            g = random_sharp(Partition([q, r]))
-            via = sharp_embedding(sys, setup.unit,
-                                  sharp_embedding(sys, setup.unit, g, s, t), u, v)
-            direct = sharp_embedding(sys, setup.unit, g, u, v)
+            g = random_germ(Partition([q, r]))
+            via = interval_embedding(sys, setup.unit,
+                                     interval_embedding(sys, setup.unit, g, s, t), u, v)
+            direct = interval_embedding(sys, setup.unit, g, u, v)
             report.residual_record(
                 "interval_embedding_functorial",
                 "embed[(s,t)->(u,v)] o embed[(q,r)->(s,t)] = embed[(q,r)->(u,v)]",
@@ -290,12 +287,10 @@ def run_dilation(setup: Setup, rng) -> Report:
                 continue
             part = Partition([s, t])
             x = partition_algebra(sys, part).random_element(rng)
-            direct = cross_germ(sys, part, x)
+            direct = germ(sys, part, x)
             refined = Partition(sorted({s, t} | {p for p in grid.points if s < p < t}))
-            pushed = sharp_germ(sys, refined,
-                                push_germ(sys, None, sharp_germ(sys, part, x), refined))
-            embedded = sharp_embedding(sys, setup.unit, pushed, lo, hi)
-            route = cross_germ(sys, embedded.partition, embedded.element)
+            pushed = germ(sys, refined, push_germ(sys, None, direct, refined))
+            route = interval_embedding(sys, setup.unit, pushed, lo, hi)
             report.residual_record(
                 "germ_encoding_consistency",
                 "padded germ of x = refine-then-embed representative of x",
@@ -306,9 +301,7 @@ def run_dilation(setup: Setup, rng) -> Report:
         interior = grid.points[1:-1]
         for idx_r, r in enumerate(interior):
             for s in interior[idx_r + 1:]:
-                g = cross_germ(sys, Partition([lo, hi]),
-                               partition_algebra(sys, Partition([lo, hi]))
-                               .random_element(rng))
+                g = random_germ(Partition([lo, hi]))
                 res = one_param_coassociativity_residual(sys, setup.unit, g, r, s)
                 report.residual_record(
                     "one_param_deformed_coassociativity",
@@ -326,7 +319,7 @@ def run_dilation(setup: Setup, rng) -> Report:
                 {"I": part}, germ_distance(sys, pg, ref, unit=setup.unit), tol.eps,
             )
         for s in grid.points[1:-1]:
-            split = one_param_comultiplication(sys, setup.unit, ref, s)
+            split = comultiplication(sys, setup.unit, ref, s)
             expected = unit_on_partition(setup.unit, split.joint_partition)
             report.residual_record(
                 "unit_germ_group_like", "D_s(p) = p (x) p",
@@ -337,15 +330,16 @@ def run_dilation(setup: Setup, rng) -> Report:
             part_a = Partition([lo, hi])
             part_b = Partition([lo, cut, hi])
             x = partition_algebra(sys, part_a).random_element(rng)
-            g_a = sharp_germ(sys, part_a, x)
-            g_b = sharp_germ(sys, part_b, push_germ(sys, None, g_a, part_b))
-            other = random_sharp(part_b)
-            for name, op in (("sum", germ_add), ("product", germ_mul)):
+            g_a = germ(sys, part_a, x)
+            g_b = germ(sys, part_b, push_germ(sys, None, g_a, part_b))
+            other = random_germ(part_b)
+            for name, op in (("sum", operator.add), ("product", operator.mul)):
                 report.residual_record(
                     f"germ_{name}_representative_independent",
                     f"the germ {name} does not depend on the representative",
                     {"I": part_a, "J": part_b, "s": cut},
-                    germ_distance(sys, op(sys, g_a, other), op(sys, g_b, other)),
+                    germ_distance(sys, germ_binop(sys, g_a, other, op),
+                                  germ_binop(sys, g_b, other, op)),
                     tol.eps,
                 )
     return report
@@ -488,8 +482,8 @@ def run_gns(setup: Setup, rng) -> Report:
         if base != sharp[0]:
             continue
         x = partition_algebra(sys, base).random_element(rng)
-        g1 = sharp_germ(sys, base, x)
-        g2 = sharp_germ(sys, fine, push_germ(sys, None, g1, fine))
+        g1 = germ(sys, base, x)
+        g2 = germ(sys, fine, push_germ(sys, None, g1, fine))
         report.residual_record(
             "dilated_functional_representative_independent",
             "the dilated functional agrees on equivalent representatives",
@@ -594,13 +588,10 @@ def run_commutative(setup: Setup, rng) -> Report:
 
     glue_grid = Grid([1, 2, 3, 4, 5])
     glue = glue_system(glue_grid, FiniteSpace(2))
-    bern = (Fraction(1, 3), Fraction(2, 3))
-    glue_mu = {}
-    for (s, t) in glue_grid.pairs():
-        m = (Fraction(1),)
-        for _ in glue_grid.cells(s, t):
-            m = tuple(x * y for x in m for y in bern)
-        glue_mu[(s, t)] = m
+    cells = Partition(glue_grid.points)
+    bernoulli = dict.fromkeys(cells.pairs(), (Fraction(1, 3), Fraction(2, 3)))
+    glue_mu = {(s, t): measure_on_partition(bernoulli, cells.restrict(s, t))
+               for (s, t) in glue_grid.pairs()}
     exact_model_checks(glue, glue_mu, "glue_base2_bernoulli_1_3", unit_points=True)
 
     z2_grid = Grid([1, 2, 3, 4])

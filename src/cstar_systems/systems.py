@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     DEFAULT_DIM_CAP,
+    DimensionCapError,
     FiniteCStarAlgebra,
     LinearFunctional,
     functional_tensor,
@@ -327,10 +328,27 @@ def check_morphism(sys_a: TensorialSystem, sys_b: TensorialSystem, theta: Morphi
 
 # -- built-in generators ------------------------------------------------------
 
+def check_triple_dims(grid: Grid, dims: Mapping[Pair, int], dim_cap: int) -> None:
+    """Raise ``DimensionCapError`` on the first triple with dims[r,s] * dims[s,t] > dim_cap.
+
+    ``dims`` are the vectorized dimensions of the pair algebras, so the product
+    is that of A(r,s) (x) A(s,t): the codomain of D[r,s,t] and the partition
+    algebra that ``partition_algebra`` caps for {r,s,t}.  Generators check it
+    before they build any map or table of that size.
+    """
+    for r, s, t in grid.triples():
+        dim = dims[(r, s)] * dims[(s, t)]
+        if dim > dim_cap:
+            raise DimensionCapError(
+                f"triple {Partition([r, s, t])} needs vectorized dimension {dim} > cap {dim_cap}"
+            )
+
+
 def tensorial_from_hilbert(hs: HilbertSystem, kind: str = "custom",
                            payload: dict | None = None,
                            dim_cap: int = DEFAULT_DIM_CAP) -> TensorialSystem:
     """B(H(s,t)) with conjugation by the system isometries."""
+    check_triple_dims(hs.grid, {pair: n * n for pair, n in hs.dims.items()}, dim_cap)
     algebras = {pair: FiniteCStarAlgebra([hs.dims[pair]]) for pair in hs.dims}
     deltas = {triple: superop_from_conjugation(u) for triple, u in hs.isometries.items()}
     return TensorialSystem(hs.grid, algebras, deltas, dim_cap=dim_cap,
@@ -378,6 +396,7 @@ def glue_hilbert_system(grid: Grid, cell_dims: Iterable[int],
     cell_dim = dict(zip(consecutive, dims_list))
     dims = {(s, t): math.prod(cell_dim[c] for c in grid.cells(s, t))
             for (s, t) in grid.pairs()}
+    check_triple_dims(grid, {pair: n * n for pair, n in dims.items()}, dim_cap)
     isometries = {
         (r, s, t): np.eye(dims[(r, t)], dtype=complex) for (r, s, t) in grid.triples()
     }

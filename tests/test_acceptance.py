@@ -30,19 +30,17 @@ from cstar_systems.commutative import (
 )
 from cstar_systems.linalg import max_abs, superop_tensor
 from cstar_systems.partition_calculus import (
-    cross_germ,
+    comultiplication,
     delta_cross,
     delta_interval_to_partition,
     delta_refinement,
+    germ,
     germ_distance,
+    interval_embedding,
     interval_map_left_nested,
     interval_map_right_nested,
     one_param_coassociativity_residual,
-    one_param_comultiplication,
     partition_algebra,
-    sharp_comultiplication,
-    sharp_embedding,
-    sharp_germ,
     state_on_partition,
     unit_on_partition,
 )
@@ -211,9 +209,9 @@ def test_criterion_4_dilation_germs(diagonal6):
     for part in (Partition([1, 6]), Partition([1, 3, 6]), Partition([2, 4, 5])):
         lo, hi = part.endpoints
         x = partition_algebra(sys, part).random_element(RNG)
-        g = sharp_germ(sys, part, x)
+        g = germ(sys, part, x)
         for cut in (p for p in GRID6.points if lo < p < hi):
-            split = sharp_comultiplication(sys, g, cut)
+            split = comultiplication(sys, None, g, cut)
             worst = max(worst, germ_distance(sys, split.merged(), g))
 
     intervals = GRID6.pairs()
@@ -221,10 +219,10 @@ def test_criterion_4_dilation_germs(diagonal6):
               if b[0] <= a[0] and a[1] <= b[1] and a != b
               and c[0] <= b[0] and b[1] <= c[1] and b != c]
     for (q, r), (s, t), (u, v) in nested:
-        g = sharp_germ(sys, Partition([q, r]),
-                       partition_algebra(sys, Partition([q, r])).random_element(RNG))
-        via = sharp_embedding(sys, unit, sharp_embedding(sys, unit, g, s, t), u, v)
-        direct = sharp_embedding(sys, unit, g, u, v)
+        g = germ(sys, Partition([q, r]),
+                 partition_algebra(sys, Partition([q, r])).random_element(RNG))
+        via = interval_embedding(sys, unit, interval_embedding(sys, unit, g, s, t), u, v)
+        direct = interval_embedding(sys, unit, g, u, v)
         worst = max(worst, germ_distance(sys, via, direct, unit=unit))
 
     # generator germs: direct padded germ vs refine-then-embed representative
@@ -234,11 +232,10 @@ def test_criterion_4_dilation_germs(diagonal6):
         part = Partition([s, t])
         x = partition_algebra(sys, part).random_element(RNG)
         refined = Partition([p for p in GRID6.points if s <= p <= t])
-        pushed = sharp_germ(sys, refined, partition_algebra(sys, refined).from_vec(
+        pushed = germ(sys, refined, partition_algebra(sys, refined).from_vec(
             delta_refinement(sys, part, refined).apply(x.vec())))
-        embedded = sharp_embedding(sys, unit, pushed, F(1), F(6))
-        route = cross_germ(sys, embedded.partition, embedded.element)
-        worst = max(worst, germ_distance(sys, cross_germ(sys, part, x), route, unit=unit))
+        route = interval_embedding(sys, unit, pushed, F(1), F(6))
+        worst = max(worst, germ_distance(sys, germ(sys, part, x), route, unit=unit))
 
     passed = worst < EPS
     record_criterion(f"criterion 4: dilation germ calculus, worst {worst:.2e}", passed)
@@ -251,18 +248,18 @@ def test_criterion_5_one_parameter_comultiplication(diagonal6):
     worst = 0.0
     interior = GRID6.points[1:-1]
     for part in (Partition([1, 6]), Partition([2, 5])):
-        g = cross_germ(sys, part, partition_algebra(sys, part).random_element(RNG))
+        g = germ(sys, part, partition_algebra(sys, part).random_element(RNG))
         lo, hi = part.endpoints
         for i, r in enumerate(interior):
             for s in interior[i + 1:]:
                 worst = max(worst, one_param_coassociativity_residual(sys, unit, g, r, s))
-    ref = cross_germ(sys, Partition([1, 2]), unit_on_partition(unit, Partition([1, 2])))
+    ref = germ(sys, Partition([1, 2]), unit_on_partition(unit, Partition([1, 2])))
     for (s, t) in GRID6.pairs():
         part = Partition([s, t])
-        pg = cross_germ(sys, part, unit_on_partition(unit, part))
+        pg = germ(sys, part, unit_on_partition(unit, part))
         worst = max(worst, germ_distance(sys, pg, ref, unit=unit))
     for s in interior:
-        split = one_param_comultiplication(sys, unit, ref, s)
+        split = comultiplication(sys, unit, ref, s)
         worst = max(worst, split.element.distance(
             unit_on_partition(unit, split.joint_partition)))
     passed = worst < EPS
@@ -279,7 +276,7 @@ def test_criterion_6_states_and_gns(diagonal6):
 
     phi = build_idempotent_state(sys, unit, counit)
     for part in (Partition([1, 2]), Partition([2, 4, 6])):
-        g = cross_germ(sys, part, partition_algebra(sys, part).random_element(RNG))
+        g = germ(sys, part, partition_algebra(sys, part).random_element(RNG))
         for cut in (F(3), F(5)):
             worst = max(worst, idempotency_residual(sys, unit, phi, g, cut))
     marg = marginal_states(phi, sys)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstar_systems import commutative, systems
 from cstar_systems.algebra import FiniteCStarAlgebra, LinearFunctional, functional_tensor
 from cstar_systems.cli import ALL_SUITES, ConfigError, RunConfig, build_setup, main, run
 from cstar_systems.linalg import max_abs
@@ -251,17 +252,40 @@ GLUE_MEASURES = {
 }
 
 
+# padded germs over cells of different dimensions
+GLUE_232 = {
+    "grid": ["1", "2", "3", "4"],
+    "system": {"kind": "glue_hilbert", "cell_dims": [2, 3, 2]},
+    "unit": {"kind": "standard"},
+    "counit": {"kind": "faithful_cell_product"},
+    "suites": ["dilation", "gns"],
+    "max_interior_points": 2,
+    "seed": 5,
+}
+
+
 @pytest.mark.parametrize("raw, total, digest", [
     (json.loads(ORACLE_CONFIG.read_text()), 443,
      "9a4cb8dacc37de5be4cd601913623cfd8db60ce25e1a69914080b458b6f55ca5"),
     (GRID5, 746, "e138c2c8c5af2daea272e296254eb57ff047ccbfaac7cfad43b19a3a40a19cd2"),
     (GLUE_MEASURES, 497, "bfc42e76714fe333b3dac02c4392f9df76ec83e50adaa33b4b70fbe0dd8febdc"),
-], ids=["oracle", "diagonal-grid5", "commutative-glue-measures"])
+    (GLUE_232, 39, "6edf50df8224f45846069fb0bdb9dcd002231926bec628240becf3251a91708d"),
+], ids=["oracle", "diagonal-grid5", "commutative-glue-measures", "glue-hilbert-232"])
 def test_report_records_keep_their_order(raw, total, digest):
     out, ok, _ = run(RunConfig.from_json(raw))
     assert ok
     assert out["summary"]["total"] == total
     assert record_digest(out) == digest
+
+
+def test_oracle_report_is_byte_identical():
+    # the whole report as verify writes it, residuals included: all are 0 but the
+    # two negative controls', and those are deterministic
+    out, ok, _ = run(RunConfig.from_json(json.loads(ORACLE_CONFIG.read_text())))
+    assert ok
+    text = json.dumps(out, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a8a9d536a322cc25f8471a9f77331ec533343ad8825debbe14d8a3f39268c4a4"
 
 
 @pytest.mark.parametrize("system", [
@@ -370,6 +394,28 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(raw))
     assert main(["--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("system, points, triple", [
+    ({"kind": "glue_hilbert", "cell_dims": [4, 4]}, 3, "{1, 2, 3}"),
+    ({"kind": "diagonal", "d": 5}, 3, "{1, 2, 3}"),
+    ({"kind": "commutative", "model": "glue", "base": 2}, 8, "{1, 2, 8}"),
+], ids=["glue_hilbert", "diagonal", "commutative"])
+def test_oversized_triples_exit_two_before_any_map_is_built(tmp_path, capsys, monkeypatch,
+                                                            system, points, triple):
+    # the generators check dim A(r,s) * dim A(s,t) before they build D[r,s,t]
+    def refuse(*args):
+        raise AssertionError("a comultiplication was built past the dimension cap")
+
+    monkeypatch.setattr(systems, "superop_from_conjugation", refuse)
+    monkeypatch.setattr(commutative, "superop_from_point_map", refuse)
+    raw = {"grid": [str(t) for t in range(1, points + 1)], "system": system,
+           "suites": ["axioms"], "dim_cap": 64}
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"triple {triple}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("override", [

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -418,13 +417,13 @@ def test_composite_residual_rejects_chains_that_do_not_compose():
     assert composite_residual([b, a], [b, a]) == 0.0
 
 
-# -- peeling shared identity factors off a map identity -----------------------------
+# -- map identities whose sides share identity factors ------------------------------
 
 ENTRY_KINDS = ("binary", "real", "complex")
 
 
 @st.composite
-def peel_cases(draw):
+def shared_identity_cases(draw):
     """Two tensors of 2-4 factor maps with identity factors at the same positions.
 
     Each other factor of the right side is the left one's matrix, copied or
@@ -468,32 +467,25 @@ def peel_cases(draw):
 
 
 @settings(deadline=None, max_examples=80)
-@given(peel_cases())
+@given(shared_identity_cases())
 def test_peeled_residual_matches_the_unpeeled_reference(case):
-    from cstar_systems.linalg import _peel_shared_identities, composite_residual
+    # sides that share their identity factors are streamed whole: the residual
+    # is that of the dense maps
+    from cstar_systems.linalg import composite_residual
 
     lhs, rhs, kind, perturbed = case
     reference = max_abs(lhs.matrix - rhs.matrix)  # every entry of the full maps
-    peeled = composite_residual([lhs], [rhs])
-    (core_l,), (core_r,) = _peel_shared_identities([lhs], [rhs])
+    residual = composite_residual([lhs], [rhs])
     kept = sum(not s for s in lhs.skip)
-    # a perturbed 1 x 1 factor [[1]] is an identity on the left side only
-    if lhs.skip == rhs.skip and any(lhs.skip):
-        assert len(core_l.factors) == len(core_r.factors) == kept
-        assert core_l.skip == core_r.skip == (False,) * kept
-        assert core_l.in_dim * math.prod(
-            f.shape[1] for f, s in zip(lhs.factors, lhs.skip) if s) == lhs.in_dim
-    else:
-        assert core_l is lhs and core_r is rhs
     if not perturbed:
-        assert peeled == reference == 0.0
+        assert residual == reference == 0.0
     elif kind == "complex" and kept > 1:
         # a product of two genuinely complex entries may be rounded differently
         # by the BLAS kernel of each shape: a few ulp of the largest entry
         scale = max(max_abs(lhs.matrix), max_abs(rhs.matrix))
-        assert peeled > 0 and abs(peeled - reference) <= 16 * np.finfo(float).eps * scale
+        assert residual > 0 and abs(residual - reference) <= 16 * np.finfo(float).eps * scale
     else:
-        assert peeled == reference > 0
+        assert residual == reference > 0
 
 
 def test_peeled_complex_residual_is_the_unpeeled_one_to_a_few_ulp():
@@ -513,10 +505,9 @@ def test_peeled_complex_residual_is_the_unpeeled_one_to_a_few_ulp():
 
 
 def test_peel_leaves_maps_that_differ_in_layout_alone():
-    from cstar_systems.linalg import _peel_shared_identities, composite_residual
+    from cstar_systems.linalg import composite_residual
 
     f = superop_from_conjugation(random_complex((2, 2)))
-    g = Superoperator(f.matrix + 0.25, f.dom, f.cod)
     op = superop_tensor(identity_superop((1, 2)), f)
     cases = {
         # different identity flags: g in place of the identity factor
@@ -533,21 +524,13 @@ def test_peel_leaves_maps_that_differ_in_layout_alone():
     assert not np.array_equal(cases["scatter"].scatter, op.scatter)
     for name, other in cases.items():
         assert other.in_dim == op.in_dim and other.out_dim == op.out_dim, name
-        lhs, rhs = [op], [other]
-        assert _peel_shared_identities(lhs, rhs) == (lhs, rhs), name
-        assert composite_residual(lhs, rhs) == max_abs(op.matrix - other.matrix) > 0, name
-    # chains of more than one map are streamed as they are
-    ident = identity_superop(op.dom)
-    assert _peel_shared_identities([op, ident], [op]) == ([op, ident], [op])
-    peeled_l, peeled_r = _peel_shared_identities([op], [superop_tensor(
-        identity_superop((1, 2)), g)])
-    assert peeled_l[0].in_dim == f.in_dim and peeled_r[0].factors[0] is g.matrix
+        assert composite_residual([op], [other]) == max_abs(op.matrix - other.matrix) > 0, name
 
 
 def test_split_family_streams_only_core_columns(monkeypatch):
     # refinement_map_splits_at_interior_point on diagonal d=3: both sides tensor the same
-    # cell maps, so no column is streamed; with one cell map bumped, a record streams the
-    # columns of its core, never those of the identity cells D[I,J] leaves unrefined
+    # cell maps, so no column is streamed; with one cell map bumped, a record streams every
+    # column of its domain
     from cstar_systems import linalg, suites
     from cstar_systems.cli import RunConfig, build_setup
     from cstar_systems.report import Report
@@ -586,7 +569,6 @@ def test_split_family_streams_only_core_columns(monkeypatch):
     assert all(len(lhs) == len(rhs) == 1 for lhs, rhs, _ in split_calls)
     splits = [(lhs[0], columns) for lhs, _, columns in split_calls]
     assert len(splits) == len(records) > 0
-    full = core = 0
     for op, columns in splits:
         assert columns == []
         i = op.skip.index(False)
@@ -596,11 +578,7 @@ def test_split_family_streams_only_core_columns(monkeypatch):
                                        op.fdoms, op.fcods)
         start = len(streamed)
         assert linalg.composite_residual([op], [other]) == 0.5
-        kept = math.prod(f.shape[1] for f, s in zip(op.factors, op.skip) if not s)
-        assert streamed[start:] == [kept]
-        full, core = full + op.in_dim, core + kept
-    # {1,2,4} -> {1,2,3,4}: a 729 x 81 map whose core is the 81 x 9 split of [2,4]
-    assert core < full and (729, 81) in {(op.out_dim, op.in_dim) for op, _ in splits}
+        assert streamed[start:] == [op.in_dim]
 
 
 # -- composing factored maps factor by factor ---------------------------------------
@@ -739,7 +717,7 @@ def test_merge_leaves_dense_operands_and_mismatched_layouts_alone():
 def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):
     # dense-d3's partition suite: the right side D[J,K] D[I,J] of every refinement and padded
     # cocycle record whose two maps are factored becomes one factored map laid out as the
-    # left side D[I,K], so the identity peel reaches it
+    # left side D[I,K], so ``_same_maps`` can settle it
     from cstar_systems import linalg, suites
     from cstar_systems.cli import RunConfig, build_setup
 

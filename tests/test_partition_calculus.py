@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 from functools import reduce
 
@@ -17,25 +18,21 @@ from cstar_systems.cli import RunConfig, build_setup
 from cstar_systems.linalg import DEFAULT_TOL, compose, max_abs, superop_tensor
 from cstar_systems.partition_calculus import (
     Germ,
-    SpaceTag,
-    cross_germ,
+    comultiplication,
     delta_cross,
     delta_interval_to_partition,
     delta_refinement,
-    germ_add,
+    germ,
+    germ_binop,
     germ_distance,
-    germ_mul,
+    interval_embedding,
     interval_map_left_nested,
     interval_map_right_nested,
     lift_morphism,
     lifted_morphism_residual,
     one_param_coassociativity_residual,
-    one_param_comultiplication,
     partition_algebra,
     push_germ,
-    sharp_comultiplication,
-    sharp_embedding,
-    sharp_germ,
     state_on_partition,
     unit_on_partition,
 )
@@ -255,48 +252,47 @@ class TestGerms:
     def test_pushed_representative_is_the_same_germ(self, diag):
         part, fine = Partition([1, 6]), Partition([1, 2, 4, 6])
         x = partition_algebra(diag, part).random_element(RNG)
-        g1 = sharp_germ(diag, part, x)
+        g1 = germ(diag, part, x)
         pushed = partition_algebra(diag, fine).from_vec(
             delta_refinement(diag, part, fine).apply(x.vec()))
-        g2 = sharp_germ(diag, fine, pushed)
+        g2 = germ(diag, fine, pushed)
         assert germ_distance(diag, g1, g2) <= EPS
 
     def test_push_to_own_partition_is_the_element(self, diag):
         part = Partition([1, 2, 4, 6])
         x = partition_algebra(diag, part).random_element(RNG)
         keys = set(diag._cache)
-        assert push_germ(diag, None, sharp_germ(diag, part, x), part) is x
+        assert push_germ(diag, None, germ(diag, part, x), part) is x
         assert set(diag._cache) == keys
         with pytest.raises(ValueError, match="blocks"):
-            push_germ(diag, None, Germ(part, diag.alg(F(1), F(2)).one(), SpaceTag.SHARP), part)
+            push_germ(diag, None, Germ(part, diag.alg(F(1), F(2)).one()), part)
 
     def test_distinct_elements_are_distinct_germs(self, diag):
         part = Partition([1, 6])
         alg = partition_algebra(diag, part)
         x = alg.random_element(RNG)
         bumped = x + 1e-3 * alg.matrix_unit(0, 0, 0)
-        assert germ_distance(diag, sharp_germ(diag, part, x),
-                         sharp_germ(diag, part, bumped)) > EPS
+        assert germ_distance(diag, germ(diag, part, x), germ(diag, part, bumped)) > EPS
 
     def test_cross_padding_identifies_padded_element(self, diag, diag_unit):
         x = diag.alg(F(1), F(2)).matrix_unit(0, 0, 0)
-        g1 = cross_germ(diag, Partition([1, 2]), x)
-        g2 = cross_germ(diag, Partition([1, 2, 3]),
-                        tensor_element(x, diag_unit.p(F(2), F(3))))
+        g1 = germ(diag, Partition([1, 2]), x)
+        g2 = germ(diag, Partition([1, 2, 3]),
+                  tensor_element(x, diag_unit.p(F(2), F(3))))
         assert germ_distance(diag, g1, g2, unit=diag_unit) <= EPS
 
     def test_sharp_germs_require_matching_intervals(self, diag):
-        g1 = sharp_germ(diag, Partition([1, 2]),
-                        diag.alg(F(1), F(2)).matrix_unit(0, 0, 0))
-        g2 = sharp_germ(diag, Partition([2, 3]),
-                        diag.alg(F(2), F(3)).matrix_unit(0, 0, 0))
+        g1 = germ(diag, Partition([1, 2]),
+                  diag.alg(F(1), F(2)).matrix_unit(0, 0, 0))
+        g2 = germ(diag, Partition([2, 3]),
+                  diag.alg(F(2), F(3)).matrix_unit(0, 0, 0))
         with pytest.raises(EndpointMismatchError):
             germ_distance(diag, g1, g2)
 
     def test_projection_germ_is_idempotent(self, diag, diag_unit):
         part = Partition([1, 3, 5])
-        g = cross_germ(diag, part, unit_on_partition(diag_unit, part))
-        assert germ_distance(diag, germ_mul(diag, g, g, unit=diag_unit), g,
+        g = germ(diag, part, unit_on_partition(diag_unit, part))
+        assert germ_distance(diag, germ_binop(diag, g, g, operator.mul, unit=diag_unit), g,
                              unit=diag_unit) <= EPS
         assert operator_norm(g.element) == pytest.approx(1.0)
 
@@ -306,29 +302,31 @@ class TestGerms:
         part, fine = Partition([2, 4]), Partition([2, 3, 4])
         w = np.linalg.qr(RNG.standard_normal((2, 2))
                          + 1j * RNG.standard_normal((2, 2)))[0]
-        g = sharp_germ(diag, part, partition_algebra(diag, part).from_vec(w.reshape(-1)))
+        g = germ(diag, part, partition_algebra(diag, part).from_vec(w.reshape(-1)))
         pushed = push_germ(diag, None, g, fine)
         assert operator_norm(pushed) == pytest.approx(1.0)
-        assert germ_distance(diag, sharp_germ(diag, fine, pushed.star()),
-                             sharp_germ(diag, part, g.element.star())) <= EPS
+        assert germ_distance(diag, germ(diag, fine, pushed.star()),
+                             germ(diag, part, g.element.star())) <= EPS
 
     def test_arithmetic_is_representative_independent(self, diag):
         part, fine = Partition([1, 6]), Partition([1, 3, 6])
         alg = partition_algebra(diag, part)
         x, y = alg.random_element(RNG), alg.random_element(RNG)
-        gx = sharp_germ(diag, part, x)
-        gy = sharp_germ(diag, part, y)
+        gx = germ(diag, part, x)
+        gy = germ(diag, part, y)
         pushed = partition_algebra(diag, fine).from_vec(
             delta_refinement(diag, part, fine).apply(x.vec()))
-        gx_fine = sharp_germ(diag, fine, pushed)
-        assert germ_distance(diag, germ_add(diag, gx, gy), germ_add(diag, gx_fine, gy)) <= EPS
-        assert germ_distance(diag, germ_mul(diag, gx, gy), germ_mul(diag, gx_fine, gy)) <= EPS
+        gx_fine = germ(diag, fine, pushed)
+        assert germ_distance(diag, germ_binop(diag, gx, gy, operator.add),
+                             germ_binop(diag, gx_fine, gy, operator.add)) <= EPS
+        assert germ_distance(diag, germ_binop(diag, gx, gy, operator.mul),
+                             germ_binop(diag, gx_fine, gy, operator.mul)) <= EPS
 
 
 class TestIntervalSplitting:
     def test_basis_split(self, diag):
-        g = sharp_germ(diag, Partition([1, 6]), diag.alg(F(1), F(6)).matrix_unit(0, 0, 1))
-        split = sharp_comultiplication(diag, g, F(3))
+        g = germ(diag, Partition([1, 6]), diag.alg(F(1), F(6)).matrix_unit(0, 0, 1))
+        split = comultiplication(diag, None, g, F(3))
         assert (split.left_partition, split.right_partition) == \
             (Partition([1, 3]), Partition([3, 6]))
         expected = tensor_element(diag.alg(F(1), F(3)).matrix_unit(0, 0, 1),
@@ -338,33 +336,55 @@ class TestIntervalSplitting:
     def test_split_of_compatible_partition_keeps_element(self, diag):
         part = Partition([1, 3, 6])
         x = partition_algebra(diag, part).random_element(RNG)
-        split = sharp_comultiplication(diag, sharp_germ(diag, part, x), F(3))
+        split = comultiplication(diag, None, germ(diag, part, x), F(3))
         assert split.element.distance(x) == 0
 
     def test_split_then_merge_is_identity(self, diag):
         part = Partition([1, 4, 6])
         x = partition_algebra(diag, part).random_element(RNG)
-        g = sharp_germ(diag, part, x)
+        g = germ(diag, part, x)
         for cut in (F(2), F(4), F(5)):
-            assert germ_distance(diag, sharp_comultiplication(diag, g, cut).merged(), g) <= EPS
+            assert germ_distance(diag, comultiplication(diag, None, g, cut).merged(), g) <= EPS
+
+    def test_interior_cut_only_refines(self, diag):
+        # without a unit, an interior cut s splits I u {s} at s and pushes the
+        # representative there by the refinement map
+        for part in (Partition([1, 6]), Partition([1, 4, 6]), Partition([2, 3, 5])):
+            g = germ(diag, part, partition_algebra(diag, part).random_element(RNG))
+            lo, hi = part.endpoints
+            for cut in (p for p in GRID6.points if lo < p < hi):
+                target = Partition(sorted(set(part.points) | {cut}))
+                split = comultiplication(diag, None, g, cut)
+                assert split.left_partition == target.restrict(lo, cut)
+                assert split.right_partition == target.restrict(cut, hi)
+                expected = delta_refinement(diag, part, target).apply(g.element.vec())
+                assert np.array_equal(split.element.vec(), expected)
+
+    def test_cut_outside_the_interval_needs_a_unit(self, diag, diag_unit):
+        # at or beyond an endpoint the split pads, which only a unit can do
+        g = germ(diag, Partition([2, 4]), diag.alg(F(2), F(4)).matrix_unit(0, 0, 0))
+        for cut in (F(2), F(4), F(5)):
+            with pytest.raises(EndpointMismatchError):
+                comultiplication(diag, None, g, cut)
+            split = comultiplication(diag, diag_unit, g, cut)
+            assert split.joint_partition.endpoints != (F(2), F(4))
 
     def test_cut_must_be_interior_grid_point(self, diag):
-        g = sharp_germ(diag, Partition([2, 5]), diag.alg(F(2), F(5)).matrix_unit(0, 0, 0))
+        g = germ(diag, Partition([2, 5]), diag.alg(F(2), F(5)).matrix_unit(0, 0, 0))
         with pytest.raises(OffGridError):
-            sharp_comultiplication(diag, g, F(7, 2))
+            comultiplication(diag, None, g, F(7, 2))
         with pytest.raises(ValueError):
-            sharp_comultiplication(diag, g, F(6))
+            comultiplication(diag, None, g, F(6))
 
 
 class TestIntervalEmbedding:
     def test_identity_case(self, diag, diag_unit):
-        g = sharp_germ(diag, Partition([2, 4]), diag.alg(F(2), F(4)).matrix_unit(0, 0, 0))
-        assert sharp_embedding(diag, diag_unit, g, F(2), F(4)) is g
+        g = germ(diag, Partition([2, 4]), diag.alg(F(2), F(4)).matrix_unit(0, 0, 0))
+        assert interval_embedding(diag, diag_unit, g, F(2), F(4)) is g
 
     def test_padding_formula(self, diag, diag_unit):
         x = diag.alg(F(2), F(4)).matrix_unit(0, 0, 1)
-        g = sharp_embedding(diag, diag_unit,
-                            sharp_germ(diag, Partition([2, 4]), x), F(1), F(5))
+        g = interval_embedding(diag, diag_unit, germ(diag, Partition([2, 4]), x), F(1), F(5))
         assert g.partition == Partition([1, 2, 4, 5])
         expected = tensor_element(tensor_element(diag_unit.p(F(1), F(2)), x),
                                   diag_unit.p(F(4), F(5)))
@@ -372,11 +392,11 @@ class TestIntervalEmbedding:
 
     def test_functoriality(self, diag, diag_unit):
         x = partition_algebra(diag, Partition([3, 4])).random_element(RNG)
-        g = sharp_germ(diag, Partition([3, 4]), x)
-        via = sharp_embedding(diag, diag_unit,
-                              sharp_embedding(diag, diag_unit, g, F(2), F(5)),
-                              F(1), F(6))
-        direct = sharp_embedding(diag, diag_unit, g, F(1), F(6))
+        g = germ(diag, Partition([3, 4]), x)
+        via = interval_embedding(diag, diag_unit,
+                                 interval_embedding(diag, diag_unit, g, F(2), F(5)),
+                                 F(1), F(6))
+        direct = interval_embedding(diag, diag_unit, g, F(1), F(6))
         assert germ_distance(diag, via, direct, unit=diag_unit) <= EPS
 
 
@@ -384,23 +404,23 @@ class TestOneParamComultiplication:
     def test_generator_rule_on_elementary_tensors(self, diag, diag_unit):
         x = diag.alg(F(2), F(3)).matrix_unit(0, 0, 1)
         y = diag.alg(F(3), F(5)).matrix_unit(0, 1, 1)
-        g = cross_germ(diag, Partition([2, 3, 5]), tensor_element(x, y))
-        split = one_param_comultiplication(diag, diag_unit, g, F(3))
+        g = germ(diag, Partition([2, 3, 5]), tensor_element(x, y))
+        split = comultiplication(diag, diag_unit, g, F(3))
         assert (split.left_partition, split.right_partition) == \
             (Partition([2, 3]), Partition([3, 5]))
         assert split.element.distance(tensor_element(x, y)) == 0
 
     def test_interior_cut_of_trivial_partition(self, diag, diag_unit):
         x = diag.alg(F(2), F(5)).matrix_unit(0, 0, 1)
-        split = one_param_comultiplication(
-            diag, diag_unit, cross_germ(diag, Partition([2, 5]), x), F(3))
+        split = comultiplication(
+            diag, diag_unit, germ(diag, Partition([2, 5]), x), F(3))
         expected = diag.delta(F(2), F(3), F(5)).apply(x.vec())
         assert max_abs(split.element.vec() - expected) == 0
 
     def test_support_right_of_cut_pads_with_unit(self, diag, diag_unit):
         x = diag.alg(F(4), F(5)).matrix_unit(0, 1, 1)
-        split = one_param_comultiplication(
-            diag, diag_unit, cross_germ(diag, Partition([4, 5]), x), F(3))
+        split = comultiplication(
+            diag, diag_unit, germ(diag, Partition([4, 5]), x), F(3))
         # the stretch [2,4] below the germ's support fills with unit projections
         assert split.left_partition == Partition([2, 3])
         assert split.right_partition == Partition([3, 4, 5])
@@ -409,29 +429,29 @@ class TestOneParamComultiplication:
         assert split.element.distance(expected) == 0
 
     def test_grid_must_straddle_the_cut(self, diag, diag_unit):
-        g = cross_germ(diag, Partition([2, 3]), diag.alg(F(2), F(3)).matrix_unit(0, 0, 0))
+        g = germ(diag, Partition([2, 3]), diag.alg(F(2), F(3)).matrix_unit(0, 0, 0))
         with pytest.raises(ValueError, match="straddle"):
-            one_param_comultiplication(diag, diag_unit, g, F(1))
+            comultiplication(diag, diag_unit, g, F(1))
         with pytest.raises(OffGridError):
-            one_param_comultiplication(diag, diag_unit, g, F(5, 2))
+            comultiplication(diag, diag_unit, g, F(5, 2))
 
     def test_deformed_coassociativity_on_random_germs(self, diag, diag_unit):
         part = Partition([2, 5])
         for _ in range(3):
-            g = cross_germ(diag, part,
-                           partition_algebra(diag, part).random_element(RNG))
+            g = germ(diag, part,
+                     partition_algebra(diag, part).random_element(RNG))
             assert one_param_coassociativity_residual(
                 diag, diag_unit, g, F(3), F(4)) < 1e-9
 
     def test_group_like_unit_germ(self, diag, diag_unit):
-        ref = cross_germ(diag, Partition([1, 2]),
-                         unit_on_partition(diag_unit, Partition([1, 2])))
+        ref = germ(diag, Partition([1, 2]),
+                   unit_on_partition(diag_unit, Partition([1, 2])))
         for pair in [(F(2), F(4)), (F(3), F(6)), (F(1), F(6))]:
             part = Partition(pair)
-            g = cross_germ(diag, part, unit_on_partition(diag_unit, part))
+            g = germ(diag, part, unit_on_partition(diag_unit, part))
             assert germ_distance(diag, g, ref, unit=diag_unit) <= EPS
         for cut in (F(2), F(3), F(5)):
-            split = one_param_comultiplication(diag, diag_unit, ref, cut)
+            split = comultiplication(diag, diag_unit, ref, cut)
             joint_unit = unit_on_partition(diag_unit, split.joint_partition)
             assert split.element.distance(joint_unit) == 0
 

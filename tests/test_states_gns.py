@@ -20,14 +20,13 @@ from cstar_systems.commutative import (
 )
 from cstar_systems.linalg import composite_residual, isometry_residual, max_abs
 from cstar_systems.partition_calculus import (
-    cross_germ,
+    comultiplication,
     delta_cross,
     delta_interval_to_partition,
     delta_refinement,
+    germ,
     germ_distance,
     partition_algebra,
-    sharp_comultiplication,
-    sharp_germ,
     state_on_partition,
     unit_on_partition,
 )
@@ -137,14 +136,14 @@ class TestDilatedFunctional:
         _, sys = diag
         _, fam = diag_families
         x = sys.alg(F(1), F(3)).random_element(RNG)
-        g = sharp_germ(sys, Partition([1, 3]), x)
+        g = germ(sys, Partition([1, 3]), x)
         assert counit_dilation_eval(sys, fam, g) == pytest.approx(fam.phi(F(1), F(3))(x))
 
     def test_product_value_on_unit_tensor(self, diag, diag_families):
         _, sys = diag
         unit, fam = diag_families
         part = Partition([1, 2, 3])
-        g = sharp_germ(sys, part, unit_on_partition(unit, part))
+        g = germ(sys, part, unit_on_partition(unit, part))
         assert counit_dilation_eval(sys, fam, g) == pytest.approx(1.0)
 
     def test_representative_independence(self, diag, diag_families):
@@ -152,13 +151,13 @@ class TestDilatedFunctional:
         _, fam = diag_families
         coarse = Partition([1, 4])
         x = partition_algebra(sys, coarse).random_element(RNG)
-        g1 = sharp_germ(sys, coarse, x)
+        g1 = germ(sys, coarse, x)
         for fine in enumerate_partitions(sys.grid, F(1), F(4), 2):
             if fine == coarse:
                 continue
             pushed = partition_algebra(sys, fine).from_vec(
                 delta_refinement(sys, coarse, fine).apply(x.vec()))
-            g2 = sharp_germ(sys, fine, pushed)
+            g2 = germ(sys, fine, pushed)
             assert abs(counit_dilation_eval(sys, fam, g1)
                        - counit_dilation_eval(sys, fam, g2)) < 1e-9
 
@@ -166,8 +165,8 @@ class TestDilatedFunctional:
         _, sys = diag
         fam = constant_functional_family(
             sys, lambda alg: trace_functional(alg, normalized=True))
-        g = sharp_germ(sys, Partition([1, 2]),
-                       sys.alg(F(1), F(2)).matrix_unit(0, 0, 0))
+        g = germ(sys, Partition([1, 2]),
+                 sys.alg(F(1), F(2)).matrix_unit(0, 0, 0))
         with pytest.raises(ValueError, match="not co-multiplicative"):
             counit_dilation_eval(sys, fam, g)
 
@@ -178,7 +177,7 @@ class TestIdempotentState:
         unit, fam = diag_families
         phi = build_idempotent_state(sys, unit, fam)
         part = Partition([1, 2, 4])
-        g = cross_germ(sys, part, unit_on_partition(unit, part))
+        g = germ(sys, part, unit_on_partition(unit, part))
         assert phi(g) == pytest.approx(1.0)
         for cut in (F(2), F(3)):
             assert idempotency_residual(sys, unit, phi, g, cut) < 1e-9
@@ -189,8 +188,8 @@ class TestIdempotentState:
         phi = build_idempotent_state(sys, unit, fam)
         part = Partition([2, 4])
         for _ in range(3):
-            g = cross_germ(sys, part,
-                           partition_algebra(sys, part).random_element(RNG))
+            g = germ(sys, part,
+                     partition_algebra(sys, part).random_element(RNG))
             assert idempotency_residual(sys, unit, phi, g, F(3)) < 1e-9
 
     def test_unnormalized_trace_rejected_as_non_state(self, diag, diag_families):
@@ -216,7 +215,7 @@ class TestIdempotentState:
         fam = constant_functional_family(sys, vector_state)
         phi = build_idempotent_state(sys, unit, fam)
         part = Partition([1, 2, 3, 4])
-        g = cross_germ(sys, part, partition_algebra(sys, part).one())
+        g = germ(sys, part, partition_algebra(sys, part).one())
         assert phi(g) == pytest.approx(1.0)
 
     def test_marginals_round_trip(self, diag, diag_families):
@@ -321,9 +320,9 @@ class TestHilbertPartitionIsometries:
         hs, _ = diag
         coarse = Partition([1, 4])
         e1 = np.array([1.0, 0.0])
-        g = sharp_germ(hs.vectors, coarse,
-                       partition_algebra(hs.vectors, coarse).from_vec(e1))
-        split = sharp_comultiplication(hs.vectors, g, F(2))
+        g = germ(hs.vectors, coarse,
+                 partition_algebra(hs.vectors, coarse).from_vec(e1))
+        split = comultiplication(hs.vectors, None, g, F(2))
         assert split.left_partition == Partition([1, 2])
         assert split.right_partition == Partition([2, 4])
         assert max_abs(split.element.vec() - np.kron(e1, e1)) == 0
