@@ -12,6 +12,7 @@ and bases line up canonically across runs.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,8 +46,8 @@ class FiniteCStarAlgebra:
     blocks: tuple[int, ...]
 
     def __init__(self, blocks: Iterable[int]):
-        bl = tuple(int(n) for n in blocks)
-        if not bl or any(n < 1 for n in bl):
+        bl = tuple(map(operator.index, blocks))  # a float or string size is a TypeError
+        if not bl or min(bl) < 1:
             raise ValueError(f"block sizes must be positive, got {bl}")
         object.__setattr__(self, "blocks", bl)
 

@@ -1,12 +1,11 @@
 """The ``verify`` command: parse a configuration, build its system, run the suites, print.
 
-``SYSTEM_KINDS`` is the one registry of configured system kinds.  Each entry
-holds the payload builder, which returns the system, its Hilbert or
-multiplicative system if there is one and the class the generator should
-produce, together with the unit and the co-unit that ``"standard"`` means for
-that kind.  Defaults are keyed on the configured kind, so a ``perturb_delta``
-negative control keeps the defaults of the system it perturbs.  The suites
-themselves live in ``suites.py``.
+Each config key is a ``RunConfig`` field with its default and its check.  Each
+system kind declares its payload fields, with theirs, in its ``SYSTEM_KINDS``
+entry, beside its builder and the unit and co-unit that ``"standard"`` means for
+it.  So ``RunConfig.from_json`` checks the whole document before anything is
+built.  Defaults are keyed on the configured kind, so a ``perturb_delta`` negative
+control keeps the defaults of the system it perturbs.  The suites live in ``suites.py``.
 
 Exit codes: 0 all checks pass, 1 some check fails, 2 invalid configuration
 (including a dimension-cap violation, which names the offending partition).
@@ -22,7 +21,7 @@ import json
 import os
 import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -79,28 +78,42 @@ from .systems import (
     trivial_from_bialgebra,
     trivial_unit,
 )
-from .timegrid import format_timepoint
+from .timegrid import Partition, format_timepoint
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _as_integer(value, name: str) -> int:
+def _check(ok: Callable, what: str) -> Callable:
+    """The check that passes a value on which ``ok`` holds; ``what`` describes such a value."""
+    def check(value, name: str):
+        if not ok(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_table = _check(lambda value: isinstance(value, dict), "a JSON object")
+_object = _check(lambda value: value is None or isinstance(value, dict), "a JSON object")
+_text = _check(lambda value: value is None or isinstance(value, str), "a string")
+_array = _check(lambda value: isinstance(value, (list, tuple)), "a JSON array")
+
+
+def _one_of(*options: str) -> Callable:
+    return _check(lambda value: value in options, f"one of {list(options)}")
+
+
+def _integer(value, name: str, minimum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
     return value
 
 
-def _integer(obj: dict, name: str, default: int) -> int:
-    return _as_integer(obj.get(name, default), name)
-
-
-def _object(obj: dict, name: str) -> Optional[dict]:
-    value = obj.get(name)
-    if value is not None and not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return value
+def _integers(value, name: str) -> list[int]:
+    return [_integer(x, f"{name} entry") for x in _array(value, name)]
 
 
 def _grid(value, name: str) -> Grid:
@@ -112,6 +125,23 @@ def _grid(value, name: str) -> Grid:
         raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
+def _system(value, name: str) -> dict:
+    if not isinstance(value, dict) or not isinstance(value.get("kind"), str):
+        raise ConfigError("config needs a system object with a string 'kind'")
+    if value["kind"] not in SYSTEM_KINDS:
+        raise ConfigError(f"unknown system kind {value['kind']!r}")
+    return value
+
+
+def _suites(value, name: str) -> tuple[str, ...]:
+    if not _array(value, name):
+        raise ConfigError("config needs a nonempty list of suites")
+    unknown = [s for s in value if s not in ALL_SUITES]
+    if unknown:
+        raise ConfigError(f"unknown suites {unknown}; valid: {list(ALL_SUITES)}")
+    return tuple(value)
+
+
 def _finite(value, name: str, minimum: float = -_sys.float_info.max) -> float:
     """A finite JSON number of at least ``minimum``; a boolean is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -121,92 +151,87 @@ def _finite(value, name: str, minimum: float = -_sys.float_info.max) -> float:
     return float(value)
 
 
-def _report_path(obj: dict) -> Optional[str]:
-    value = obj.get("report_path")
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"report_path must be a string, got {value!r}")
-    if value and not os.path.isdir(os.path.dirname(value) or "."):
+def _epsilon(value, name: str) -> float:
+    epsilon = _finite(value, "perturb_delta epsilon")
+    if abs(epsilon) > 1:
+        # no larger than the 0/1 entries it bumps; far larger ones overflow the residuals
+        raise ConfigError(f"perturb_delta epsilon must lie in [-1, 1], got {epsilon!r}")
+    return epsilon
+
+
+def _report_path(value, name: str) -> Optional[str]:
+    if _text(value, name) and not os.path.isdir(os.path.dirname(value) or "."):
         raise ConfigError(f"report_path {value!r} is in a directory that does not exist")
     return value
 
 
-CONFIG_KEYS = frozenset({"grid", "system", "suites", "unit", "counit", "measures", "tolerance",
-                         "max_interior_points", "dim_cap", "seed", "report_path",
-                         "perturb_delta"})
+def _fields(declared: dict, obj: dict, owner: str, allowed: tuple = ()) -> dict:
+    """The fields of ``obj`` declared as ``{name: (check, default)}``, checked, with the
+    defaults filled in; keys besides those and the ``allowed`` ones are an error."""
+    valid = sorted({*declared, *allowed})
+    unknown = sorted(set(obj).difference(valid))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {owner}; valid: {valid}")
+    return {name: check(obj.get(name, default), name)
+            for name, (check, default) in declared.items()}
+
+
+def _key(check: Callable, default=None):
+    """A config key: a ``RunConfig`` field with its check ``(value, name) -> value`` and its
+    default.  As for payload fields, the default goes through the check too, so a key whose
+    default fails its check must be given."""
+    return field(default=default, metadata={"check": check})
+
+
+PERTURBATION = {"triple": (_text, None), "epsilon": (_epsilon, 1e-3)}
 
 
 @dataclass
 class RunConfig:
-    grid: Grid
-    system: dict
-    suites: tuple[str, ...]
-    unit_spec: Optional[dict] = None
-    counit_spec: Optional[dict] = None
-    measures: Optional[dict] = None
-    tolerance: float = 1e-9
-    max_interior_points: int = 4
-    dim_cap: int = 4096
-    seed: int = 42
-    report_path: Optional[str] = None
-    perturb_delta: Optional[dict] = None
+    """A checked configuration: one field per config key, then the checked fields of
+    ``system`` and ``perturb_delta``, which the report shows as written."""
+
+    grid: Grid = _key(_grid)
+    system: dict = _key(_system)
+    suites: tuple[str, ...] = _key(_suites, ())
+    unit: Optional[dict] = _key(_object)
+    counit: Optional[dict] = _key(_object)
+    measures: Optional[dict] = _key(_object)
+    tolerance: float = _key(partial(_finite, minimum=0), 1e-9)
+    max_interior_points: int = _key(partial(_integer, minimum=0), 4)
+    dim_cap: int = _key(_integer, 4096)
+    seed: int = _key(partial(_integer, minimum=0), 42)
+    report_path: Optional[str] = _key(_report_path)
+    perturb_delta: Optional[dict] = _key(_object)
+    payload: dict = field(default=None, init=False, repr=False)
+    perturbation: Optional[dict] = field(default=None, init=False, repr=False)
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError(f"a config must be a JSON object, got {obj!r}")
-        unknown = sorted(set(obj) - CONFIG_KEYS)
+        keys = {f.name: f for f in fields(RunConfig) if f.init}
+        unknown = sorted(set(obj).difference(keys))
         if unknown:
-            raise ConfigError(f"unknown config keys {unknown}; valid: {sorted(CONFIG_KEYS)}")
-        grid = _grid(obj.get("grid"), "grid")
-        system = obj.get("system")
-        if not isinstance(system, dict) or not isinstance(system.get("kind"), str):
-            raise ConfigError("config needs a system object with a string 'kind'")
-        if "grid" in system:
-            # standalone system objects carry their grid; it must agree
-            if _grid(system["grid"], "system grid").points != grid.points:
-                raise ConfigError("the system object's grid differs from the config grid")
-        suites = obj.get("suites", [])
-        if not isinstance(suites, list):
-            raise ConfigError(f"suites must be a JSON array, got {suites!r}")
-        suites = tuple(suites)
-        if not suites:
-            raise ConfigError("config needs a nonempty list of suites")
-        unknown = [s for s in suites if s not in ALL_SUITES]
-        if unknown:
-            raise ConfigError(f"unknown suites {unknown}; valid: {list(ALL_SUITES)}")
-        config = RunConfig(
-            grid=grid,
-            system=system,
-            suites=suites,
-            unit_spec=_object(obj, "unit"),
-            counit_spec=_object(obj, "counit"),
-            measures=_object(obj, "measures"),
-            tolerance=_finite(obj.get("tolerance", 1e-9), "tolerance", 0),
-            max_interior_points=_integer(obj, "max_interior_points", 4),
-            dim_cap=_integer(obj, "dim_cap", 4096),
-            seed=_integer(obj, "seed", 42),
-            report_path=_report_path(obj),
-            perturb_delta=_object(obj, "perturb_delta"),
-        )
-        for name in ("max_interior_points", "seed"):
-            if getattr(config, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            raise ConfigError(f"unknown config keys {unknown}; valid: {sorted(keys)}")
+        config = RunConfig(**{name: f.metadata["check"](obj.get(name, f.default), name)
+                              for name, f in keys.items()})
+        system, kind = config.system, config.system["kind"]
+        # standalone system objects carry their grid; it must agree
+        if "grid" in system and _grid(system["grid"], "system grid").points != config.grid.points:
+            raise ConfigError("the system object's grid differs from the config grid")
+        config.payload = _fields(SYSTEM_KINDS[kind].fields, system, f"a {kind!r} system",
+                                 ("kind", "grid"))
+        if config.perturb_delta:
+            config.perturbation = _fields(PERTURBATION, config.perturb_delta, "perturb_delta")
         return config
 
     def normalized(self) -> dict:
-        return {
-            "grid": [format_timepoint(p) for p in self.grid.points],
-            "system": self.system,
-            "suites": list(self.suites),
-            "unit": self.unit_spec,
-            "counit": self.counit_spec,
-            "measures": self.measures,
-            "tolerance": self.tolerance,
-            "max_interior_points": self.max_interior_points,
-            "dim_cap": self.dim_cap,
-            "seed": self.seed,
-            "perturb_delta": self.perturb_delta,
-        }
+        """The report's config block: every key but ``report_path``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.init and f.name != "report_path"}
+        return dict(out, grid=[format_timepoint(p) for p in self.grid.points],
+                    suites=list(self.suites))
 
 
 # -- system kinds ------------------------------------------------------------------
@@ -222,22 +247,26 @@ class Built(NamedTuple):
 
 class SystemKind(NamedTuple):
     """A payload builder ``(payload, grid, dim_cap) -> Built``, the kind's standard families
-    and the payload keys the builder reads, besides ``kind`` and ``grid``."""
+    and its payload fields ``{name: (check, default)}``, besides ``kind`` and ``grid``."""
 
     build: Callable[[dict, Grid, int], Built]
     unit: Callable[[TensorialSystem], UnitFamily]
     counit: Callable[..., FunctionalFamily]  # (system, mult, measures)
-    keys: tuple[str, ...]
+    fields: dict
 
 
-def _keyed(table: dict, arity: int, make: Callable) -> dict:
-    """Parse ``{"s,t": spec}`` into ``{(s, t): make(spec, s, t)}``; one-point keys stay points."""
+def _keyed(table: dict, arity: int, make: Callable, cover=()) -> dict:
+    """Parse ``{"s,t": spec}`` into ``{(s, t): make(spec, s, t)}``; one-point keys stay points.
+    Each pair in ``cover`` needs an entry."""
     out = {}
-    for key, spec in table.items():
+    for key, spec in _table(table, "a time-keyed table").items():
         times = parse_time_key(key)
         if len(times) != arity:
             raise ValueError(f"key {key!r} needs {arity} time points")
         out[times[0] if arity == 1 else times] = make(spec, *times)
+    for pair in cover:
+        if pair not in out:
+            raise ConfigError(f"a table has no entry for the pair {Partition(pair)}")
     return out
 
 
@@ -246,26 +275,21 @@ def _algebras(table: dict, arity: int) -> dict:
 
 
 def _build_diagonal(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    d = _integer(payload, "d", 2)
-    hilbert, system = diagonal_system(grid, d, dim_cap=dim_cap)
-    return Built(system, hilbert, expected="product" if d == 1 else "subproduct")
+    hilbert, system = diagonal_system(grid, payload["d"], dim_cap=dim_cap)
+    return Built(system, hilbert, expected="product" if payload["d"] == 1 else "subproduct")
 
 
 def _build_glue_hilbert(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    dims = [_as_integer(x, "cell_dims entry") for x in payload["cell_dims"]]
-    hilbert, system = glue_hilbert_system(grid, dims, dim_cap=dim_cap)
+    hilbert, system = glue_hilbert_system(grid, payload["cell_dims"], dim_cap=dim_cap)
     return Built(system, hilbert, expected="product")
 
 
 def _build_bialgebra(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    model = payload.get("model", "z2")
-    if model == "z2":
+    if payload["model"] == "z2":
         alg, delta = group_z2_bialgebra()
-    elif model == "explicit":
+    else:
         alg = FiniteCStarAlgebra(payload["blocks"])
         delta = superop_from_json(payload["delta"], alg.blocks, tensor_algebra(alg, alg).blocks)
-    else:
-        raise ConfigError(f"unknown bialgebra model {model!r}")
     return Built(trivial_from_bialgebra(grid, alg, delta, dim_cap=dim_cap))
 
 
@@ -284,20 +308,15 @@ def _build_custom(payload: dict, grid: Grid, dim_cap: int) -> Built:
 
 
 def _build_commutative(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    model = payload.get("model", "explicit")
-    if model == "glue":
-        base = FiniteSpace(_integer(payload, "base", 2))
-        mult, expected = glue_system(grid, base, dim_cap=dim_cap), "product"
-    elif model == "z2":
+    if payload["model"] == "glue":
+        mult, expected = glue_system(grid, FiniteSpace(payload["base"]), dim_cap=dim_cap), "product"
+    elif payload["model"] == "z2":
         mult, expected = modular_addition_system(grid, 2), "subproduct"
-    elif model == "explicit":
-        spaces = _keyed(payload["spaces"], 2,
-                        lambda n, s, t: FiniteSpace(_as_integer(n, "space size")))
+    else:
+        spaces = _keyed(payload["spaces"], 2, lambda n, s, t: FiniteSpace(n))
         chi = _keyed(payload["chi"], 3, lambda table, r, s, t: MultMap(
             np.asarray(table), spaces[(r, t)].size))
         mult, expected = FiniteMultSystem(grid, spaces, chi), None
-    else:
-        raise ConfigError(f"unknown commutative model {model!r}")
     return Built(to_cstar(mult, dim_cap=dim_cap), mult=mult, expected=expected)
 
 
@@ -328,41 +347,48 @@ def _measures_or_uniform(system, mult, measures) -> FunctionalFamily:
     return (_from_measures if measures else _uniform)(system, mult, measures)
 
 
+_positive = partial(_integer, minimum=1)
+
 # "standard" means the first basis projection and the vector state on matrix
 # systems; the identity on systems with unital maps (function algebras, group
 # coproducts); and on the commutative models their configured measures, or the
 # uniform ones when none are configured.
 SYSTEM_KINDS = {
-    "diagonal": SystemKind(_build_diagonal, standard_unit, _vector_states, ("d",)),
+    "diagonal": SystemKind(_build_diagonal, standard_unit, _vector_states, {"d": (_positive, 2)}),
     "glue_hilbert": SystemKind(_build_glue_hilbert, standard_unit, _faithful_cell_product,
-                               ("cell_dims",)),
-    "trivial_bialgebra": SystemKind(_build_bialgebra, trivial_unit, _vector_states,
-                                    ("model", "blocks", "delta")),
+                               {"cell_dims": (_integers, None)}),
+    "trivial_bialgebra": SystemKind(_build_bialgebra, trivial_unit, _vector_states, {
+        "model": (_one_of("z2", "explicit"), "z2"), "blocks": (_integers, []),
+        "delta": (_table, {})}),
     "one_parameter": SystemKind(_build_one_parameter, standard_unit, _vector_states,
-                                ("durations", "maps")),
-    "custom": SystemKind(_build_custom, standard_unit, _vector_states, ("algebras", "deltas")),
-    "commutative": SystemKind(_build_commutative, trivial_unit, _measures_or_uniform,
-                              ("model", "base", "spaces", "chi")),
+                                {"durations": (_table, None), "maps": (_table, None)}),
+    "custom": SystemKind(_build_custom, standard_unit, _vector_states,
+                         {"algebras": (_table, None), "deltas": (_table, None)}),
+    "commutative": SystemKind(_build_commutative, trivial_unit, _measures_or_uniform, {
+        "model": (_one_of("glue", "z2", "explicit"), "explicit"), "base": (_positive, 2),
+        "spaces": (_table, {}), "chi": (_table, {})}),
 }
-UNIT_KINDS = {"trivial": trivial_unit, "first_point_indicator": indicator_unit}
-COUNIT_KINDS = {
-    "vector_state": _vector_states,
-    "faithful_cell_product": _faithful_cell_product,
-    "from_measures": _from_measures,
-    "uniform": _uniform,
-    "trace_normalized": lambda system, *_: constant_functional_family(
-        system, partial(trace_functional, normalized=True)),
+# per role: the family, the table an explicit spec gives, its entry parser and the named kinds
+FAMILIES = {
+    "unit": (UnitFamily, "elements", element_from_json,
+             {"trivial": trivial_unit, "first_point_indicator": indicator_unit}),
+    "counit": (FunctionalFamily, "functionals", functional_from_json, {
+        "vector_state": _vector_states,
+        "faithful_cell_product": _faithful_cell_product,
+        "from_measures": _from_measures,
+        "uniform": _uniform,
+        "trace_normalized": lambda system, *_: constant_functional_family(
+            system, partial(trace_functional, normalized=True)),
+    }),
 }
 
 
-def _perturbed(system: TensorialSystem, spec: dict) -> TensorialSystem:
+def _perturbed(system: TensorialSystem, triple: Optional[str], epsilon: float) -> TensorialSystem:
     """The system with one entry of one comultiplication bumped by ``epsilon``."""
-    key = parse_time_key(spec["triple"]) if "triple" in spec else system.grid.triples()[0]
+    key = min(system.deltas, default=None) if triple is None else parse_time_key(triple)
+    if key not in system.deltas:
+        raise ConfigError(f"perturb_delta needs a triple of the grid, got {triple!r}")
     old = system.deltas[key]
-    epsilon = _finite(spec.get("epsilon", 1e-3), "perturb_delta epsilon")
-    if abs(epsilon) > 1:
-        # no larger than the 0/1 entries it bumps; far larger ones overflow the residuals
-        raise ConfigError(f"perturb_delta epsilon must lie in [-1, 1], got {epsilon!r}")
     mat = old.matrix.copy()
     mat[0, 0] += epsilon
     deltas = {**system.deltas, key: Superoperator(mat, old.dom, old.cod)}
@@ -370,57 +396,37 @@ def _perturbed(system: TensorialSystem, spec: dict) -> TensorialSystem:
                            kind=system.kind + "+perturbed", payload=system.payload)
 
 
-def _resolve_unit(spec: Optional[dict], kind: SystemKind,
-                  system: TensorialSystem) -> Optional[UnitFamily]:
+def _family(role: str, config: RunConfig, system: TensorialSystem, *args):
+    """The unit or co-unit family that ``config`` names; ``args`` go to a co-unit's maker."""
+    family, table, parse, kinds = FAMILIES[role]
+    spec = getattr(config, role)
     name = (spec or {}).get("kind", "standard")
     if name == "none":
         return None
     if name == "explicit":
-        return UnitFamily(_keyed(spec["elements"], 2, lambda obj, s, t: element_from_json(
-            system.algebras[(s, t)], obj)))
-    make = kind.unit if name == "standard" else UNIT_KINDS.get(name)
+        return family(_keyed(spec.get(table), 2, lambda obj, s, t: parse(
+            system.algebras[(s, t)], obj), cover=system.algebras))
+    make = {"standard": getattr(SYSTEM_KINDS[config.system["kind"]], role), **kinds}.get(name)
     if make is None:
-        raise ConfigError(f"unknown unit kind {name!r}")
-    return make(system)
-
-
-def _resolve_counit(spec: Optional[dict], kind: SystemKind, system: TensorialSystem,
-                    mult: Optional[FiniteMultSystem],
-                    measures: Optional[dict]) -> Optional[FunctionalFamily]:
-    name = (spec or {}).get("kind", "standard")
-    if name == "none":
-        return None
-    if name == "explicit":
-        return FunctionalFamily(_keyed(spec["functionals"], 2, lambda obj, s, t: (
-            functional_from_json(system.algebras[(s, t)], obj))))
-    make = kind.counit if name == "standard" else COUNIT_KINDS.get(name)
-    if make is None:
-        raise ConfigError(f"unknown counit kind {name!r}")
-    return make(system, mult, measures)
+        raise ConfigError(f"unknown {role} kind {name!r}")
+    return make(system, *args)
 
 
 def build_setup(config: RunConfig) -> Setup:
-    name = config.system["kind"]
-    kind = SYSTEM_KINDS.get(name)
-    if kind is None:
-        raise ConfigError(f"unknown system kind {name!r}")
-    allowed = {"kind", "grid", *kind.keys}
-    unknown = sorted(set(config.system) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} in a {name!r} system; valid: {sorted(allowed)}")
     try:
-        built = kind.build(config.system, config.grid, config.dim_cap)
+        built = SYSTEM_KINDS[config.system["kind"]].build(config.payload, config.grid,
+                                                          config.dim_cap)
         if config.measures is not None and built.mult is None:
-            raise ConfigError(f"measures need a commutative system, not {name!r}")
+            raise ConfigError(f"measures need a commutative system, not {config.system['kind']!r}")
         system, expected = built.system, built.expected
-        if config.perturb_delta:
-            system, expected = _perturbed(system, config.perturb_delta), None
+        if config.perturbation:
+            system, expected = _perturbed(system, **config.perturbation), None
         if len(config.grid.points) < 3:
             expected = None  # no triples: the classification is vacuous
         measures = None if config.measures is None else _keyed(
-            config.measures, 2, lambda vals, s, t: as_measure(vals))
-        unit = _resolve_unit(config.unit_spec, kind, system)
-        counit = _resolve_counit(config.counit_spec, kind, system, built.mult, measures)
+            config.measures, 2, lambda vals, s, t: as_measure(vals), cover=system.algebras)
+        unit = _family("unit", config, system)
+        counit = _family("counit", config, system, built.mult, measures)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -466,34 +472,27 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "systems over a finite grid.",
     )
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
-    parser.add_argument("--tol", type=float, default=None, help="residual tolerance override")
-    parser.add_argument("--max-interior", type=int, default=None,
+    # every other flag overrides the config key it names as its dest
+    parser.add_argument("--tol", dest="tolerance", type=float, help="residual tolerance override")
+    parser.add_argument("--max-interior", dest="max_interior_points", type=int,
                         help="max interior points per partition")
-    parser.add_argument("--report", default=None, help="path for the JSON report")
-    parser.add_argument("--seed", type=int, default=None, help="seed for random elements")
-    parser.add_argument("--suites", default=None,
+    parser.add_argument("--report", dest="report_path", help="path for the JSON report")
+    parser.add_argument("--seed", type=int, help="seed for random elements")
+    parser.add_argument("--suites",
+                        type=lambda text: [s.strip() for s in text.split(",") if s.strip()],
                         help="comma-separated subset of " + ",".join(ALL_SUITES))
-    args = parser.parse_args(argv)
+    overrides = vars(parser.parse_args(argv))
+    path = overrides.pop("config")
 
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
 
-    overrides = {
-        "tolerance": args.tol,
-        "max_interior_points": args.max_interior,
-        "seed": args.seed,
-        "report_path": args.report,
-        "suites": None if args.suites is None
-        else [s.strip() for s in args.suites.split(",") if s.strip()],
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-
+    if isinstance(raw, dict):  # from_json rejects any other document
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         config = RunConfig.from_json(raw)
         out, overall, wall = run(config)

@@ -49,6 +49,8 @@ class FiniteSpace:
     size: int
 
     def __post_init__(self):
+        if isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer)):
+            raise ValueError(f"a space size must be an integer, got {self.size!r}")
         if self.size < 1:
             raise ValueError("spaces must be non-empty")
 
@@ -61,12 +63,14 @@ class MultMap:
     out_size: int
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.intp)
+        t = np.asarray(self.table)
         if t.ndim != 2:
             raise ValueError("gluing tables are binary")
+        if t.size and t.dtype.kind not in "iu":
+            raise ValueError(f"table values must be integers, got {t.dtype} entries")
         if t.size and (t.min() < 0 or t.max() >= self.out_size):
             raise ValueError(f"table values must lie in range({self.out_size})")
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", t.astype(np.intp, copy=False))
 
     def __call__(self, a: int, b: int) -> int:
         return int(self.table[a, b])

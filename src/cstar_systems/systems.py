@@ -139,6 +139,12 @@ class TensorialSystem:
     payload: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        for keys, table in ((self.grid.pairs(), self.algebras), (self.grid.triples(), self.deltas)):
+            missing = next((key for key in keys if key not in table), None)
+            if missing is not None:
+                raise ValueError(f"the system has no entry for {Partition(missing)}")
+
     def alg(self, s, t) -> FiniteCStarAlgebra:
         self.grid.require(s, t)
         return self.algebras[(s, t)]
@@ -332,9 +338,9 @@ def check_triple_dims(grid: Grid, dims: Mapping[Pair, int], dim_cap: int) -> Non
     """Raise ``DimensionCapError`` on the first triple with dims[r,s] * dims[s,t] > dim_cap.
 
     ``dims`` are the vectorized dimensions of the pair algebras, so the product
-    is that of A(r,s) (x) A(s,t): the codomain of D[r,s,t] and the partition
-    algebra that ``partition_algebra`` caps for {r,s,t}.  Generators check it
-    before they build any map or table of that size.
+    is that of A(r,s) (x) A(s,t): the codomain of D[r,s,t] and the partition algebra
+    that ``partition_algebra`` caps for {r,s,t}.  Then each pair, for a two-point
+    grid has no triple.  Generators call it before they build any map or table.
     """
     for r, s, t in grid.triples():
         dim = dims[(r, s)] * dims[(s, t)]
@@ -342,6 +348,10 @@ def check_triple_dims(grid: Grid, dims: Mapping[Pair, int], dim_cap: int) -> Non
             raise DimensionCapError(
                 f"triple {Partition([r, s, t])} needs vectorized dimension {dim} > cap {dim_cap}"
             )
+    for pair, dim in dims.items():
+        if dim > dim_cap:
+            raise DimensionCapError(
+                f"pair {Partition(pair)} needs vectorized dimension {dim} > cap {dim_cap}")
 
 
 def tensorial_from_hilbert(hs: HilbertSystem, kind: str = "custom",
@@ -373,10 +383,10 @@ def diagonal_system(grid: Grid, d: int,
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    u = diagonal_isometry(d)
     dims = {pair: d for pair in grid.pairs()}
-    isometries = {triple: u for triple in grid.triples()}
-    hs = HilbertSystem(grid, dims, isometries)
+    check_triple_dims(grid, {pair: d * d for pair in dims}, dim_cap)
+    u = diagonal_isometry(d)
+    hs = HilbertSystem(grid, dims, {triple: u for triple in grid.triples()})
     return hs, tensorial_from_hilbert(hs, kind="diagonal", payload={"d": d}, dim_cap=dim_cap)
 
 

@@ -55,6 +55,24 @@ def test_tensor_algebra_blocks(a, b, blocks):
     assert tensor_algebra(a, b).blocks == blocks
 
 
+@pytest.mark.parametrize("blocks", [[1.0, 1.9], [2.0], ["2"], [None]])
+def test_block_sizes_must_be_integers(blocks):
+    # int() once truncated 1.9 to 1
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        FiniteCStarAlgebra(blocks)
+
+
+@pytest.mark.parametrize("blocks", [[], [2, 0]])
+def test_block_sizes_must_be_positive(blocks):
+    with pytest.raises(ValueError, match="block sizes must be positive"):
+        FiniteCStarAlgebra(blocks)
+
+
+def test_numpy_block_sizes_are_stored_as_python_integers():
+    alg = FiniteCStarAlgebra(np.array([2, 1]))
+    assert alg.blocks == (2, 1) and all(type(n) is int for n in alg.blocks)
+
+
 def test_element_arithmetic_and_norm():
     x = M2.matrix_unit(0, 0, 1)
     y = M2.matrix_unit(0, 1, 0)

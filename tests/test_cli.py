@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -21,7 +23,16 @@ from hypothesis import strategies as st
 
 from cstar_systems import commutative, systems
 from cstar_systems.algebra import FiniteCStarAlgebra, LinearFunctional, functional_tensor
-from cstar_systems.cli import ALL_SUITES, ConfigError, RunConfig, build_setup, main, run
+from cstar_systems.cli import (
+    ALL_SUITES,
+    PERTURBATION,
+    SYSTEM_KINDS,
+    ConfigError,
+    RunConfig,
+    build_setup,
+    main,
+    run,
+)
 from cstar_systems.linalg import max_abs
 from cstar_systems.suites import associativity_residual, run_algebra, run_dilation, run_partition
 
@@ -47,6 +58,20 @@ def matrix_json(m) -> dict:
     m = np.asarray(m, dtype=complex)
     return {"rows": m.shape[0], "cols": m.shape[1],
             "re": m.real.reshape(-1).tolist(), "im": m.imag.reshape(-1).tolist()}
+
+
+PAIRS = ("1,2", "1,3", "2,3")
+# the diagonal comultiplication of M_2, the group coproduct of functions on Z_2,
+# the first matrix unit of M_2 and the vector state at the first basis vector
+_U2 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+DIAGONAL_DELTA = matrix_json(np.kron(_U2, _U2))
+Z2_DELTA = matrix_json([[1, 0], [0, 1], [0, 1], [1, 0]])
+E11 = {"blocks": [matrix_json(np.diag([1.0, 0.0]))]}
+OMEGA = {"densities": [matrix_json(np.diag([1.0, 0.0]))]}
+CUSTOM = {"kind": "custom", "algebras": {k: {"blocks": [2]} for k in PAIRS},
+          "deltas": {"1,2,3": DIAGONAL_DELTA}}
+EXPLICIT_COMMUTATIVE = {"kind": "commutative", "model": "explicit",
+                        "spaces": dict.fromkeys(PAIRS, 2), "chi": {"1,2,3": [[0, 1], [1, 0]]}}
 
 
 def test_config_validation():
@@ -396,18 +421,21 @@ def test_dimension_cap_is_a_config_error(tmp_path):
     assert main(["--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("system, points, triple", [
-    ({"kind": "glue_hilbert", "cell_dims": [4, 4]}, 3, "{1, 2, 3}"),
-    ({"kind": "diagonal", "d": 5}, 3, "{1, 2, 3}"),
-    ({"kind": "commutative", "model": "glue", "base": 2}, 8, "{1, 2, 8}"),
-], ids=["glue_hilbert", "diagonal", "commutative"])
+@pytest.mark.parametrize("system, points, named", [
+    ({"kind": "glue_hilbert", "cell_dims": [4, 4]}, 3, "triple {1, 2, 3}"),
+    ({"kind": "diagonal", "d": 5}, 3, "triple {1, 2, 3}"),
+    ({"kind": "commutative", "model": "glue", "base": 2}, 8, "triple {1, 2, 8}"),
+    ({"kind": "diagonal", "d": 3000}, 2, "pair {1, 2}"),
+], ids=["glue_hilbert", "diagonal", "commutative", "diagonal-two-points"])
 def test_oversized_triples_exit_two_before_any_map_is_built(tmp_path, capsys, monkeypatch,
-                                                            system, points, triple):
-    # the generators check dim A(r,s) * dim A(s,t) before they build D[r,s,t]
+                                                            system, points, named):
+    # the generators check dim A(r,s) * dim A(s,t), and each pair's dim A(s,t),
+    # before they build D[r,s,t] or the isometry it conjugates by
     def refuse(*args):
         raise AssertionError("a comultiplication was built past the dimension cap")
 
     monkeypatch.setattr(systems, "superop_from_conjugation", refuse)
+    monkeypatch.setattr(systems, "diagonal_isometry", refuse)
     monkeypatch.setattr(commutative, "superop_from_point_map", refuse)
     raw = {"grid": [str(t) for t in range(1, points + 1)], "system": system,
            "suites": ["axioms"], "dim_cap": 64}
@@ -415,7 +443,7 @@ def test_oversized_triples_exit_two_before_any_map_is_built(tmp_path, capsys, mo
     path.write_text(json.dumps(raw))
     assert main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"triple {triple}" in err and "Traceback" not in err
+    assert named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("override", [
@@ -458,6 +486,25 @@ def test_oversized_triples_exit_two_before_any_map_is_built(tmp_path, capsys, mo
     {"perturb_delta": {"epsilon": 1e155}},
     {"perturb_delta": {"epsilon": 1e308}},
     {"perturb_delta": {"epsilon": -1e200}},
+    {"system": {"kind": "one_parameter", "durations": [], "maps": {}}},
+    {"perturb_delta": {"triple": 5}},
+    {"unit": {"kind": "explicit", "elements": []}},
+    {"unit": {"kind": "explicit", "elements": {"1,2": E11}}},
+    {"counit": {"kind": "explicit", "functionals": {}}},
+    {"system": dict(CUSTOM, deltas={})},
+    {"system": dict(CUSTOM, algebras={k: {"blocks": [2]} for k in ("1,2", "2,3")})},
+    {"system": {"kind": "diagonal", "d": 3000}},
+    {"system": {"kind": "trivial_bialgebra", "model": "explicit", "blocks": [1.0, 1.9],
+                "delta": Z2_DELTA}},
+    {"system": dict(EXPLICIT_COMMUTATIVE, chi={"1,2,3": [[0, 1], [1, 0.5]]})},
+    {"system": dict(EXPLICIT_COMMUTATIVE, spaces={"1,2": 2, "1,3": 2, "2,3": True})},
+    {"perturb_delta": {"epsilon": 1e-3, "bogus": 1}},
+    {"perturb_delta": {"triple": "1,2"}},
+    {"grid": ["1", "2"], "perturb_delta": {"epsilon": 1e-3}},
+    {"system": {"kind": "commutative", "model": "glue"}, "counit": {"kind": "none"},
+     "measures": {"1,2": ["1/2", "1/2"]}},
+    {"system": {"kind": "commutative", "model": "bogus"}},
+    {"system": {"kind": "glue_hilbert"}},
 ])
 def test_malformed_config_values_exit_two(tmp_path, capsys, override):
     path = tmp_path / "cfg.json"
@@ -518,18 +565,8 @@ FUZZ_VALUES = st.sampled_from([
 ])
 
 
-@settings(deadline=None, max_examples=50)
-@given(st.lists(st.tuples(st.sampled_from(sorted(json.loads(ORACLE_CONFIG.read_text()))),
-                          FUZZ_VALUES), min_size=1, max_size=2))
-def test_mutated_oracle_configs_exit_cleanly(mutations):
-    # each top-level key of the oracle config deleted, retyped or set to a negative,
-    # non-finite, boolean or huge number: a report or a config error, never a traceback
-    raw = json.loads(ORACLE_CONFIG.read_text())
-    for key, value in mutations:
-        if value is _DELETE:
-            raw.pop(key, None)
-        else:
-            raw[key] = value
+def assert_exits_cleanly(raw, mutations):
+    """``verify`` on ``raw`` writes a report or a config error: no traceback, no RuntimeWarning."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -542,6 +579,72 @@ def test_mutated_oracle_configs_exit_cleanly(mutations):
     assert code in (0, 1, 2), mutations
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], mutations
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def mutate(obj: dict, key, value):
+    if value is _DELETE:
+        obj.pop(key, None)
+    else:
+        obj[key] = value
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.tuples(st.sampled_from(sorted(json.loads(ORACLE_CONFIG.read_text()))),
+                          FUZZ_VALUES), min_size=1, max_size=2))
+def test_mutated_oracle_configs_exit_cleanly(mutations):
+    # each top-level key of the oracle config deleted, retyped or set to a negative,
+    # non-finite, boolean or huge number: a report or a config error, never a traceback
+    raw = json.loads(ORACLE_CONFIG.read_text())
+    for key, value in mutations:
+        mutate(raw, key, value)
+    assert_exits_cleanly(raw, mutations)
+
+
+# one small config per system kind and model, all suites
+PAYLOAD_CONFIGS = [dict(BASE, suites=list(ALL_SUITES), max_interior_points=1, **extra)
+                   for extra in [
+    {"system": {"kind": "diagonal", "d": 2}},
+    {"system": {"kind": "glue_hilbert", "cell_dims": [2, 2]}},
+    {"system": {"kind": "trivial_bialgebra", "model": "z2"}},
+    {"system": {"kind": "trivial_bialgebra", "model": "explicit", "blocks": [1, 1],
+                "delta": Z2_DELTA}},
+    {"grid": ["1", "3/2", "2"],
+     "system": {"kind": "one_parameter", "maps": {"1/2,1/2": DIAGONAL_DELTA},
+                "durations": {"1/2": {"blocks": [2]}, "1": {"blocks": [2]}}}},
+    {"system": CUSTOM, "unit": {"kind": "explicit", "elements": dict.fromkeys(PAIRS, E11)},
+     "counit": {"kind": "explicit", "functionals": dict.fromkeys(PAIRS, OMEGA)}},
+    {"system": {"kind": "commutative", "model": "glue", "base": 2}},
+    {"system": {"kind": "commutative", "model": "z2"}},
+    {"system": EXPLICIT_COMMUTATIVE},
+]]
+
+
+def payload_targets(raw: dict) -> list[tuple[str, str]]:
+    """The (object, key) pairs the payload fuzzer mutates: every key of the system object,
+    and the sub-keys of ``unit``, ``counit`` and ``perturb_delta``."""
+    system_keys = ["kind", "grid", *SYSTEM_KINDS[raw["system"]["kind"]].fields]
+    return [("system", key) for key in system_keys] + [
+        ("unit", "kind"), ("unit", "elements"), ("counit", "kind"), ("counit", "functionals"),
+        *(("perturb_delta", key) for key in PERTURBATION)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(PAYLOAD_CONFIGS).flatmap(lambda raw: st.tuples(st.just(raw), st.lists(
+    st.tuples(st.sampled_from(payload_targets(raw)), FUZZ_VALUES), min_size=1, max_size=2))))
+def test_mutated_payloads_exit_cleanly(case):
+    # a payload field, a unit or co-unit sub-key or a perturb_delta field deleted,
+    # retyped or set to a negative, non-finite, boolean or huge number
+    raw, mutations = copy.deepcopy(case[0]), case[1]
+    for (obj, key), value in mutations:
+        mutate(raw.setdefault(obj, {}), key, value)
+    assert_exits_cleanly(raw, mutations)
+
+
+def test_readme_names_every_config_key_and_payload_field():
+    readme = (ORACLE_CONFIG.parent.parent / "README.md").read_text()
+    names = [f.name for f in dataclasses.fields(RunConfig) if f.init] + list(PERTURBATION)
+    names += [name for kind in SYSTEM_KINDS.values() for name in kind.fields] + list(SYSTEM_KINDS)
+    assert [name for name in names if f"`{name}`" not in readme] == []
 
 
 def load_benchmark_tracer(monkeypatch):

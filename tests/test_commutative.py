@@ -98,6 +98,19 @@ class TestMultSystems:
         rep = check_mult_system(FiniteMultSystem(grid, spaces, chi))
         assert not rep.passed
 
+    @pytest.mark.parametrize("table", [
+        [[0, 1], [1, 0.5]], [[0.0, 1.0], [1.0, 0.0]], [["0", "1"], ["1", "0"]], [[0, 1], [1, None]],
+    ])
+    def test_gluing_tables_must_hold_integers(self, table):
+        # a cast to intp once truncated 0.5 to 0
+        with pytest.raises(ValueError, match="table values must be integers"):
+            MultMap(np.asarray(table), 2)
+
+    @pytest.mark.parametrize("size", [1.5, 2.0, True, "2", None])
+    def test_space_sizes_must_be_integers(self, size):
+        with pytest.raises(ValueError, match="a space size must be an integer"):
+            FiniteSpace(size)
+
     def test_associativity_counts_failures_exactly(self):
         grid = Grid([1, 2, 3, 4])
         spaces = {pair: FiniteSpace(2) for pair in grid.pairs()}

@@ -64,6 +64,16 @@ def test_enumerate_partitions():
     assert len(enumerate_all_partitions(grid4, 3)) == 6 + 4
 
 
+def test_an_incomplete_system_names_its_first_missing_pair_or_triple():
+    # missing maps once surfaced as a KeyError inside the axioms suite
+    _, sys = diagonal_system(Grid([1, 2, 3]), 2)
+    algebras = {pair: alg for pair, alg in sys.algebras.items() if pair != (F(1), F(3))}
+    with pytest.raises(ValueError, match=r"no entry for \{1, 3\}"):
+        TensorialSystem(sys.grid, algebras, sys.deltas)
+    with pytest.raises(ValueError, match=r"no entry for \{1, 2, 3\}"):
+        TensorialSystem(sys.grid, sys.algebras, {})
+
+
 class TestDiagonalSystem:
     def test_d1_is_a_product_system_of_scalars(self):
         _, sys = diagonal_system(GRID, 1)
