@@ -255,23 +255,34 @@ class SystemKind(NamedTuple):
     fields: dict
 
 
-def _keyed(table: dict, arity: int, make: Callable, cover=()) -> dict:
-    """Parse ``{"s,t": spec}`` into ``{(s, t): make(spec, s, t)}``; one-point keys stay points.
-    Each pair in ``cover`` needs an entry."""
+def _entry(name: str, make: Callable, *args):
+    """``make(*args)``; what it rejects is a config error that names the entry ``name``."""
+    try:
+        return make(*args)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{name}: {detail}") from exc
+
+
+def _keyed(name: str, table: dict, arity: int, make: Callable, cover=()) -> dict:
+    """Parse the table ``name``, ``{"s,t": spec}``, into ``{(s, t): make(spec, s, t)}``;
+    one-point keys stay points.  Each pair in ``cover`` needs an entry, and an entry that
+    ``make`` rejects is a config error naming the table and the key."""
     out = {}
-    for key, spec in _table(table, "a time-keyed table").items():
+    for key, spec in _table(table, name).items():
         times = parse_time_key(key)
         if len(times) != arity:
             raise ValueError(f"key {key!r} needs {arity} time points")
-        out[times[0] if arity == 1 else times] = make(spec, *times)
+        out[times[0] if arity == 1 else times] = _entry(f"{name} entry {key!r}", make, spec,
+                                                        *times)
     for pair in cover:
         if pair not in out:
-            raise ConfigError(f"a table has no entry for the pair {Partition(pair)}")
+            raise ConfigError(f"{name} has no entry for the pair {Partition(pair)}")
     return out
 
 
-def _algebras(table: dict, arity: int) -> dict:
-    return _keyed(table, arity, lambda spec, *_: FiniteCStarAlgebra(spec["blocks"]))
+def _algebras(name: str, table: dict, arity: int) -> dict:
+    return _keyed(name, table, arity, lambda spec, *_: FiniteCStarAlgebra(spec["blocks"]))
 
 
 def _build_diagonal(payload: dict, grid: Grid, dim_cap: int) -> Built:
@@ -289,20 +300,21 @@ def _build_bialgebra(payload: dict, grid: Grid, dim_cap: int) -> Built:
         alg, delta = group_z2_bialgebra()
     else:
         alg = FiniteCStarAlgebra(payload["blocks"])
-        delta = superop_from_json(payload["delta"], alg.blocks, tensor_algebra(alg, alg).blocks)
+        delta = _entry("delta", superop_from_json, payload["delta"], alg.blocks,
+                       tensor_algebra(alg, alg).blocks)
     return Built(trivial_from_bialgebra(grid, alg, delta, dim_cap=dim_cap))
 
 
 def _build_one_parameter(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    z = _algebras(payload["durations"], 1)
-    xi = _keyed(payload["maps"], 2, lambda spec, d1, d2: superop_from_json(
+    z = _algebras("durations", payload["durations"], 1)
+    xi = _keyed("maps", payload["maps"], 2, lambda spec, d1, d2: superop_from_json(
         spec, z[d1 + d2].blocks, tensor_algebra(z[d1], z[d2]).blocks))
     return Built(from_one_parameter(grid, z, xi, dim_cap=dim_cap))
 
 
 def _build_custom(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    algs = _algebras(payload["algebras"], 2)
-    deltas = _keyed(payload["deltas"], 3, lambda spec, r, s, t: superop_from_json(
+    algs = _algebras("algebras", payload["algebras"], 2)
+    deltas = _keyed("deltas", payload["deltas"], 3, lambda spec, r, s, t: superop_from_json(
         spec, algs[(r, t)].blocks, tensor_algebra(algs[(r, s)], algs[(s, t)]).blocks))
     return Built(TensorialSystem(grid, algs, deltas, dim_cap=dim_cap, kind="custom"))
 
@@ -313,11 +325,21 @@ def _build_commutative(payload: dict, grid: Grid, dim_cap: int) -> Built:
     elif payload["model"] == "z2":
         mult, expected = modular_addition_system(grid, 2), "subproduct"
     else:
-        spaces = _keyed(payload["spaces"], 2, lambda n, s, t: FiniteSpace(n))
-        chi = _keyed(payload["chi"], 3, lambda table, r, s, t: MultMap(
+        spaces = _keyed("spaces", payload["spaces"], 2, lambda n, s, t: FiniteSpace(n))
+        chi = _keyed("chi", payload["chi"], 3, lambda table, r, s, t: MultMap(
             np.asarray(table), spaces[(r, t)].size))
         mult, expected = FiniteMultSystem(grid, spaces, chi), None
     return Built(to_cstar(mult, dim_cap=dim_cap), mult=mult, expected=expected)
+
+
+def _measure(weights, space: Optional[FiniteSpace]) -> tuple[Fraction, ...]:
+    """``weights`` as an exact measure on ``space``, the space of its pair."""
+    if space is None:
+        raise ValueError("not a pair of the grid")
+    measure = as_measure(weights)
+    if len(measure) != space.size:
+        raise ValueError(f"{len(measure)} weights for a space of {space.size} points")
+    return measure
 
 
 def _vector_states(system, mult, measures) -> FunctionalFamily:
@@ -404,7 +426,7 @@ def _family(role: str, config: RunConfig, system: TensorialSystem, *args):
     if name == "none":
         return None
     if name == "explicit":
-        return family(_keyed(spec.get(table), 2, lambda obj, s, t: parse(
+        return family(_keyed(f"{role} {table}", spec.get(table), 2, lambda obj, s, t: parse(
             system.algebras[(s, t)], obj), cover=system.algebras))
     make = {"standard": getattr(SYSTEM_KINDS[config.system["kind"]], role), **kinds}.get(name)
     if make is None:
@@ -424,7 +446,9 @@ def build_setup(config: RunConfig) -> Setup:
         if len(config.grid.points) < 3:
             expected = None  # no triples: the classification is vacuous
         measures = None if config.measures is None else _keyed(
-            config.measures, 2, lambda vals, s, t: as_measure(vals), cover=system.algebras)
+            "measures", config.measures, 2,
+            lambda vals, s, t: _measure(vals, built.mult.spaces.get((s, t))),
+            cover=system.algebras)
         unit = _family("unit", config, system)
         counit = _family("counit", config, system, built.mult, measures)
     except ConfigError:

@@ -1,6 +1,7 @@
 """JSON encodings of config payloads: time keys as "p,q", matrices as split re/im."""
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,35 @@ def parse_time_key(key: str) -> tuple[Fraction, ...]:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = np.asarray(obj["re"], dtype=float).reshape(rows, cols)
-    im = np.asarray(obj.get("im", np.zeros(rows * cols)), dtype=float).reshape(rows, cols)
+    """``{"rows", "cols", "re", "im"}`` as a complex matrix; ``im`` defaults to zeros.
+
+    The sizes are positive integers, as block sizes are (a float size is a
+    TypeError), and ``re`` and ``im`` each hold ``rows * cols`` finite numbers.
+    """
+    sizes = f"matrix sizes must be positive integers, got {obj['rows']!r} x {obj['cols']!r}"
+    try:
+        rows, cols = operator.index(obj["rows"]), operator.index(obj["cols"])
+    except TypeError:
+        raise TypeError(sizes) from None
+    if min(rows, cols) < 1:
+        raise ValueError(sizes)
+    re = _entries(obj["re"], "re", rows, cols)
+    im = _entries(obj["im"], "im", rows, cols) if "im" in obj else np.zeros_like(re)
     return re + 1j * im
+
+
+def _entries(values, key: str, rows: int, cols: int) -> np.ndarray:
+    non_finite = ValueError(f"matrix {key!r} has a non-finite entry")
+    try:
+        part = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise non_finite from None
+    if part.size != rows * cols:
+        raise ValueError(f"matrix {key!r} has {part.size} entries, "
+                         f"a {rows} x {cols} matrix needs {rows * cols}")
+    if not np.isfinite(part).all():
+        raise non_finite
+    return part.reshape(rows, cols)
 
 
 def element_from_json(alg: FiniteCStarAlgebra, obj: dict) -> AlgebraElement:

@@ -35,9 +35,11 @@ from .commutative import (
     to_cstar,
 )
 from .linalg import (
+    STREAM_ENTRIES,
     Tolerance,
     block_offsets,
     composite_residual,
+    exact_real,
     identity_superop,
     max_abs,
     numerical_rank,
@@ -348,48 +350,68 @@ def run_dilation(setup: Setup, rng) -> Report:
 def brute_force_gram(alg: FiniteCStarAlgebra, phi: LinearFunctional) -> np.ndarray:
     """[phi(e_b* e_a)] over the matrix units, from their products.
 
-    No structure of the Gram matrix is reused: for each b, e_b* is multiplied
-    blockwise into every e_a at once and phi is evaluated on the products as
-    sum_k Tr(rho_k x_k).
+    No structure of the Gram matrix is reused: every product e_b* e_a is
+    formed and phi is evaluated on it as sum_k Tr(rho_k x_k).  On block k of
+    size n, the units' parts ``u`` (dim, n, n) give one GEMM per chunk of b,
+    the rows conj(u[b]).T times the columns of every u[a], at most
+    ``STREAM_ENTRIES`` entries, and one contraction with rho_k.  A real
+    density (``exact_real``) is contracted in float64.
     """
     dim = alg.dim
-    basis = np.eye(dim, dtype=complex)
-    units = [basis[:, off:off + n * n].reshape(dim, n, n)
-             for n, off in zip(alg.blocks, block_offsets(alg.blocks))]
-    brute = np.empty((dim, dim), dtype=complex)
-    for b in range(dim):
-        brute[b] = sum(
-            np.einsum("ij,aji->a", rho, u[b].conj().T @ u)
-            for rho, u in zip(phi.densities, units)
-        )
+    basis = np.eye(dim)
+    brute = np.zeros((dim, dim), dtype=complex)
+    for rho, n, off in zip(phi.densities, alg.blocks, block_offsets(alg.blocks)):
+        rho = exact_real(rho)
+        u = basis[:, off:off + n * n].reshape(dim, n, n)
+        left = np.ascontiguousarray(u.conj().transpose(0, 2, 1)).reshape(dim * n, n)
+        right = np.ascontiguousarray(u.transpose(1, 0, 2)).reshape(n, dim * n)
+        rows = max(1, STREAM_ENTRIES // (dim * n * n))
+        for b0 in range(0, dim, rows):
+            b1 = min(dim, b0 + rows)
+            # (e_b* e_a)_k at [b, i, a, l]
+            prods = (left[b0 * n:b1 * n] @ right).reshape(b1 - b0, n, dim, n)
+            brute[b0:b1] += np.einsum("bial,li->ba", prods, rho)
     return brute
 
 
 def associativity_residual(phi: LinearFunctional) -> float:
     """max_abs of (phi (x) phi) (x) phi - phi (x) (phi (x) phi), streamed.
 
-    Every entry of the triple density is compared, with the same np.kron
-    products that ``functional_tensor`` forms, but one block triple and one
-    row of the pair density at a time: row (p, q) of block (i, j) against
-    rows q*nk..(q+1)*nk of block (j, k), so no triple density is held whole.
+    Every entry of the triple density is compared, with the same elementwise
+    products that np.kron forms in ``functional_tensor``, but one block
+    triple (i, j, k) and one row pair (p, q) at a time: rows (p, q, r) of
+    (pair_ij (x) rho_k) against rho_i[p] (x) rows (q, r) of pair_jk, broadcast
+    into buffers of nk * ni * nj * nk entries (2^16 on M_16), where the
+    difference, its abs and their max are taken in place, so no triple density
+    is held whole.  Real densities (``exact_real``) are multiplied in float64.
     """
-    pair = functional_tensor(phi, phi).densities
-    rhos = phi.densities
+    rhos = [exact_real(r) for r in phi.densities]
+    pair = [exact_real(r) for r in functional_tensor(phi, phi).densities]
     nb = len(rhos)
     res = 0.0
     for i, ri in enumerate(rhos):
+        ni = ri.shape[0]
         for j, rj in enumerate(rhos):
-            left = pair[i * nb + j]
             nj = rj.shape[0]
+            left = pair[i * nb + j].reshape(ni * nj, 1, 1, ni * nj, 1)
             for k, rk in enumerate(rhos):
-                right = pair[j * nb + k]
                 nk = rk.shape[0]
-                for p in range(ri.shape[0]):
+                right = pair[j * nb + k].reshape(nj, 1, nk, 1, nj * nk)
+                rk4 = rk.reshape(1, nk, 1, nk)
+                # the operand shapes of np.kron(row, rk) and np.kron(ri[p], rows),
+                # so every product is the one it forms
+                dtype = np.result_type(left, rk, ri, right)
+                lhs = np.empty((1, nk, ni * nj, nk), dtype)
+                rhs = np.empty((1, nk, ni, nj * nk), dtype)
+                mag = np.empty(lhs.shape)
+                for p in range(ni):
+                    rip = ri[p].reshape(1, 1, ni, 1)
                     for q in range(nj):
-                        lhs = np.kron(left[p * nj + q], rk)
-                        rhs = np.kron(ri[p], right[q * nk:(q + 1) * nk])
-                        res = max(res, max_abs(lhs - rhs))
-    return res
+                        np.multiply(left[p * nj + q], rk4, out=lhs)
+                        np.multiply(rip, right[q], out=rhs)
+                        np.subtract(lhs, rhs.reshape(lhs.shape), out=lhs)
+                        res = max(res, np.abs(lhs, out=mag).max())
+    return float(res)
 
 
 def run_algebra(setup: Setup, rng) -> Report:

@@ -33,7 +33,7 @@ from cstar_systems.cli import (
     main,
     run,
 )
-from cstar_systems.linalg import max_abs
+from cstar_systems.linalg import check_star_homomorphism, max_abs
 from cstar_systems.suites import associativity_residual, run_algebra, run_dilation, run_partition
 
 ORACLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle.json"
@@ -365,6 +365,23 @@ def test_associativity_residual_memory_stays_bounded_on_m16():
     assert peak < 8 * 2**20
 
 
+def test_star_homomorphism_check_memory_stays_bounded_on_m16():
+    # the M_16 triple of glue [4,4]: GEMM chunks of STREAM_ENTRIES, no pair tensor
+    setup = build_setup(config(system={"kind": "glue_hilbert", "cell_dims": [4, 4]},
+                               dim_cap=65536))
+    delta = setup.system.deltas[(Fraction(1), Fraction(2), Fraction(3))]
+    assert delta.dom == delta.cod == (16,)
+    dense = delta.out_dim * delta.in_dim * 16
+    tracemalloc.start()
+    try:
+        rep = check_star_homomorphism(delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.is_isomorphism and rep.multiplicativity_residual == 0
+    assert peak < dense + 8 * 2**20
+
+
 def test_algebra_suite_memory_stays_bounded_on_m16():
     cfg = config(
         grid=["1", "2", "3"],
@@ -527,6 +544,49 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys, override, named)
     assert list(tmp_path.iterdir()) == [path]
     with pytest.raises(ConfigError, match="must be a JSON object"):
         RunConfig.from_json([BASE])
+
+
+def _bad_delta(**entry):
+    deltas = {"1,2,3": dict(DIAGONAL_DELTA, **entry)}
+    return {"system": dict(CUSTOM, deltas=deltas)}
+
+
+NAN_STATE = {"densities": [{"rows": 2, "cols": 2, "re": [math.nan, 0, 0, 0]}]}
+
+
+@pytest.mark.parametrize("override, named", [
+    (_bad_delta(rows=16.9), "deltas entry '1,2,3': matrix sizes must be positive integers, "
+                            "got 16.9 x 4"),
+    (_bad_delta(cols=0), "deltas entry '1,2,3': matrix sizes must be positive integers"),
+    (_bad_delta(re=DIAGONAL_DELTA["re"][:-1]), "deltas entry '1,2,3': matrix 're' has 63 "
+                                               "entries, a 16 x 4 matrix needs 64"),
+    (_bad_delta(im=[0.0] * 65), "deltas entry '1,2,3': matrix 'im' has 65 entries"),
+    (_bad_delta(re=[math.nan] * 64), "deltas entry '1,2,3': matrix 're' has a non-finite"),
+    (_bad_delta(im=[math.inf] + [0.0] * 63), "matrix 'im' has a non-finite entry"),
+    (_bad_delta(re=[10**400] + [0] * 63), "matrix 're' has a non-finite entry"),
+    ({"system": {"kind": "trivial_bialgebra", "model": "explicit", "blocks": [1, 1],
+                 "delta": dict(Z2_DELTA, rows=2.5)}},
+     "delta: matrix sizes must be positive integers, got 2.5 x 2"),
+    ({"suites": ["algebra"], "counit": {"kind": "explicit",
+                                        "functionals": dict.fromkeys(PAIRS, NAN_STATE)}},
+     "counit functionals entry '1,2': matrix 're' has a non-finite entry"),
+    ({"system": {"kind": "commutative", "model": "glue"}, "suites": ["commutative"],
+      "counit": {"kind": "none"}, "measures": dict.fromkeys(PAIRS, ["1/3"] * 3)},
+     "measures entry '1,2': 3 weights for a space of 2 points"),
+    ({"system": {"kind": "commutative", "model": "glue"}, "suites": ["commutative"],
+      "measures": {**dict.fromkeys(PAIRS, ["1/2", "1/2"]), "1,3": ["1/4"] * 4, "1,4": [1]}},
+     "measures entry '1,4': not a pair of the grid"),
+], ids=["float-rows", "zero-cols", "short-re", "long-im", "nan-re", "inf-im", "huge-re",
+        "bialgebra-delta", "nan-counit", "measure-sizes", "measure-off-grid"])
+def test_malformed_payload_entries_exit_two_naming_the_entry(tmp_path, capsys, override,
+                                                             named):
+    # these once ran as a truncated 16 x 4 map, or ended in a LinAlgError, an
+    # ArithmeticError from Gram-Schmidt or a ValueError from run_commutative
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE, **override)))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_rank_cutoff_does_not_follow_the_tolerance(tmp_path, capsys):

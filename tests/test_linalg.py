@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cstar_systems import linalg
 from cstar_systems.algebra import AlgebraElement, FiniteCStarAlgebra
 from cstar_systems.linalg import (
     Superoperator,
     Tolerance,
     check_star_homomorphism,
     compose,
+    exact_real,
     identity_superop,
     isometry_residual,
     max_abs,
@@ -19,6 +21,7 @@ from cstar_systems.linalg import (
     split_vec,
     star_perm,
     tensor_blocks,
+    unit_products,
     vec_tensor,
 )
 
@@ -164,20 +167,89 @@ def test_superop_tensor_const_pads_both_sides():
 
 def test_vec_mul_and_vec_star_follow_the_block_structure():
     # the index tables behind check_star_homomorphism, against blockwise algebra
-    from cstar_systems.linalg import _product_index
-
     blocks = (2, 3)
     va = random_complex(13)
     vb = random_complex(13)
-    idx = _product_index(blocks)
+    a, b, target = unit_products(blocks)
+    assert np.all(np.diff(a) >= 0)  # sorted by the left factor
     prod = np.zeros(13, dtype=complex)
-    for a, b in zip(*np.nonzero(idx >= 0)):
-        prod[idx[a, b]] += va[a] * vb[b]
+    np.add.at(prod, target, va[a] * vb[b])
     for x, y, z in zip(split_vec(blocks, va), split_vec(blocks, vb), split_vec(blocks, prod)):
         assert max_abs(x @ y - z) < 1e-12
     starred = split_vec(blocks, va.conj()[star_perm(blocks)])
     for x, z in zip(split_vec(blocks, va), starred):
         assert max_abs(x.conj().T - z) == 0
+
+
+def test_exact_real_drops_only_zero_imaginary_parts():
+    x = np.array([[1.0, -2.5], [0.0, 3.0]], dtype=complex)
+    assert exact_real(x).dtype == np.float64 and np.array_equal(exact_real(x), x.real)
+    y = x.copy()
+    y[1, 0] = 1e-300j
+    assert exact_real(y) is y
+
+
+def naive_multiplicativity(f: Superoperator) -> float:
+    """max_abs(f(e_a e_b) - f(e_a) f(e_b)) pair by pair, with blockwise @."""
+    mat, dom, cod = f.matrix, f.dom, f.cod
+    eye = np.eye(f.in_dim, dtype=complex)
+    worst = 0.0
+    for a in range(f.in_dim):
+        for b in range(f.in_dim):
+            ab = np.concatenate([(x @ y).reshape(-1) for x, y in zip(
+                split_vec(dom, eye[a]), split_vec(dom, eye[b]))])
+            lhs = split_vec(cod, mat @ ab)
+            rhs = [x @ y for x, y in zip(split_vec(cod, mat[:, a]), split_vec(cod, mat[:, b]))]
+            worst = max(worst, *(max_abs(x - y) for x, y in zip(lhs, rhs)))
+    return worst
+
+
+def block_projection(u, w):
+    """(a, B, C) -> (u B u*, w C w*) from C + M_2 + M_3 onto M_2 + M_3: a *-homomorphism."""
+    mat = np.zeros((13, 14), dtype=complex)
+    mat[:4, 1:5] = np.kron(u, u.conj())
+    mat[4:, 5:] = np.kron(w, w.conj())
+    return Superoperator(mat, (1, 2, 3), (2, 3))
+
+
+class TestMultiplicativityAgainstPairLoop:
+    def assert_agrees(self, f, exact):
+        rep = check_star_homomorphism(f)
+        ref = naive_multiplicativity(f)
+        if exact:
+            assert rep.multiplicativity_residual == ref
+        else:
+            # a few ulp of the largest product entry
+            scale = max(f.cod) * max_abs(f.matrix) ** 2
+            assert abs(rep.multiplicativity_residual - ref) <= 8 * np.finfo(float).eps * scale
+        return rep
+
+    def test_random_unitary_block_projection_is_a_homomorphism(self):
+        u, w = np.linalg.qr(random_complex((2, 2)))[0], np.linalg.qr(random_complex((3, 3)))[0]
+        rep = self.assert_agrees(block_projection(u, w), exact=False)
+        assert rep.is_homomorphism and not rep.injective
+
+    def test_random_complex_map_is_not_a_homomorphism(self):
+        rep = self.assert_agrees(Superoperator(random_complex((13, 14)), (1, 2, 3), (2, 3)),
+                                 exact=False)
+        assert rep.multiplicativity_residual > 1 and not rep.is_homomorphism
+
+    def test_zero_one_maps_agree_exactly(self):
+        rep = self.assert_agrees(block_projection(np.eye(2), np.eye(3)[::-1]), exact=True)
+        assert rep.is_homomorphism and rep.multiplicativity_residual == 0
+        mat = RNG.integers(0, 2, (13, 14)).astype(complex)
+        rep = self.assert_agrees(Superoperator(mat, (1, 2, 3), (2, 3)), exact=True)
+        assert not rep.is_homomorphism
+
+    def test_many_chunks_compare_every_pair(self, monkeypatch):
+        # a one-row chunk still meets every pair; a perturbed cross-block entry is found
+        monkeypatch.setattr(linalg, "STREAM_ENTRIES", 1)
+        f = block_projection(np.eye(2), np.eye(3))
+        mat = f.matrix.copy()
+        mat[0, 0] = 0.5  # f(e_0) of the 1 x 1 block now lands in M_2
+        rep = self.assert_agrees(Superoperator(mat, f.dom, f.cod), exact=True)
+        # f(e_0) f(e_1) = 0.5 E_11 against f(e_0 e_1) = 0, across domain blocks
+        assert rep.multiplicativity_residual == 0.5
 
 
 def test_numerical_rank():

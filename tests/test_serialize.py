@@ -38,6 +38,21 @@ def test_matrix_from_json_defaults_imaginary_part():
     assert max_abs(matrix_from_json(obj) - np.eye(2)) == 0
 
 
+@pytest.mark.parametrize("obj, error, match", [
+    ({"rows": 1.9, "cols": 2, "re": [1, 0]}, TypeError, "positive integers, got 1.9 x 2"),
+    ({"rows": 2.0, "cols": 1, "re": [1, 0]}, TypeError, "positive integers"),
+    ({"rows": -1, "cols": 2, "re": [1, 0]}, ValueError, "positive integers"),
+    ({"rows": 2, "cols": 2, "re": [1, 0, 0]}, ValueError, "'re' has 3 entries"),
+    ({"rows": 1, "cols": 2, "re": [1, 0], "im": [1]}, ValueError, "'im' has 1 entries"),
+    ({"rows": 1, "cols": 2, "re": [float("nan"), 0]}, ValueError, "'re' has a non-finite"),
+    ({"rows": 1, "cols": 2, "re": [1, 0], "im": [0, -float("inf")]}, ValueError, "non-finite"),
+    ({"rows": 1, "cols": 1, "re": [10**400]}, ValueError, "'re' has a non-finite"),
+])
+def test_matrix_from_json_rejects_bad_sizes_and_entries(obj, error, match):
+    with pytest.raises(error, match=match):
+        matrix_from_json(obj)
+
+
 def test_algebra_element_functional_round_trips():
     alg = FiniteCStarAlgebra([2, 1])
     x = alg.random_element(RNG)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cstar_systems.algebra import (
+    FiniteCStarAlgebra,
     LinearFunctional,
     trace_functional,
     vector_state,
@@ -18,7 +19,7 @@ from cstar_systems.commutative import (
     measure_family_functionals,
     to_cstar,
 )
-from cstar_systems.linalg import composite_residual, isometry_residual, max_abs
+from cstar_systems.linalg import composite_residual, isometry_residual, max_abs, split_vec
 from cstar_systems.partition_calculus import (
     comultiplication,
     delta_cross,
@@ -398,3 +399,24 @@ class TestGramPreservation:
             tracemalloc.stop()
         assert res == 0
         assert peak < 24 * 2**20
+
+
+def test_brute_force_gram_equals_the_pair_loop():
+    # phi(e_b* e_a) over every pair of matrix units, each product formed blockwise
+    alg = FiniteCStarAlgebra([1, 2, 3])
+    densities = []
+    for n in alg.blocks:
+        a = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+        densities.append(a @ a.conj().T)
+    total = sum(np.trace(rho).real for rho in densities)
+    phi = LinearFunctional(alg, [rho / total for rho in densities])
+    assert phi.is_state() and any(np.count_nonzero(rho - np.diag(np.diag(rho)))
+                                  for rho in phi.densities)
+    units = np.eye(alg.dim, dtype=complex)
+    ref = np.empty((alg.dim, alg.dim), dtype=complex)
+    for b in range(alg.dim):
+        for a in range(alg.dim):
+            prods = [x.conj().T @ y for x, y in zip(split_vec(alg.blocks, units[b]),
+                                                    split_vec(alg.blocks, units[a]))]
+            ref[b, a] = sum(np.sum(rho.T * x) for rho, x in zip(phi.densities, prods))
+    assert np.array_equal(brute_force_gram(alg, phi), ref)
