@@ -153,14 +153,19 @@ def vec_tensor(a: Blocks, b: Blocks, va: np.ndarray, vb: np.ndarray) -> np.ndarr
 STREAM_ENTRIES = 1 << 16
 
 
+def chunk_width(in_dim: int, out_dim: int) -> int:
+    """Columns per chunk: as many as fit ``STREAM_ENTRIES`` entries in an array
+    with ``max(in_dim, out_dim)`` rows, and at least one."""
+    return max(1, STREAM_ENTRIES // max(1, in_dim, out_dim))
+
+
 def unit_column_chunks(in_dim: int, out_dim: int):
     """Yield the identity of size ``in_dim`` as consecutive (start, columns) chunks.
 
-    A chunk has as many columns as fit ``STREAM_ENTRIES`` entries in an array
-    with ``max(in_dim, out_dim)`` rows, so pushing it through a map of either
-    size stays within that budget.
+    A chunk has ``chunk_width(in_dim, out_dim)`` columns, so pushing it through
+    a map of either size stays within the ``STREAM_ENTRIES`` budget.
     """
-    width = max(1, STREAM_ENTRIES // max(1, in_dim, out_dim))
+    width = chunk_width(in_dim, out_dim)
     for start in range(0, in_dim, width):
         stop = min(in_dim, start + width)
         cols = np.zeros((in_dim, stop - start), dtype=complex)
@@ -312,6 +317,30 @@ class Superoperator:
         return self.apply_many(np.asarray(v, dtype=complex).reshape(-1, 1)).reshape(-1)
 
 
+def column_images(ops, rows: int):
+    """Yield (start, images) over consecutive column chunks of maps on one domain:
+    ``images[i]`` is ``ops[i].matrix[:, start:start + k]``.
+
+    The chunks have ``chunk_width(in_dim, max(rows, out_dim of every map))``
+    columns, so an array with ``rows`` rows per column stays within the budget
+    too.  A dense map gives a read-only slice of its stored matrix; a factored
+    one the unit columns of ``unit_column_chunks`` pushed through its factors.
+    Unit columns are built only when some map is factored, and once per chunk
+    for all of them.
+    """
+    in_dim = ops[0].in_dim
+    rows = max(rows, *(op.out_dim for op in ops))
+    if all(op.is_dense for op in ops):
+        width = chunk_width(in_dim, rows)
+        for start in range(0, in_dim, width):
+            yield start, [op.factors[0][:, start:start + width] for op in ops]
+        return
+    for start, cols in unit_column_chunks(in_dim, rows):
+        stop = start + cols.shape[1]
+        yield start, [op.factors[0][:, start:stop] if op.is_dense else op.apply_many(cols)
+                      for op in ops]
+
+
 def identity_superop(blocks: Blocks) -> Superoperator:
     n = blocks_dim(tuple(blocks))
     return Superoperator(np.eye(n, dtype=complex), tuple(blocks), tuple(blocks))
@@ -399,8 +428,10 @@ def composite_residual(lhs, rhs) -> float:
     """max_abs(L - R) for the composites L = lhs[0] o lhs[1] o ... and likewise R.
 
     Every column of the identity on the common domain goes through both
-    sides, in chunks of ``unit_column_chunks``, so every entry of L - R is
-    compared and no dense map is formed.  This is the one comparator of map
+    sides, in the chunks of ``column_images``: the innermost map of each side
+    gives its column image, a slice when it is stored dense, and the rest of
+    the chain is applied to it.  So every entry of L - R is compared and no
+    dense map is formed.  This is the one comparator of map
     identities, and the only place where factored maps are merged.
 
     First each chain is merged (``_merge_chain``): adjacent factored maps
@@ -426,11 +457,10 @@ def composite_residual(lhs, rhs) -> float:
         return 0.0
     widest = max(op.out_dim for op in (*lhs, *rhs))
     worst = 0.0
-    for _, cols in unit_column_chunks(lhs[-1].in_dim, widest):
-        left, right = cols, cols
-        for op in reversed(lhs):
+    for _, (left, right) in column_images([lhs[-1], rhs[-1]], widest):
+        for op in reversed(lhs[:-1]):
             left = op.apply_many(left)
-        for op in reversed(rhs):
+        for op in reversed(rhs[:-1]):
             right = op.apply_many(right)
         worst = max(worst, max_abs(left - right))
     return worst
@@ -557,34 +587,17 @@ def check_star_homomorphism(f: Superoperator, tol: Tolerance = DEFAULT_TOL) -> H
     f(e_a) f(e_b) for every b, at most ``STREAM_ENTRIES`` entries.  f(e_target)
     is subtracted in place at the nonzero products (``unit_products``), and the
     max-abs runs over the whole chunk, so every other pair is compared with 0.
-    A real map (``exact_real``) is multiplied in float64.
+    A real map (``exact_real``) is multiplied in float64.  Adjoint
+    preservation compares f(e_a*) with f(e_a)* in column chunks of the same
+    budget.
 
     Cost is n^2 m^3 per codomain block, over all basis pairs; intended for
     the pairwise algebras of a system, not for large partition algebras
     (those maps are homomorphisms by construction).
     """
-    dom, cod = f.dom, f.cod
-    n = f.in_dim
     mat = f.matrix
-    rmat = exact_real(mat)
-    a_idx, b_idx, t_idx = unit_products(dom)
-    mult = 0.0
-    for m, off in zip(cod, block_offsets(cod)):
-        # f(e_a) restricted to this codomain block, and the same stack as (m, n m)
-        imgs = np.ascontiguousarray(rmat[off:off + m * m].T).reshape(n, m, m)
-        right = np.ascontiguousarray(imgs.transpose(1, 0, 2)).reshape(m, n * m)
-        rows = max(1, STREAM_ENTRIES // (n * m * m))
-        for a0 in range(0, n, rows):
-            a1 = min(n, a0 + rows)
-            prod = (imgs[a0:a1].reshape(-1, m) @ right).reshape(a1 - a0, m, n, m)
-            lo, hi = np.searchsorted(a_idx, (a0, a1))
-            prod[a_idx[lo:hi] - a0, :, b_idx[lo:hi], :] -= imgs[t_idx[lo:hi]]
-            mult = max(mult, max_abs(prod))
-
-    # f(e_a*) is the sp_dom[a] column; f(e_a)* conjugates and transposes the image
-    sp_dom, sp_cod = star_perm(dom), star_perm(cod)
-    adj = max_abs(mat[:, sp_dom] - mat.conj()[sp_cod, :])
-
+    mult = _multiplicativity_residual(mat, f.dom, f.cod)
+    adj = _adjoint_residual(mat, f.dom, f.cod)
     rank = numerical_rank(mat)
     injective = rank == f.in_dim
     surjective = rank == f.out_dim
@@ -599,3 +612,42 @@ def check_star_homomorphism(f: Superoperator, tol: Tolerance = DEFAULT_TOL) -> H
         is_monomorphism=is_hom and injective,
         is_isomorphism=is_hom and injective and surjective,
     )
+
+
+def _multiplicativity_residual(mat: np.ndarray, dom: Blocks, cod: Blocks) -> float:
+    """max |f(e_a) f(e_b) - f(e_a e_b)| over every pair of matrix units, as
+    ``check_star_homomorphism`` describes; its buffers are freed on return."""
+    n = mat.shape[1]
+    rmat = exact_real(mat)
+    a_idx, b_idx, t_idx = unit_products(dom)
+    mult = 0.0
+    for m, off in zip(cod, block_offsets(cod)):
+        # f(e_a) restricted to this codomain block, and the same stack as (m, n m)
+        imgs = np.ascontiguousarray(rmat[off:off + m * m].T).reshape(n, m, m)
+        right = np.ascontiguousarray(imgs.transpose(1, 0, 2)).reshape(m, n * m)
+        rows = max(1, STREAM_ENTRIES // (n * m * m))
+        for a0 in range(0, n, rows):
+            a1 = min(n, a0 + rows)
+            prod = (imgs[a0:a1].reshape(-1, m) @ right).reshape(a1 - a0, m, n, m)
+            lo, hi = np.searchsorted(a_idx, (a0, a1))
+            prod[a_idx[lo:hi] - a0, :, b_idx[lo:hi], :] -= imgs[t_idx[lo:hi]]
+            mult = max(mult, max_abs(prod))
+    return mult
+
+
+def _adjoint_residual(mat: np.ndarray, dom: Blocks, cod: Blocks) -> float:
+    """max |f(e_a*) - f(e_a)*| over the matrix units a, in column chunks of at
+    most ``STREAM_ENTRIES`` entries per array.
+
+    f(e_a*) is column sp_dom[a] of the map, and f(e_a)* conjugates column a
+    and reads it in the order sp_cod.
+    """
+    sp_dom, sp_cod = star_perm(dom), star_perm(cod)
+    adj = 0.0
+    width = chunk_width(*mat.shape)
+    for a0 in range(0, mat.shape[1], width):
+        diff = mat[:, sp_dom[a0:a0 + width]]
+        star = mat[sp_cod, a0:a0 + width]
+        diff -= np.conjugate(star, out=star)
+        adj = max(adj, max_abs(diff))
+    return adj

@@ -11,10 +11,12 @@ isometries mirror the comultiplication; the agreement of its dilation with the
 GNS system of the dilated states reduces to Gram-matrix preservation along
 refinements, which is checked here.  The Gram matrix of a product state is
 block diagonal, kron(I_n, rho_k^T) on block k, so the check applies it block
-by block and never forms a dense Gram matrix.
+by block and never forms a dense Gram matrix; it reads the connecting map one
+chunk of columns at a time, so it never forms that map densely either.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -32,8 +34,10 @@ from .algebra import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    Superoperator,
     Tolerance,
     block_offsets,
+    column_images,
     isometry_residual,
     max_abs,
     tensor_perm,
@@ -226,7 +230,7 @@ def gns_isometry(sys: TensorialSystem, fam: FunctionalFamily, r, s, t,
     prod_state = functional_tensor(fam.phi(r, s), fam.phi(s, t))
     gab = gns(prod_alg, prod_state, tol)
     w = _tensor_gns_unitary(a, b, gns_data[(r, s)], gns_data[(s, t)], gab)
-    return w.conj().T @ gab.eta @ sys.delta(r, s, t).matrix @ gns_data[(r, t)].lift
+    return sys.delta(r, s, t).rapply(w.conj().T @ gab.eta) @ gns_data[(r, t)].lift
 
 
 def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
@@ -278,36 +282,68 @@ def gram_preservation_residual(sys: TensorialSystem, fam: FunctionalFamily,
     This is the well-definedness and isometry of the maps between the GNS
     spaces of the product states, i.e. the finite-level content of the
     equivalence between the two Hilbert-space dilations.  A nonzero
-    ``perturbation`` is added to one entry of the map as a negative control.
+    ``perturbation`` is added to one entry of the map as a negative control,
+    which reads the map densely (``_perturbed_map``); it is meant for a small
+    pair.
 
-    Neither Gram matrix is formed: G_K D is applied block by block
-    (``gram_apply``), D^H (G_K D) is one product, and G_I = (+)_k kron(I_n,
-    rho_k^T) is subtracted in place along its diagonal blocks.  The residual
-    is the max-abs over every entry of D^H G_K D - G_I, zeros included.
+    D^H G_K D - G_I is formed one chunk of columns c at a time
+    (``column_images``), and neither D nor a Gram matrix is formed: G_K is
+    applied to the image D e_c block by block (``gram_apply``), D^H to the
+    result through the map's factors (``rapply`` of its conjugate rows), and
+    G_I = (+)_k kron(I_n, rho_k^T) is subtracted in place from the chunk.  The
+    residual is the max-abs over every entry, zeros included.
     """
-    mat = delta_cross(sys, unit, coarse, fine).matrix
+    op = delta_cross(sys, unit, coarse, fine)
     alg_fine = partition_algebra(sys, fine)
     phi_fine = state_on_partition(fam, fine)
-    weighted = gram_apply(alg_fine, phi_fine, mat)
     if perturbation:
-        # hit the entry with the largest Gram weight w and divide by conj(w):
-        # entry (c, c) of D^H G_K D then moves by about 2 * perturbation
-        # whatever the state's scale; only column c of the map changes, so
-        # only column c of G_K D is redone
-        j, c = np.unravel_index(np.argmax(np.abs(weighted)), weighted.shape)
-        w = weighted[j, c]
-        mat = mat.copy()
-        mat[j, c] += perturbation / np.conj(w) if w != 0 else perturbation
-        weighted[:, c] = gram_apply(alg_fine, phi_fine, mat[:, c])
-    prod = mat.conj().T @ weighted
+        op = _perturbed_map(op, alg_fine, phi_fine, perturbation)
     alg_coarse = partition_algebra(sys, coarse)
     phi_coarse = state_on_partition(fam, coarse)
-    for n, rho, off in zip(alg_coarse.blocks, phi_coarse.densities,
-                           block_offsets(alg_coarse.blocks)):
-        # rows and columns (i, a), (i, b) of block k carry rho_k^T[a, b]
-        idx = off + np.arange(n * n).reshape(n, n)
-        prod[idx[:, :, None], idx[:, None, :]] -= rho.T
-    return max_abs(prod)
+    worst = 0.0
+    for start, (image,) in column_images([op], op.in_dim):
+        weighted = gram_apply(alg_fine, phi_fine, image)
+        # row c - start of cols is column c of D^H G_K D: conj((G_K D e_c)^H D)
+        np.conjugate(weighted, out=weighted)
+        cols = op.rapply(weighted.T)
+        np.conjugate(cols, out=cols)
+        _subtract_gram_columns(cols, start, alg_coarse, phi_coarse)
+        worst = max(worst, max_abs(cols))
+        del image, weighted, cols  # freed before the next chunk is built
+    return worst
+
+
+def _perturbed_map(op: Superoperator, alg_fine: FiniteCStarAlgebra, phi_fine: LinearFunctional,
+                   perturbation: float) -> Superoperator:
+    """The map with ``perturbation`` added to the entry of largest Gram weight, as a dense map.
+
+    The entry (j, c) maximises |G_K D| and the perturbation is divided by
+    conj(w), w = (G_K D)[j, c]: entry (c, c) of D^H G_K D then moves by about
+    2 * perturbation whatever the state's scale.
+    """
+    mat = op.matrix.copy()
+    weighted = gram_apply(alg_fine, phi_fine, mat)
+    j, c = np.unravel_index(np.argmax(np.abs(weighted)), weighted.shape)
+    w = weighted[j, c]
+    mat[j, c] += perturbation / np.conj(w) if w != 0 else perturbation
+    return Superoperator(mat, op.dom, op.cod)
+
+
+def _subtract_gram_columns(cols: np.ndarray, start: int, alg: FiniteCStarAlgebra,
+                           phi: LinearFunctional) -> None:
+    """Subtract columns start, start + 1, ... of G_I from the rows of ``cols``, in place.
+
+    Rows and columns (i, a), (i, b) of block k carry rho_k^T[a, b], so row
+    c - start, for column c = (i, b) of block k, loses rho_k[b, :] at (i, :).
+    """
+    stop = start + cols.shape[0]
+    offsets = block_offsets(alg.blocks)
+    # only the blocks that meet the chunk, so a chunk costs its own blocks
+    for k in range(bisect_right(offsets, start) - 1, bisect_left(offsets, stop)):
+        n, rho, off = alg.blocks[k], phi.densities[k], offsets[k]
+        lo, hi = max(start, off), min(stop, off + n * n)
+        i, b = np.divmod(np.arange(lo, hi) - off, n)
+        cols[np.arange(lo, hi)[:, None] - start, off + n * i[:, None] + np.arange(n)] -= rho[b]
 
 
 def dilation_isomorphism_check(sys: TensorialSystem, fam: FunctionalFamily,

@@ -366,7 +366,8 @@ def test_associativity_residual_memory_stays_bounded_on_m16():
 
 
 def test_star_homomorphism_check_memory_stays_bounded_on_m16():
-    # the M_16 triple of glue [4,4]: GEMM chunks of STREAM_ENTRIES, no pair tensor
+    # the M_16 triple of glue [4,4]: GEMM chunks of STREAM_ENTRIES, no pair tensor, and
+    # the adjoint compared in column chunks (2.6 MB measured, 5.2 MB with a dense one)
     setup = build_setup(config(system={"kind": "glue_hilbert", "cell_dims": [4, 4]},
                                dim_cap=65536))
     delta = setup.system.deltas[(Fraction(1), Fraction(2), Fraction(3))]
@@ -379,7 +380,7 @@ def test_star_homomorphism_check_memory_stays_bounded_on_m16():
     finally:
         tracemalloc.stop()
     assert rep.is_isomorphism and rep.multiplicativity_residual == 0
-    assert peak < dense + 8 * 2**20
+    assert peak < dense + 2 * 2**20
 
 
 def test_algebra_suite_memory_stays_bounded_on_m16():

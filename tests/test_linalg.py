@@ -252,6 +252,22 @@ class TestMultiplicativityAgainstPairLoop:
         assert rep.multiplicativity_residual == 0.5
 
 
+@pytest.mark.parametrize("stream_entries", [None, 1], ids=["default_chunks", "one_column"])
+def test_adjoint_residual_compares_every_column(monkeypatch, stream_entries):
+    # a homomorphism with one column bumped at a time: the chunked residual is the dense
+    # formula's bit for bit, wherever the column falls
+    if stream_entries is not None:
+        monkeypatch.setattr(linalg, "STREAM_ENTRIES", stream_entries)
+    f = block_projection(np.linalg.qr(random_complex((2, 2)))[0],
+                         np.linalg.qr(random_complex((3, 3)))[0])
+    for col in range(f.in_dim):
+        mat = f.matrix.copy()
+        mat[0, col] += 0.5j
+        ref = max_abs(mat[:, star_perm(f.dom)] - mat.conj()[star_perm(f.cod), :])
+        res = check_star_homomorphism(Superoperator(mat, f.dom, f.cod)).adjoint_residual
+        assert res == ref >= 0.5 - 1e-12
+
+
 def test_numerical_rank():
     assert numerical_rank(np.eye(5)) == 5
     assert numerical_rank(np.zeros((3, 3))) == 0

@@ -104,6 +104,26 @@ def glue_with_faithful_state(grid, dims):
     return hs, sys, FunctionalFamily(functionals)
 
 
+def random_complex_glue(dims):
+    """glue_hilbert on the grid 1..len(dims)+1 with the product of random complex,
+    non-diagonal cell densities: a co-unit with genuine rounding."""
+    grid = Grid(list(range(1, len(dims) + 2)))
+    _, sys = glue_hilbert_system(grid, dims)
+    rng = np.random.default_rng(19)
+    cells = {}
+    for cell, d in zip(zip(grid.points, grid.points[1:]), dims):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = a @ a.conj().T
+        cells[cell] = rho / np.trace(rho).real
+    functionals = {}
+    for (s, t) in grid.pairs():
+        rho = np.ones((1, 1))
+        for cell in grid.cells(s, t):
+            rho = np.kron(rho, cells[cell])
+        functionals[(s, t)] = LinearFunctional(sys.alg(s, t), [rho])
+    return sys, standard_unit(sys), FunctionalFamily(functionals)
+
+
 def faithful_glue():
     """glue [2, 3] with the faithful state of weights 1/3, 2/3 and 1/6, 2/6, 3/6."""
     _, sys, fam = glue_with_faithful_state(Grid([1, 2, 3]), [2, 3])
@@ -385,20 +405,65 @@ class TestGramPreservation:
                                                    perturbation=1e-3)
             assert res == ref and res >= 1e-4
 
-    def test_memory_stays_bounded_on_grid6(self):
-        # the subproduct-grid6 pair with the largest Gram matrix: G_K is
-        # 1024 x 1024, and neither it nor G_I is formed
-        _, sys = diagonal_system(Grid([1, 2, 3, 4, 5, 6]), 2)
-        fam = constant_functional_family(sys, vector_state)
+    @pytest.mark.parametrize("stream_entries", [None, 1], ids=["default_chunks", "one_column"])
+    def test_streamed_matches_dense_formula_across_chunks(self, monkeypatch, stream_entries):
+        # glue [3, 3, 3] under a product of random complex non-diagonal cell states: two
+        # factored maps into the finest partition, one of them padded, and the dense
+        # interval map; the 729 x 729 ones span several chunks of STREAM_ENTRIES
+        from cstar_systems import linalg
+
+        sys, unit, fam = random_complex_glue([3, 3, 3])
+        fine = Partition([1, 2, 3, 4])
+        coarses = [Partition([1, 3, 4]), Partition([1, 4]), Partition([2, 4])]
+        ops = [delta_cross(sys, unit, coarse, fine) for coarse in coarses]
+        assert [op.is_dense for op in ops] == [False, True, False]
+        assert max(op.in_dim // linalg.chunk_width(op.in_dim, op.out_dim) for op in ops) > 1
+        refs = [dense_gram_preservation_residual(sys, fam, coarse, fine, unit)
+                for coarse in coarses]
+        if stream_entries is not None:
+            monkeypatch.setattr(linalg, "STREAM_ENTRIES", stream_entries)
+        for coarse, ref in zip(coarses, refs):
+            res = gram_preservation_residual(sys, fam, coarse, fine, unit)
+            # the padded pair reads about 0.14: phi(p) != 1 for this state
+            assert abs(res - ref) <= 1e-12
+
+    @staticmethod
+    def assert_peak_below(bound, sys, fam, coarse, fine, unit=None):
         tracemalloc.start()
         try:
-            res = gram_preservation_residual(sys, fam, Partition([1, 3, 4, 5, 6]),
-                                             Partition([1, 2, 3, 4, 5, 6]))
+            res = gram_preservation_residual(sys, fam, coarse, fine, unit)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert res == 0
-        assert peak < 24 * 2**20
+        assert peak < bound
+
+    def test_memory_stays_bounded_on_grid6(self):
+        # the subproduct-grid6 pair with the largest Gram matrix: G_K is 1024 x 1024,
+        # and neither it, G_I nor the 1024 x 256 map is formed (3.6 MB measured)
+        _, sys = diagonal_system(Grid([1, 2, 3, 4, 5, 6]), 2)
+        fam = constant_functional_family(sys, vector_state)
+        self.assert_peak_below(5 * 2**20, sys, fam, Partition([1, 3, 4, 5, 6]),
+                               Partition([1, 2, 3, 4, 5, 6]))
+
+    def test_memory_stays_bounded_on_dense_d3(self):
+        # the 6561 x 729 map of diagonal d=3 would take 73 MB dense (3.0 MB measured)
+        _, sys = diagonal_system(Grid([1, 2, 3, 4, 5]), 3, dim_cap=8192)
+        fam = constant_functional_family(sys, vector_state)
+        coarse, fine = Partition([1, 3, 4, 5]), Partition([1, 2, 3, 4, 5])
+        op = delta_cross(sys, None, coarse, fine)
+        assert (op.out_dim, op.in_dim) == (6561, 729) and not op.is_dense
+        self.assert_peak_below(4 * 2**20, sys, fam, coarse, fine)
+
+    def test_memory_stays_bounded_on_m16(self):
+        # the 256 x 256 map of glue [4, 4] is stored dense, so its columns are read as
+        # slices, not pushed through it as unit columns (2.5 MB measured, 4.5 MB that way)
+        _, sys = glue_hilbert_system(Grid([1, 2, 3]), [4, 4], dim_cap=65536)
+        unit = standard_unit(sys)
+        fam = constant_functional_family(sys, vector_state)
+        coarse, fine = Partition([1, 3]), Partition([1, 2, 3])
+        assert delta_cross(sys, unit, coarse, fine).is_dense
+        self.assert_peak_below(3.5 * 2**20, sys, fam, coarse, fine, unit)
 
 
 def test_brute_force_gram_equals_the_pair_loop():
