@@ -27,6 +27,7 @@ from .linalg import (
     join_vec,
     max_abs,
     split_vec,
+    star_perm,
     tensor_blocks,
     vec_tensor,
 )
@@ -164,8 +165,8 @@ class LinearFunctional:
         )
 
     def row(self) -> np.ndarray:
-        """Row vector with phi(x) = row @ vec(x)."""
-        return np.concatenate([r.T.reshape(-1) for r in self.densities])
+        """Row vector with phi(x) = row @ vec(x): the vec of the transposed densities."""
+        return join_vec(self.densities)[star_perm(self.algebra.blocks)]
 
     def state_residuals(self) -> tuple[float, float]:
         """(negativity, normalization error): both ~0 iff this is a state."""
@@ -184,10 +185,14 @@ class LinearFunctional:
 
 
 def functional_tensor(f: LinearFunctional, g: LinearFunctional) -> LinearFunctional:
-    """(f (x) g)(x (x) y) = f(x) g(y); densities tensor blockwise."""
+    """(f (x) g)(x (x) y) = f(x) g(y): densities tensor as elements do (``vec_tensor``).
+
+    Block (i, j) holds kron(rho_i, sigma_j), each entry the one product np.kron forms.
+    """
     t = tensor_algebra(f.algebra, g.algebra)
-    densities = [np.kron(rf, rg) for rf in f.densities for rg in g.densities]
-    return LinearFunctional(t, densities)
+    v = vec_tensor(f.algebra.blocks, g.algebra.blocks,
+                   join_vec(f.densities), join_vec(g.densities))
+    return LinearFunctional(t, split_vec(t.blocks, v))
 
 
 def trace_functional(algebra: FiniteCStarAlgebra, normalized: bool = False) -> LinearFunctional:

@@ -112,6 +112,16 @@ def tensor_blocks(a: Blocks, b: Blocks) -> Blocks:
 
 
 @lru_cache(maxsize=None)
+def _entry_coords(blocks: Blocks) -> tuple[np.ndarray, ...]:
+    """(block, row, column, size, offset) of each vec entry, offset + row * size + column."""
+    sizes = np.asarray(blocks, dtype=np.intp)
+    block = np.repeat(np.arange(sizes.size), sizes * sizes)
+    size, offset = sizes[block], (np.cumsum(sizes * sizes) - sizes * sizes)[block]
+    row, col = np.divmod(np.arange(block.size) - offset, size)
+    return block, row, col, size, offset
+
+
+@lru_cache(maxsize=None)
 def tensor_perm(a: Blocks, b: Blocks) -> np.ndarray:
     """Index map p with vec_T(x (x) y)[p] = (vec_A(x) (x) vec_B(y)) flattened.
 
@@ -120,29 +130,26 @@ def tensor_perm(a: Blocks, b: Blocks) -> np.ndarray:
     is a permutation of range(dim_A * dim_B); it is associative across nested
     tensor products because both the pair order and the Kronecker layout are.
     """
-    dim_b = blocks_dim(b)
-    perm = np.empty(blocks_dim(a) * dim_b, dtype=np.intp)
-    offs_a, offs_b = block_offsets(a), block_offsets(b)
-    offs_t = block_offsets(tensor_blocks(a, b))
-    for i, na in enumerate(a):
-        for j, nb in enumerate(b):
-            off_t = offs_t[i * len(b) + j]
-            n = na * nb
-            for r1 in range(na):
-                for c1 in range(na):
-                    pa = offs_a[i] + r1 * na + c1
-                    for r2 in range(nb):
-                        for c2 in range(nb):
-                            pb = offs_b[j] + r2 * nb + c2
-                            q = off_t + (r1 * nb + r2) * n + (c1 * nb + c2)
-                            perm[pa * dim_b + pb] = q
-    return perm
+    ka, r1, c1, na, _ = (x[:, None] for x in _entry_coords(a))
+    kb, r2, c2, nb, _ = _entry_coords(b)
+    offs_t = np.reshape(block_offsets(tensor_blocks(a, b)), (len(a), len(b)))
+    # (r1, c1) of block i and (r2, c2) of block j meet at row r1 nb + r2, column
+    # c1 nb + c2 of block (i,j); built in place, with one dim_A x dim_B temporary
+    perm = r1 * nb
+    perm += r2
+    perm *= na
+    perm += c1
+    perm *= nb
+    perm += c2
+    perm += offs_t[ka, kb]
+    return perm.reshape(-1)
 
 
 def vec_tensor(a: Blocks, b: Blocks, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """Vectorized elementary tensor of vectorized elements."""
+    perm = tensor_perm(a, b)  # built before the product, so their peaks do not meet
     out = np.empty(va.size * vb.size, dtype=complex)
-    out[tensor_perm(a, b)] = np.kron(va.reshape(-1), vb.reshape(-1))
+    out[perm] = np.kron(va.reshape(-1), vb.reshape(-1))
     return out
 
 
@@ -537,13 +544,9 @@ class HomReport:
 
 @lru_cache(maxsize=None)
 def star_perm(blocks: Blocks) -> np.ndarray:
-    """Index map with vec(x*) = conj(vec(x))[star_perm]."""
-    perm = np.empty(blocks_dim(blocks), dtype=np.intp)
-    for n, off in zip(blocks, block_offsets(blocks)):
-        for i in range(n):
-            for j in range(n):
-                perm[off + i * n + j] = off + j * n + i
-    return perm
+    """Index map with vec(x*) = conj(vec(x))[star_perm]: entry (i, j) reads (j, i)."""
+    _, row, col, size, offset = _entry_coords(blocks)
+    return offset + col * size + row
 
 
 @lru_cache(maxsize=None)
@@ -551,13 +554,13 @@ def unit_products(blocks: Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero products of matrix units as index arrays: e_a e_b = e_target.
 
     Within a block, e_ij e_jl = e_il; every other product is 0.  The triples
-    (a, b, target) are sorted by a.
+    (a, b, target) are sorted by a, then by l.
     """
-    out = []
-    for n, off in zip(blocks, block_offsets(blocks)):
-        i, j, l = np.indices((n, n, n)).reshape(3, -1)
-        out.append((off + i * n + j, off + j * n + l, off + i * n + l))
-    triples = tuple(np.concatenate(arrays) for arrays in zip(*out))
+    _, row, col, size, offset = _entry_coords(blocks)
+    a = np.repeat(np.arange(size.size), size)  # e_a = e_ij meets e_jl for each l
+    l = np.arange(a.size) - np.repeat(np.cumsum(size) - size, size)
+    base = offset[a] + l
+    triples = (a, base + col[a] * size[a], base + row[a] * size[a])
     for arr in triples:
         arr.setflags(write=False)
     return triples

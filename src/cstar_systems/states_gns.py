@@ -7,12 +7,13 @@ functional is the idempotent state of the system algebra; its marginals
 recover the family.
 
 Applying the GNS construction per pair produces a Hilbert-space system whose
-isometries mirror the comultiplication; the agreement of its dilation with the
-GNS system of the dilated states reduces to Gram-matrix preservation along
-refinements, which is checked here.  The Gram matrix of a product state is
-block diagonal, kron(I_n, rho_k^T) on block k, so the check applies it block
-by block and never forms a dense Gram matrix; it reads the connecting map one
-chunk of columns at a time, so it never forms that map densely either.
+isometries V[r,s,t]: eta(x) -> (eta (x) eta)(D[r,s,t] x) come from the pair
+GNS maps alone.  The agreement of its dilation with the GNS system of the
+dilated states reduces to Gram-matrix preservation along refinements, which
+is checked here.  The Gram matrix of a product state is block diagonal,
+kron(I_n, rho_k^T) on block k, so the check applies it block by block and
+never forms a dense Gram matrix; it reads the connecting map one chunk of
+columns at a time, so it never forms that map densely either.
 """
 from __future__ import annotations
 
@@ -23,15 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (
-    FiniteCStarAlgebra,
-    GnsData,
-    LinearFunctional,
-    functional_tensor,
-    gns,
-    gram_apply,
-    tensor_algebra,
-)
+from .algebra import FiniteCStarAlgebra, GnsData, LinearFunctional, gns, gram_apply
 from .linalg import (
     DEFAULT_TOL,
     Superoperator,
@@ -40,6 +33,8 @@ from .linalg import (
     column_images,
     isometry_residual,
     max_abs,
+    split_vec,
+    star_perm,
     tensor_perm,
 )
 from .partition_calculus import (
@@ -182,8 +177,8 @@ def _unit_vec(dim: int, a: int) -> np.ndarray:
 
 
 def _functional_from_row(alg: FiniteCStarAlgebra, row: np.ndarray) -> LinearFunctional:
-    densities = [m.T.copy() for m in alg.from_vec(row).block_matrices]
-    return LinearFunctional(alg, densities)
+    """The functional whose ``row()`` is ``row``: the densities are its vec transposed."""
+    return LinearFunctional(alg, split_vec(alg.blocks, row[star_perm(alg.blocks)]))
 
 
 # -- GNS systems ---------------------------------------------------------------
@@ -214,23 +209,17 @@ class GnsSystem:
         return HilbertSystem(self.sys.grid, dims, dict(self.isometries))
 
 
-def _tensor_gns_unitary(a: FiniteCStarAlgebra, b: FiniteCStarAlgebra,
-                        ga: GnsData, gb: GnsData, gab: GnsData) -> np.ndarray:
-    """The unitary H_a (x) H_b -> H_ab sending eta(x) (x) eta(y) to eta(x (x) y)."""
-    perm = tensor_perm(a.blocks, b.blocks)
-    lifted = np.kron(ga.lift, gb.lift)  # coords -> representative vec (x) vec
-    return gab.eta[:, perm] @ lifted  # columns of eta reordered to vec (x) vec
+def gns_isometry(sys: TensorialSystem, r, s, t, gns_data: Mapping[Pair, GnsData]) -> np.ndarray:
+    """V[r,s,t]: H(r,t) -> H(r,s) (x) H(s,t), eta(x) -> (eta (x) eta)(D[r,s,t] x).
 
-
-def gns_isometry(sys: TensorialSystem, fam: FunctionalFamily, r, s, t,
-                 gns_data: Mapping[Pair, GnsData], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """V[r,s,t]: H(r,t) -> H(r,s) (x) H(s,t) induced by the comultiplication."""
-    a, b = sys.alg(r, s), sys.alg(s, t)
-    prod_alg = tensor_algebra(a, b)
-    prod_state = functional_tensor(fam.phi(r, s), fam.phi(s, t))
-    gab = gns(prod_alg, prod_state, tol)
-    w = _tensor_gns_unitary(a, b, gns_data[(r, s)], gns_data[(s, t)], gab)
-    return sys.delta(r, s, t).rapply(w.conj().T @ gab.eta) @ gns_data[(r, t)].lift
+    kron(eta_rs, eta_st) reads vec(x) (x) vec(y); with its columns placed at
+    ``tensor_perm`` it reads vecs of A(r,s) (x) A(s,t), and ``rapply`` pulls it
+    back through D[r,s,t] onto the lifted coordinates of H(r,t).
+    """
+    pair_eta = np.kron(gns_data[(r, s)].eta, gns_data[(s, t)].eta)
+    eta = np.empty_like(pair_eta)
+    eta[:, tensor_perm(sys.alg(r, s).blocks, sys.alg(s, t).blocks)] = pair_eta
+    return sys.delta(r, s, t).rapply(eta) @ gns_data[(r, t)].lift
 
 
 def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
@@ -245,7 +234,7 @@ def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
     gns_data = {(s, t): gns(sys.alg(s, t), fam.phi(s, t), tol) for (s, t) in sys.grid.pairs()}
     isometries = {}
     for (r, s, t) in sys.grid.triples():
-        v = gns_isometry(sys, fam, r, s, t, gns_data, tol)
+        v = gns_isometry(sys, r, s, t, gns_data)
         res = isometry_residual(v)
         if v.shape[0] < v.shape[1] or not res <= max(tol.eps, 1e-7):
             raise GnsIsometryError((r, s, t), res)

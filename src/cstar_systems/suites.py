@@ -377,9 +377,9 @@ def brute_force_gram(alg: FiniteCStarAlgebra, phi: LinearFunctional) -> np.ndarr
 def associativity_residual(phi: LinearFunctional) -> float:
     """max_abs of (phi (x) phi) (x) phi - phi (x) (phi (x) phi), streamed.
 
-    Every entry of the triple density is compared, with the same elementwise
-    products that np.kron forms in ``functional_tensor``, but one block
-    triple (i, j, k) and one row pair (p, q) at a time: rows (p, q, r) of
+    Every entry of the triple density is compared, with the products np.kron
+    would form, as ``functional_tensor`` forms the pair density's, one block
+    triple (i, j, k) and row pair (p, q) at a time: rows (p, q, r) of
     (pair_ij (x) rho_k) against rho_i[p] (x) rows (q, r) of pair_jk, broadcast
     into buffers of nk * ni * nj * nk entries (2^16 on M_16), where the
     difference, its abs and their max are taken in place, so no triple density
@@ -398,8 +398,8 @@ def associativity_residual(phi: LinearFunctional) -> float:
                 nk = rk.shape[0]
                 right = pair[j * nb + k].reshape(nj, 1, nk, 1, nj * nk)
                 rk4 = rk.reshape(1, nk, 1, nk)
-                # the operand shapes of np.kron(row, rk) and np.kron(ri[p], rows),
-                # so every product is the one it forms
+                # the operand shapes np.kron would use for np.kron(row, rk) and
+                # np.kron(ri[p], rows), so every product is the one it would form
                 dtype = np.result_type(left, rk, ri, right)
                 lhs = np.empty((1, nk, ni * nj, nk), dtype)
                 rhs = np.empty((1, nk, ni, nj * nk), dtype)

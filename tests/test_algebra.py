@@ -117,6 +117,40 @@ def test_functional_tensor_associative():
     assert max_abs(lhs.row() - rhs.row()) < 1e-15
 
 
+def _random_functional(rng, integer):
+    """A functional on 1-3 blocks of sizes 1-3 with complex densities: Gaussian, or
+    Gaussian integers, whose products are all exact."""
+    def draw(n):
+        if integer:
+            return rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    blocks = tuple(rng.integers(1, 4, rng.integers(1, 4)))
+    return LinearFunctional(FiniteCStarAlgebra(blocks), [draw(n) for n in blocks])
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "gaussian_integer"])
+def test_functional_tensor_is_the_block_pair_kron_bitwise(integer):
+    from cstar_systems.suites import associativity_residual
+
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        f, g = _random_functional(rng, integer), _random_functional(rng, integer)
+        fg = functional_tensor(f, g)
+        ref = [np.kron(rf, rg) for rf in f.densities for rg in g.densities]
+        assert fg.algebra == tensor_algebra(f.algebra, g.algebra)
+        assert len(fg.densities) == len(ref)
+        assert all(np.array_equal(x, y) for x, y in zip(fg.densities, ref))
+        assert np.array_equal(fg.row(), np.concatenate([r.T.reshape(-1) for r in ref]))
+        # the streamed associativity check against the triple densities np.kron forms
+        rhos = f.densities
+        dense = max(max_abs(np.kron(np.kron(ri, rj), rk) - np.kron(ri, np.kron(rj, rk)))
+                    for ri in rhos for rj in rhos for rk in rhos)
+        assert associativity_residual(f) == dense
+        if integer:
+            assert dense == 0
+
+
 def test_state_predicate():
     assert vector_state(M2).is_state()
     assert trace_functional(M2, normalized=True).is_state()

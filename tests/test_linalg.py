@@ -332,6 +332,69 @@ from hypothesis import given, settings, strategies as st
 block_lists = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
 
 
+# -- the index maps against entry-by-entry loops -----------------------------------
+
+def _offsets(blocks):
+    return np.cumsum([0] + [n * n for n in blocks])[:-1]
+
+
+def loop_tensor_perm(a, b):
+    """Reference for ``tensor_perm``: entry (r1, c1) of block i of A and (r2, c2) of
+    block j of B land at row r1 nb + r2, column c1 nb + c2 of block (i, j)."""
+    dim_b = sum(n * n for n in b)
+    perm = np.empty(sum(n * n for n in a) * dim_b, dtype=np.intp)
+    offs_a, offs_b = _offsets(a), _offsets(b)
+    offs_t = _offsets(tensor_blocks(a, b))
+    for i, na in enumerate(a):
+        for j, nb in enumerate(b):
+            off_t = offs_t[i * len(b) + j]
+            n = na * nb
+            for r1 in range(na):
+                for c1 in range(na):
+                    pa = offs_a[i] + r1 * na + c1
+                    for r2 in range(nb):
+                        for c2 in range(nb):
+                            pb = offs_b[j] + r2 * nb + c2
+                            perm[pa * dim_b + pb] = off_t + (r1 * nb + r2) * n + (c1 * nb + c2)
+    return perm
+
+
+def loop_star_perm(blocks):
+    """Reference for ``star_perm``: entry (i, j) of each block reads (j, i)."""
+    perm = np.empty(sum(n * n for n in blocks), dtype=np.intp)
+    for n, off in zip(blocks, _offsets(blocks)):
+        for i in range(n):
+            for j in range(n):
+                perm[off + i * n + j] = off + j * n + i
+    return perm
+
+
+def loop_unit_products(blocks):
+    """Reference for ``unit_products``: (a, b, target) of e_ij e_jl = e_il, in the
+    order of a, then l."""
+    out = ([], [], [])
+    for n, off in zip(blocks, _offsets(blocks)):
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    for arr, idx in zip(out, (i * n + j, j * n + l, i * n + l)):
+                        arr.append(off + idx)
+    return tuple(np.array(arr, dtype=np.intp) for arr in out)
+
+
+index_blocks = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=200)
+@given(index_blocks, index_blocks)
+def test_index_maps_match_the_entry_loops(a, b):
+    a, b = tuple(a), tuple(b)
+    assert np.array_equal(linalg.tensor_perm(a, b), loop_tensor_perm(a, b))
+    assert np.array_equal(star_perm(a), loop_star_perm(a))
+    for got, want in zip(unit_products(a), loop_unit_products(a)):
+        assert np.array_equal(got, want)
+
+
 @given(block_lists, block_lists)
 def test_tensor_perm_is_a_permutation(a, b):
     from cstar_systems.linalg import blocks_dim, tensor_perm
@@ -352,12 +415,11 @@ def test_vec_round_trip(blocks):
 # -- factored superoperators against the dense Kronecker reference ----------------
 
 def dense_tensor(f, g) -> np.ndarray:
-    """Reference: the dense Kronecker product of the two matrices, scattered by tensor_perm."""
-    from cstar_systems.linalg import tensor_perm
-
+    """Reference: the dense Kronecker product of the two matrices, scattered by the
+    entry loop ``loop_tensor_perm``."""
     k = np.kron(f.matrix, g.matrix)
     out = np.empty_like(k)
-    out[np.ix_(tensor_perm(f.cod, g.cod), tensor_perm(f.dom, g.dom))] = k
+    out[np.ix_(loop_tensor_perm(f.cod, g.cod), loop_tensor_perm(f.dom, g.dom))] = k
     return out
 
 

@@ -9,6 +9,8 @@ import pytest
 from cstar_systems.algebra import (
     FiniteCStarAlgebra,
     LinearFunctional,
+    gns,
+    tensor_algebra,
     trace_functional,
     vector_state,
 )
@@ -19,7 +21,14 @@ from cstar_systems.commutative import (
     measure_family_functionals,
     to_cstar,
 )
-from cstar_systems.linalg import composite_residual, isometry_residual, max_abs, split_vec
+from cstar_systems.linalg import (
+    Superoperator,
+    composite_residual,
+    isometry_residual,
+    max_abs,
+    split_vec,
+    tensor_perm,
+)
 from cstar_systems.partition_calculus import (
     comultiplication,
     delta_cross,
@@ -32,6 +41,7 @@ from cstar_systems.partition_calculus import (
     unit_on_partition,
 )
 from cstar_systems.states_gns import (
+    GnsIsometryError,
     build_idempotent_state,
     counit_dilation_eval,
     dilation_isomorphism_check,
@@ -43,6 +53,7 @@ from cstar_systems.states_gns import (
 from cstar_systems.systems import (
     FunctionalFamily,
     Grid,
+    TensorialSystem,
     check_hilbert_axioms,
     constant_functional_family,
     diagonal_system,
@@ -104,16 +115,18 @@ def glue_with_faithful_state(grid, dims):
     return hs, sys, FunctionalFamily(functionals)
 
 
-def random_complex_glue(dims):
+def random_complex_glue(dims, floor=0.0):
     """glue_hilbert on the grid 1..len(dims)+1 with the product of random complex,
-    non-diagonal cell densities: a co-unit with genuine rounding."""
+    non-diagonal cell densities: a co-unit with genuine rounding.  ``floor`` adds
+    that multiple of the identity to each a a^* before it is normalised, which
+    bounds the cells' condition numbers."""
     grid = Grid(list(range(1, len(dims) + 2)))
     _, sys = glue_hilbert_system(grid, dims)
     rng = np.random.default_rng(19)
     cells = {}
     for cell, d in zip(zip(grid.points, grid.points[1:]), dims):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = a @ a.conj().T
+        rho = a @ a.conj().T + floor * np.eye(d)
         cells[cell] = rho / np.trace(rho).real
     functionals = {}
     for (s, t) in grid.pairs():
@@ -485,3 +498,74 @@ def test_brute_force_gram_equals_the_pair_loop():
                                                     split_vec(alg.blocks, units[a]))]
             ref[b, a] = sum(np.sum(rho.T * x) for rho, x in zip(phi.densities, prods))
     assert np.array_equal(brute_force_gram(alg, phi), ref)
+
+
+# -- V[r,s,t] against the GNS of the product state ----------------------------------
+
+def product_state_isometry(sys, fam, r, s, t, gns_data):
+    """Reference V[r,s,t] by the product-state route: the GNS of phi(r,s) (x) phi(s,t)
+    on A(r,s) (x) A(s,t), the unitary W: H(r,s) (x) H(s,t) -> H_prod sending
+    eta(x) (x) eta(y) to eta(x (x) y), and V = W^H eta_prod D[r,s,t] lift(r,t)."""
+    a, b = sys.alg(r, s), sys.alg(s, t)
+    prod_state = LinearFunctional(tensor_algebra(a, b), [
+        np.kron(rf, rg) for rf in fam.phi(r, s).densities for rg in fam.phi(s, t).densities])
+    prod = gns(tensor_algebra(a, b), prod_state)
+    w = prod.eta[:, tensor_perm(a.blocks, b.blocks)] @ np.kron(gns_data[(r, s)].lift,
+                                                              gns_data[(s, t)].lift)
+    return sys.delta(r, s, t).rapply(w.conj().T @ prod.eta) @ gns_data[(r, t)].lift
+
+
+def direct_sum_system():
+    """M_2 (+) C on the grid 1..3: the diagonal comultiplication of M_2 into the
+    (0, 0) block and the scalar into the (1, 1) block, with the state on e_11."""
+    grid = Grid([1, 2, 3])
+    u = np.zeros((4, 2))
+    u[0, 0] = u[3, 1] = 1.0
+    dmat = np.zeros((25, 5), dtype=complex)
+    dmat[:16, :4] = np.kron(u, u)
+    dmat[24, 4] = 1.0
+    alg = FiniteCStarAlgebra([2, 1])
+    sys = TensorialSystem(grid, {pair: alg for pair in grid.pairs()},
+                          {triple: Superoperator(dmat, (2, 1), (4, 2, 2, 1))
+                           for triple in grid.triples()})
+    omega = LinearFunctional(alg, [np.diag([1.0, 0.0]), np.zeros((1, 1))])
+    return sys, FunctionalFamily({pair: omega for pair in grid.pairs()})
+
+
+@pytest.mark.parametrize("make, bound", [
+    (lambda: random_complex_glue([2, 3], floor=1.0)[::2], 1e-12),
+    (lambda: random_complex_glue([3, 2, 2], floor=1.0)[::2], 1e-12),
+    (direct_sum_system, 1e-12),
+    # pair states with eigenvalues down to 3.6e-6: both routes divide by their
+    # square roots, and their rounding reaches 1.3e-12 (2.3e-12 off isometry
+    # on the reference's side, 5.4e-13 on this side)
+    (lambda: random_complex_glue([3, 2, 2])[::2], 1e-11),
+], ids=["glue_23_complex", "glue_322_complex", "direct_sum_21", "glue_322_ill_conditioned"])
+def test_gns_isometry_matches_the_product_state_route(make, bound):
+    sys, fam = make()
+    gsys = gns_system(sys, fam)
+    for (r, s, t) in sys.grid.triples():
+        ref = product_state_isometry(sys, fam, r, s, t, gsys.gns_data)
+        v = gsys.isometries[(r, s, t)]
+        assert v.shape == ref.shape
+        assert max_abs(v - ref) <= bound
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gns_isometry_is_the_generator_bitwise_on_diagonal(d):
+    hs, sys = diagonal_system(GRID, d)
+    gsys = gns_system(sys, constant_functional_family(sys, vector_state))
+    for (r, s, t) in sys.grid.triples():
+        assert np.array_equal(gsys.isometries[(r, s, t)], hs.u(r, s, t))
+
+
+def test_perturbed_glue16_names_the_triple_that_fails_isometry():
+    from cstar_systems.cli import RunConfig, build_setup
+
+    setup = build_setup(RunConfig.from_json({
+        "grid": ["1", "2", "3"], "system": {"kind": "glue_hilbert", "cell_dims": [4, 4]},
+        "dim_cap": 65536, "suites": ["gns"], "perturb_delta": {"epsilon": 1e-3}}))
+    with pytest.raises(GnsIsometryError) as exc:
+        gns_system(setup.system, setup.counit, setup.tol)
+    assert exc.value.triple == (F(1), F(2), F(3))
+    assert exc.value.residual == pytest.approx(2.001e-3, rel=1e-9)
