@@ -147,13 +147,17 @@ def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 @dataclass
 class LinearFunctional:
-    """phi(x) = sum_k Tr(rho_k x_k) for one density matrix per block."""
+    """phi(x) = sum_k Tr(rho_k x_k) for one density matrix per block.
+
+    A complex density is held as it is passed, without a copy; any other is
+    converted.  Nothing here writes to a density, nor may its caller after.
+    """
 
     algebra: FiniteCStarAlgebra
     densities: list[np.ndarray]
 
     def __post_init__(self):
-        rhos = [as_matrix(r).astype(complex) for r in self.densities]
+        rhos = [as_matrix(r) for r in self.densities]
         for r, n in zip(rhos, self.algebra.blocks):
             if r.shape != (n, n):
                 raise ValueError(f"density of shape {r.shape} does not fit block size {n}")

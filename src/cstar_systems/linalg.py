@@ -13,11 +13,13 @@ at a time and never stored densely.
 
 Every identity check reduces to three operations: composition, entrywise
 comparison of maps and a rank.  ``compose`` is dense: one map applied to the
-columns of the other.  Every map identity is one ``composite_residual`` call.
-It merges factored maps factor by factor, by the mixed-product rule
-(A (x) B)(C (x) D) = AC (x) BD; returns 0 when the merged sides hold the same
-maps; and otherwise pushes the identity through both sides in column chunks,
-so no composite is formed.  The rank is taken of a dense matrix, which only
+columns of the other; only the recursive interval map is built with it.
+Every map identity is one ``composite_residual`` call on two chains of maps,
+outermost first, such as the nested-expansion oracles return.  It merges
+factored maps factor by factor, by the mixed-product rule (A (x) B)(C (x) D)
+= AC (x) BD; returns 0 when the merged sides hold the same maps; and
+otherwise pushes the identity through both sides in column chunks, so no
+composite is formed.  The rank is taken of a dense matrix, which only
 the small per-pair maps need.
 """
 from __future__ import annotations
@@ -146,7 +148,14 @@ def tensor_perm(a: Blocks, b: Blocks) -> np.ndarray:
 
 
 def vec_tensor(a: Blocks, b: Blocks, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Vectorized elementary tensor of vectorized elements."""
+    """Vectorized elementary tensor of vectorized elements.
+
+    Of two single blocks it is the row-major vec of the Kronecker product of
+    the two matrices, which needs no index map, so none is built or cached;
+    each entry is the same one product either way.
+    """
+    if len(a) == len(b) == 1:
+        return np.kron(va.reshape(a[0], a[0]), vb.reshape(b[0], b[0])).reshape(-1)
     perm = tensor_perm(a, b)  # built before the product, so their peaks do not meet
     out = np.empty(va.size * vb.size, dtype=complex)
     out[perm] = np.kron(va.reshape(-1), vb.reshape(-1))
@@ -156,8 +165,10 @@ def vec_tensor(a: Blocks, b: Blocks, va: np.ndarray, vb: np.ndarray) -> np.ndarr
 # -- superoperators -----------------------------------------------------------
 
 # Streamed products and materialisations hold at most this many complex
-# entries per array: 1 MiB, whatever the dimensions of the maps.
-STREAM_ENTRIES = 1 << 16
+# entries per array: 128 KiB, whatever the dimensions of the maps.  At 1 MiB,
+# glibc's malloc handed the chunk buffers back to the system and faulted them
+# in again: 14k minor page faults per dense-d3 verify, against 400 at this size.
+STREAM_ENTRIES = 1 << 13
 
 
 def chunk_width(in_dim: int, out_dim: int) -> int:

@@ -105,27 +105,30 @@ def delta_interval_to_partition(sys: TensorialSystem, partition: Partition) -> S
     return out
 
 
-def interval_map_left_nested(sys: TensorialSystem, partition: Partition) -> Superoperator:
-    """Oracle: iterated products (D[i0,i1,i2] (x) id...) ... D[i0,im,i(m+1)].
+def interval_map_left_nested(sys: TensorialSystem, partition: Partition) -> list[Superoperator]:
+    """Oracle: the chain (D[i0,i1,i2] (x) id...), ..., D[i0,im,i(m+1)], outermost map first.
 
     Splits the last cell off first and keeps expanding the leading factor;
-    written independently of the recursive builder, and composed densely
-    (``compose``), without the factor-by-factor merge of ``composite_residual``.
+    written independently of the recursive builder.  Its composite is never
+    formed here: each link is a triple map tensored with identities, and
+    ``composite_residual`` takes the chain as it is.  Two points give the
+    identity, one link.
     """
     sys.grid.require(*partition.points)
     pts = partition.points
     if len(pts) == 2:
-        return identity_superop(sys.alg(*pts).blocks)
-    factors = []
-    for k in range(len(pts) - 2, 0, -1):
+        return [identity_superop(sys.alg(*pts).blocks)]
+    chain = []
+    for k in range(1, len(pts) - 1):
         step = sys.delta(pts[0], pts[k], pts[k + 1])
         ids = [identity_superop(sys.alg(a, b).blocks) for a, b in zip(pts[k + 1:-1], pts[k + 2:])]
-        factors.append(superop_tensor_all([step, *ids]) if ids else step)
-    return reduce(compose, reversed(factors))
+        chain.append(superop_tensor_all([step, *ids]) if ids else step)
+    return chain
 
 
-def interval_map_right_nested(sys: TensorialSystem, partition: Partition) -> Superoperator:
-    """Oracle: iterated products (id (x) ... (x) D[i(m-1),im,i(m+1)]) ... D[i0,i1,i(m+1)].
+def interval_map_right_nested(sys: TensorialSystem, partition: Partition) -> list[Superoperator]:
+    """Oracle: the chain (id (x) ... (x) D[i(m-1),im,i(m+1)]), ..., D[i0,i1,i(m+1)],
+    outermost map first.
 
     Splits the first cell off first and keeps expanding the trailing factor.
     Agreement with the left-nested expansion encodes co-associativity.
@@ -133,13 +136,13 @@ def interval_map_right_nested(sys: TensorialSystem, partition: Partition) -> Sup
     sys.grid.require(*partition.points)
     pts = partition.points
     if len(pts) == 2:
-        return identity_superop(sys.alg(*pts).blocks)
-    factors = []
-    for k in range(len(pts) - 2):
+        return [identity_superop(sys.alg(*pts).blocks)]
+    chain = []
+    for k in reversed(range(len(pts) - 2)):
         step = sys.delta(pts[k], pts[k + 1], pts[-1])
         ids = [identity_superop(sys.alg(a, b).blocks) for a, b in zip(pts[:k], pts[1:k + 1])]
-        factors.append(superop_tensor_all([*ids, step]) if ids else step)
-    return reduce(compose, reversed(factors))
+        chain.append(superop_tensor_all([*ids, step]) if ids else step)
+    return chain
 
 
 def delta_refinement(sys: TensorialSystem, coarse: Partition, fine: Partition) -> Superoperator:

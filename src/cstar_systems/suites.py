@@ -159,7 +159,7 @@ def run_partition(setup: Setup, rng) -> Report:
             "interval_map_oracle_equivalence",
             "recursive interval map = left-nested product = right-nested product",
             {"I": part},
-            max(composite_residual([rec], [left]), composite_residual([rec], [right])),
+            max(composite_residual([rec], left), composite_residual([rec], right)),
             tol.eps,
         )
     for coarse, fine in refinement_pairs(sharp):

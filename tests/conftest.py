@@ -1,4 +1,14 @@
+from functools import reduce
+
+from cstar_systems.linalg import compose
+
 _criterion_results: list[tuple[str, bool]] = []
+
+
+def chain_matrix(chain):
+    """The dense matrix of the composite chain[0] o chain[1] o ..., for comparing a
+    nested-expansion oracle entrywise."""
+    return reduce(compose, chain).matrix
 
 
 def record_criterion(label: str, passed: bool):

@@ -151,6 +151,26 @@ def test_functional_tensor_is_the_block_pair_kron_bitwise(integer):
             assert dense == 0
 
 
+def test_functional_holds_complex_densities_and_family_views_stay_read_only():
+    from cstar_systems.partition_calculus import state_on_partition
+    from cstar_systems.systems import FunctionalFamily
+    from cstar_systems.timegrid import Partition
+
+    rho = np.diag([0.25, 0.75]).astype(complex)
+    assert LinearFunctional(M2, [rho]).densities[0] is rho
+    assert LinearFunctional(M2, [np.diag([0.25, 0.75])]).densities[0].dtype == complex
+    fam = FunctionalFamily({(1, 2): LinearFunctional(M2, [rho]), (2, 3): vector_state(M2)})
+    for part in (Partition([1, 2]), Partition([1, 2, 3])):
+        phi = state_on_partition(fam, part)
+        assert not any(r.flags.writeable for r in phi.densities)
+        # a functional built on the shared views holds them as they are, read-only
+        again = LinearFunctional(phi.algebra, phi.densities)
+        assert all(a is b for a, b in zip(again.densities, phi.densities))
+        with pytest.raises(ValueError):
+            again.densities[0][0, 0] = 1.0
+    assert rho.flags.writeable  # the family's own array is never frozen in place
+
+
 def test_state_predicate():
     assert vector_state(M2).is_state()
     assert trace_functional(M2, normalized=True).is_state()

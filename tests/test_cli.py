@@ -429,6 +429,21 @@ def test_partition_and_dilation_memory_stays_bounded_on_d3():
     assert peak < 8 * 2**20
 
 
+def test_partition_suite_memory_stays_bounded_on_dense_d3():
+    # the nested-expansion oracles stay chains: no 6561 x 81 composite (8.5 MB) of
+    # theirs is formed (4.4 MB measured, 21.4 MB with dense oracles)
+    setup = build_setup(RunConfig.from_json(dict(
+        DIAGONAL_D3, grid=["1", "2", "3", "4", "5"], suites=["partition"], dim_cap=8192)))
+    tracemalloc.start()
+    try:
+        report = run_partition(setup, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8 * 2**20
+
+
 def test_dimension_cap_is_a_config_error(tmp_path):
     raw = dict(BASE)
     raw["grid"] = ["1", "2", "3", "4", "5", "6"]

@@ -403,6 +403,19 @@ def test_tensor_perm_is_a_permutation(a, b):
     assert sorted(perm.tolist()) == list(range(blocks_dim(tuple(a)) * blocks_dim(tuple(b))))
 
 
+def test_vec_tensor_of_single_blocks_caches_no_index_map():
+    # the vec of x (x) y in M_n (x) M_m is that of kron(x, y): no index map is built, and
+    # every entry is the one product the index-map path forms
+    rng = np.random.default_rng(7)
+    va, vb = (rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n) for n in (3, 4))
+    linalg.tensor_perm.cache_clear()
+    got = linalg.vec_tensor((3,), (4,), va, vb)
+    assert linalg.tensor_perm.cache_info().currsize == 0
+    want = np.empty(got.size, dtype=complex)
+    want[linalg.tensor_perm((3,), (4,))] = np.kron(va, vb)
+    assert np.array_equal(got, want)
+
+
 @given(block_lists)
 def test_vec_round_trip(blocks):
     from cstar_systems.linalg import blocks_dim, join_vec
@@ -875,7 +888,7 @@ def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):
         "grid": ["1", "2", "3", "4", "5"], "system": {"kind": "diagonal", "d": 3},
         "unit": {"kind": "standard"}, "counit": {"kind": "standard"},
         "suites": ["partition"], "max_interior_points": 3, "dim_cap": 8192}))
-    merges, sides = [], []
+    merges, sides, oracle_chains = [], [], []
     merge, residual = linalg._merge, suites.composite_residual
 
     def recording_merge(f, g):
@@ -884,15 +897,25 @@ def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):
             merges.append(out)
         return out
 
+    def recording_oracle(build):
+        def wrapper(sys, part):
+            oracle_chains.append(build(sys, part))
+            return oracle_chains[-1]
+        return wrapper
+
     def recording_residual(lhs, rhs):
         start = len(merges)
         res = residual(lhs, rhs)
-        if len(rhs) == 2 and len(merges) > start:
+        if any(rhs is chain for chain in oracle_chains):
+            del merges[start:]  # a nested-expansion oracle's chain merges too; it is no cocycle
+        elif len(rhs) == 2 and len(merges) > start:
             sides.append((lhs[0], merges[start]))
         return res
 
     monkeypatch.setattr(linalg, "_merge", recording_merge)
     monkeypatch.setattr(suites, "composite_residual", recording_residual)
+    for name in ("interval_map_left_nested", "interval_map_right_nested"):
+        monkeypatch.setattr(suites, name, recording_oracle(getattr(suites, name)))
     report = suites.run_partition(setup, np.random.default_rng(0))
     assert report.passed
     cocycles = [r for r in report.records if r.check in ("refinement_cocycle", "padded_cocycle")]

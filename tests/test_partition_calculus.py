@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from conftest import chain_matrix
 from cstar_systems import partition_calculus, states_gns, suites
 from cstar_systems.algebra import (
     AlgebraElement,
@@ -15,7 +16,7 @@ from cstar_systems.algebra import (
     vector_state,
 )
 from cstar_systems.cli import RunConfig, build_setup
-from cstar_systems.linalg import DEFAULT_TOL, compose, max_abs, superop_tensor
+from cstar_systems.linalg import DEFAULT_TOL, Superoperator, compose, max_abs, superop_tensor
 from cstar_systems.partition_calculus import (
     Germ,
     comultiplication,
@@ -118,14 +119,55 @@ class TestIntervalMap:
     def test_oracle_equivalence(self, diag, pts):
         part = Partition(pts)
         rec = delta_interval_to_partition(diag, part).matrix
-        assert max_abs(rec - interval_map_left_nested(diag, part).matrix) < 1e-9
-        assert max_abs(rec - interval_map_right_nested(diag, part).matrix) < 1e-9
+        assert max_abs(rec - chain_matrix(interval_map_left_nested(diag, part))) < 1e-9
+        assert max_abs(rec - chain_matrix(interval_map_right_nested(diag, part))) < 1e-9
 
     def test_oracle_equivalence_on_glue(self, glue):
         part = Partition([1, 2, 3, 4])
         rec = delta_interval_to_partition(glue, part).matrix
-        assert max_abs(rec - interval_map_left_nested(glue, part).matrix) < 1e-9
-        assert max_abs(rec - interval_map_right_nested(glue, part).matrix) < 1e-9
+        assert max_abs(rec - chain_matrix(interval_map_left_nested(glue, part))) < 1e-9
+        assert max_abs(rec - chain_matrix(interval_map_right_nested(glue, part))) < 1e-9
+
+    @pytest.mark.parametrize("pts", [[1, 2, 3], [1, 2, 3, 4], [2, 3, 5, 6],
+                                     [1, 2, 3, 4, 5, 6]])
+    def test_oracles_are_chains_of_triple_maps(self, diag, pts):
+        # one link per interior point, outermost first: each holds its triple map and
+        # skipped identities only, and the innermost is the triple map itself
+        part = Partition(pts)
+        innermost = {interval_map_left_nested: (pts[0], pts[-2], pts[-1]),
+                     interval_map_right_nested: (pts[0], pts[1], pts[-1])}
+        for oracle, triple in innermost.items():
+            chain = oracle(diag, part)
+            assert len(chain) == len(pts) - 2
+            assert chain[-1] is diag.delta(*triple)
+            for link in chain:
+                held = [f for f, skip in zip(link.factors, link.skip) if not skip]
+                assert len(held) == 1
+                assert any(held[0] is t.factors[0] for t in diag.deltas.values())
+
+    def test_perturbed_oracle_link_fails_the_oracle_record(self, monkeypatch):
+        # a copy of the left chain of I whose outermost link is scaled by 1 + 1e-6: the
+        # oracle record of I fails, and no other record does
+        setup = build_setup(RunConfig.from_json({
+            "grid": ["1", "2", "3", "4"], "system": {"kind": "diagonal", "d": 2},
+            "suites": ["partition"]}))
+        target = Partition([1, 2, 3, 4])
+        build = suites.interval_map_left_nested
+
+        def perturbed(sys, part):
+            chain = list(build(sys, part))
+            if part == target:
+                link = chain[0]
+                chain[0] = Superoperator.factored(
+                    [f if skip else f * (1 + 1e-6) for f, skip in zip(link.factors, link.skip)],
+                    link.skip, link.fdoms, link.fcods)
+            return chain
+
+        monkeypatch.setattr(suites, "interval_map_left_nested", perturbed)
+        failing = suites.run_partition(setup, np.random.default_rng(0)).failures()
+        assert [(r.check, r.params["I"]) for r in failing] == [
+            ("interval_map_oracle_equivalence", target)]
+        assert failing[0].residual == pytest.approx(1e-6)
 
 
 class TestRefinementMaps:
