@@ -235,23 +235,30 @@ def gram_apply(algebra: FiniteCStarAlgebra, phi: LinearFunctional,
 
     Within block k the closed form is kron(I_n, rho_k^T); cross-block products
     vanish, so G is block diagonal.  Block k of G @ x is therefore one batched
-    matmul of rho_k^T against the n row groups of x.  ``x`` has
-    ``algebra.dim`` rows and any trailing shape.
+    matmul of rho_k^T against the n row groups of x, written straight into
+    its rows of the output.  ``x`` has ``algebra.dim`` rows and any trailing
+    shape.
     """
     cols = x.reshape(algebra.dim, -1)
     out = np.empty(cols.shape, dtype=complex)
     for n, rho, off in zip(algebra.blocks, phi.densities, block_offsets(algebra.blocks)):
         rows = slice(off, off + n * n)
-        out[rows] = np.matmul(rho.T, cols[rows].reshape(n, n, -1)).reshape(n * n, -1)
+        np.matmul(rho.T, cols[rows].reshape(n, n, -1), out=out[rows].reshape(n, n, -1))
     return out.reshape(x.shape)
 
 
 def gram_matrix(algebra: FiniteCStarAlgebra, phi: LinearFunctional) -> np.ndarray:
     """G[b, a] = phi(e_b* e_a) over the matrix-unit basis; Hermitian PSD for states.
 
-    The dense form of ``gram_apply``: G applied to the identity.
+    The dense form of ``gram_apply``: block k is kron(I_n, rho_k^T), so rho_k^T
+    is written on the diagonal of each of its n row groups, and no identity is
+    formed.
     """
-    return gram_apply(algebra, phi, np.eye(algebra.dim))
+    out = np.zeros((algebra.dim, algebra.dim), dtype=complex)
+    for n, rho, off in zip(algebra.blocks, phi.densities, block_offsets(algebra.blocks)):
+        block = out[off:off + n * n, off:off + n * n].reshape(n, n, n, n)
+        block[np.arange(n), :, np.arange(n), :] = rho.T
+    return out
 
 
 def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEFAULT_TOL) -> GnsData:

@@ -10,27 +10,27 @@ Applying the GNS construction per pair produces a Hilbert-space system whose
 isometries V[r,s,t]: eta(x) -> (eta (x) eta)(D[r,s,t] x) come from the pair
 GNS maps alone.  The agreement of its dilation with the GNS system of the
 dilated states reduces to Gram-matrix preservation along refinements, which
-is checked here.  The Gram matrix of a product state is block diagonal,
-kron(I_n, rho_k^T) on block k, so the check applies it block by block and
-never forms a dense Gram matrix; it reads the connecting map one chunk of
-columns at a time, so it never forms that map densely either.
+is checked here.  The connecting map is held as one factor per piece of the
+finer partition and the Gram matrix of a product state is the tensor of the
+pieces' ones, so both sides of the law are tensors of small matrices, one
+per piece and one per coarse cell, compared by ``composite_residual`` like
+every other map identity: neither the map nor a Gram matrix of the finer
+partition is formed.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteCStarAlgebra, GnsData, LinearFunctional, gns, gram_apply
+from .algebra import FiniteCStarAlgebra, GnsData, LinearFunctional, gns, gram_apply, gram_matrix
 from .linalg import (
     DEFAULT_TOL,
     Superoperator,
     Tolerance,
-    block_offsets,
-    column_images,
+    composite_residual,
     isometry_residual,
     max_abs,
     split_vec,
@@ -40,6 +40,7 @@ from .linalg import (
 from .partition_calculus import (
     Germ,
     comultiplication,
+    cross_pieces,
     delta_cross,
     partition_algebra,
     state_on_partition,
@@ -272,34 +273,72 @@ def gram_preservation_residual(sys: TensorialSystem, fam: FunctionalFamily,
     spaces of the product states, i.e. the finite-level content of the
     equivalence between the two Hilbert-space dilations.  A nonzero
     ``perturbation`` is added to one entry of the map as a negative control,
-    which reads the map densely (``_perturbed_map``); it is meant for a small
-    pair.
+    which reads the map densely (``_perturbed_map``) as one factor onto the
+    whole of K; it is meant for a small pair.
 
-    D^H G_K D - G_I is formed one chunk of columns c at a time
-    (``column_images``), and neither D nor a Gram matrix is formed: G_K is
-    applied to the image D e_c block by block (``gram_apply``), D^H to the
-    result through the map's factors (``rapply`` of its conjugate rows), and
-    G_I = (+)_k kron(I_n, rho_k^T) is subtracted in place from the chunk.  The
-    residual is the max-abs over every entry, zeros included.
+    D is the tensor of one map R_c per piece c of K (``cross_pieces``), and
+    the Gram matrix of a product state is the tensor of the pieces' ones, so
+    D^H G_K D is the tensor of the small products R_c^H G_c R_c, laid out as
+    D's factors are: an identity gives G_c itself, and a unit constant p the
+    1 x 1 value phi(p* p).  G_I is the tensor of the Gram matrices of the
+    cells of I.  The two sides are compared by ``composite_residual``, so
+    every entry counts, zeros included; sides that hold equal factors settle
+    without streaming.
     """
     op = delta_cross(sys, unit, coarse, fine)
-    alg_fine = partition_algebra(sys, fine)
-    phi_fine = state_on_partition(fam, fine)
+    pieces = cross_pieces(coarse, fine)
     if perturbation:
-        op = _perturbed_map(op, alg_fine, phi_fine, perturbation)
-    alg_coarse = partition_algebra(sys, coarse)
-    phi_coarse = state_on_partition(fam, coarse)
-    worst = 0.0
-    for start, (image,) in column_images([op], op.in_dim):
-        weighted = gram_apply(alg_fine, phi_fine, image)
-        # row c - start of cols is column c of D^H G_K D: conj((G_K D e_c)^H D)
-        np.conjugate(weighted, out=weighted)
-        cols = op.rapply(weighted.T)
-        np.conjugate(cols, out=cols)
-        _subtract_gram_columns(cols, start, alg_coarse, phi_coarse)
-        worst = max(worst, max_abs(cols))
-        del image, weighted, cols  # freed before the next chunk is built
-    return worst
+        op = _perturbed_map(op, partition_algebra(sys, fine), state_on_partition(fam, fine),
+                            perturbation)
+        pieces = [fine]
+    forms, doms = [], []
+    for piece, alg, run in _piece_runs(sys, op, pieces):
+        forms.append(_gram_form(alg, state_on_partition(fam, piece), run))
+        doms.append(run.dom)
+    del op, run  # a perturbed copy is freed before G_I is formed
+    lhs = Superoperator.factored(forms, (False,) * len(forms), doms, doms)
+    grams, cells = [], []
+    for a, b in coarse.pairs():
+        alg = sys.alg(a, b)
+        grams.append(gram_matrix(alg, fam.phi(a, b)))
+        cells.append(alg.blocks)
+    rhs = Superoperator.factored(grams, (False,) * len(grams), cells, cells)
+    return composite_residual([lhs], [rhs])
+
+
+def _piece_runs(sys: TensorialSystem, op: Superoperator, pieces: Sequence[Partition]):
+    """Yield (piece, algebra, run) in order, the run being the consecutive factors of
+    ``op`` whose codomains tensor to the piece's algebra, as one map; it ends once
+    they reach the piece's dimension.  Factors that do not align raise."""
+    i, m = 0, len(op.factors)
+    for piece in pieces:
+        alg = partition_algebra(sys, piece)
+        j, size = i, 1
+        while j < m and (j == i or size < alg.dim):
+            size *= op.factors[j].shape[0]
+            j += 1
+        run = Superoperator.factored(op.factors[i:j], op.skip[i:j], op.fdoms[i:j],
+                                     op.fcods[i:j])
+        if j == i or run.cod != alg.blocks:
+            raise ValueError(f"the factors of the connecting map do not align with {piece}")
+        yield piece, alg, run
+        i = j
+    if i != m:
+        raise ValueError("the connecting map has more factors than pieces")
+
+
+def _gram_form(alg: FiniteCStarAlgebra, phi: LinearFunctional, run: Superoperator) -> np.ndarray:
+    """F^H G F for the Gram matrix G of phi and the matrix F of ``run``: G itself when F
+    is one identity factor, else conj(F^T conj(G F)) with G F from ``gram_apply``, so
+    no conjugate of F is formed."""
+    if run.skip == (True,):
+        return gram_matrix(alg, phi)
+    f = run.matrix
+    weighted = gram_apply(alg, phi, f)
+    np.conjugate(weighted, out=weighted)
+    out = f.T @ weighted
+    np.conjugate(out, out=out)
+    return out
 
 
 def _perturbed_map(op: Superoperator, alg_fine: FiniteCStarAlgebra, phi_fine: LinearFunctional,
@@ -318,29 +357,13 @@ def _perturbed_map(op: Superoperator, alg_fine: FiniteCStarAlgebra, phi_fine: Li
     return Superoperator(mat, op.dom, op.cod)
 
 
-def _subtract_gram_columns(cols: np.ndarray, start: int, alg: FiniteCStarAlgebra,
-                           phi: LinearFunctional) -> None:
-    """Subtract columns start, start + 1, ... of G_I from the rows of ``cols``, in place.
-
-    Rows and columns (i, a), (i, b) of block k carry rho_k^T[a, b], so row
-    c - start, for column c = (i, b) of block k, loses rho_k[b, :] at (i, :).
-    """
-    stop = start + cols.shape[0]
-    offsets = block_offsets(alg.blocks)
-    # only the blocks that meet the chunk, so a chunk costs its own blocks
-    for k in range(bisect_right(offsets, start) - 1, bisect_left(offsets, stop)):
-        n, rho, off = alg.blocks[k], phi.densities[k], offsets[k]
-        lo, hi = max(start, off), min(stop, off + n * n)
-        i, b = np.divmod(np.arange(lo, hi) - off, n)
-        cols[np.arange(lo, hi)[:, None] - start, off + n * i[:, None] + np.arange(n)] -= rho[b]
-
-
 def dilation_isomorphism_check(sys: TensorialSystem, fam: FunctionalFamily,
-                               chains: Sequence[tuple[Partition, Partition]],
+                               pairs: Sequence[tuple[Partition, Partition]],
                                tol: Tolerance = DEFAULT_TOL,
                                unit: Optional[UnitFamily] = None,
                                negative_control: bool = False) -> Report:
-    """Gram preservation along the given refinement chains, plus a negative control.
+    """Gram preservation on the given (coarse, fine) refinement pairs, plus a negative
+    control on the first pair.
 
     Pass means the maps eta_I(x) -> eta_K(connecting(x)) are well-defined
     isometries, whose limit identifies the dilated GNS system with the GNS
@@ -348,12 +371,12 @@ def dilation_isomorphism_check(sys: TensorialSystem, fam: FunctionalFamily,
     """
     report = Report()
     law = "G_K(D[I,K] x, D[I,K] y) = G_I(x, y)"
-    for coarse, fine in chains:
+    for coarse, fine in pairs:
         res = gram_preservation_residual(sys, fam, coarse, fine, unit)
         report.residual_record("gns_gram_preservation", law,
                                {"I": coarse, "K": fine}, res, tol.eps)
-    if negative_control and chains:
-        coarse, fine = chains[0]
+    if negative_control and pairs:
+        coarse, fine = pairs[0]
         res = gram_preservation_residual(sys, fam, coarse, fine, unit, perturbation=1e-3)
         report.residual_record(
             "gns_gram_preservation_negative_control", law + " (perturbed map must fail)",

@@ -24,9 +24,11 @@ from cstar_systems.commutative import (
 from cstar_systems.linalg import (
     Superoperator,
     composite_residual,
+    identity_superop,
     isometry_residual,
     max_abs,
     split_vec,
+    superop_tensor,
     tensor_perm,
 )
 from cstar_systems.partition_calculus import (
@@ -452,15 +454,18 @@ class TestGramPreservation:
         assert peak < bound
 
     def test_memory_stays_bounded_on_grid6(self):
-        # the subproduct-grid6 pair with the largest Gram matrix: G_K is 1024 x 1024,
-        # and neither it, G_I nor the 1024 x 256 map is formed (3.6 MB measured)
+        # the subproduct-grid6 pair with the largest Gram matrix: G_K would be 1024 x 1024;
+        # what is formed is a 16 x 4 G F for the split cell, one 4 x 4 F^H G F per piece
+        # and one 4 x 4 Gram matrix per cell of G_I (0.07 MiB measured in a fresh process)
         _, sys = diagonal_system(Grid([1, 2, 3, 4, 5, 6]), 2)
         fam = constant_functional_family(sys, vector_state)
         self.assert_peak_below(5 * 2**20, sys, fam, Partition([1, 3, 4, 5, 6]),
                                Partition([1, 2, 3, 4, 5, 6]))
 
     def test_memory_stays_bounded_on_dense_d3(self):
-        # the 6561 x 729 map of diagonal d=3 would take 73 MB dense (3.0 MB measured)
+        # the 6561 x 729 map of diagonal d=3 would take 73 MB dense; its factors give one
+        # 81 x 9 G F and three 9 x 9 F^H G F, against three 9 x 9 cell Grams for G_I
+        # (0.27 MiB measured in a fresh process)
         _, sys = diagonal_system(Grid([1, 2, 3, 4, 5]), 3, dim_cap=8192)
         fam = constant_functional_family(sys, vector_state)
         coarse, fine = Partition([1, 3, 4, 5]), Partition([1, 2, 3, 4, 5])
@@ -469,14 +474,62 @@ class TestGramPreservation:
         self.assert_peak_below(4 * 2**20, sys, fam, coarse, fine)
 
     def test_memory_stays_bounded_on_m16(self):
-        # the 256 x 256 map of glue [4, 4] is stored dense, so its columns are read as
-        # slices, not pushed through it as unit columns (2.5 MB measured, 4.5 MB that way)
+        # the 256 x 256 map of glue [4, 4] is stored dense, as the identity, and its piece
+        # is the whole of A_{1,2,3}: F^H G F is then that piece's Gram matrix, and it and
+        # G_I are 256 x 256, 1 MiB each (2.07 MiB measured in a fresh process)
         _, sys = glue_hilbert_system(Grid([1, 2, 3]), [4, 4], dim_cap=65536)
         unit = standard_unit(sys)
         fam = constant_functional_family(sys, vector_state)
         coarse, fine = Partition([1, 3]), Partition([1, 2, 3])
         assert delta_cross(sys, unit, coarse, fine).is_dense
         self.assert_peak_below(3.5 * 2**20, sys, fam, coarse, fine, unit)
+
+    def test_factored_comultiplication_pairs_a_run_of_factors_with_its_piece(self):
+        # glue [2, 2] with D[1,2,3] held as the tensor of the two cell identities: the map
+        # [1, 3] -> [1, 2, 3] has two factors onto one piece, whose codomains (2,) and (2,)
+        # only tensor to its algebra (4,) together
+        base, unit, fam = random_complex_glue([2, 2])
+        deltas = {(r, s, t): superop_tensor(identity_superop(base.alg(r, s).blocks),
+                                            identity_superop(base.alg(s, t).blocks))
+                  for (r, s, t) in base.grid.triples()}
+        sys = TensorialSystem(base.grid, base.algebras, deltas, dim_cap=base.dim_cap)
+        op = delta_cross(sys, unit, Partition([1, 3]), Partition([1, 2, 3]))
+        assert len(op.factors) == 2 and op.fcods == ((2,), (2,))
+        pairs = refinement_pairs(enumerate_all_partitions(sys.grid, len(sys.grid.points)))
+        assert any(coarse.endpoints != fine.endpoints for coarse, fine in pairs)
+        for coarse, fine in pairs:
+            res = gram_preservation_residual(sys, fam, coarse, fine, unit)
+            ref = dense_gram_preservation_residual(sys, fam, coarse, fine, unit)
+            assert abs(res - ref) <= 1e-12
+
+
+def test_gns_suite_streams_no_unit_columns_on_grid6(monkeypatch):
+    # subproduct-grid6: every Gram pair, the control included, settles on equal factors
+    # (or compares two dense maps), so no unit column is pushed through a map
+    from cstar_systems import linalg, states_gns, suites
+    from cstar_systems.cli import RunConfig, build_setup
+
+    setup = build_setup(RunConfig.from_json({
+        "grid": ["1", "2", "3", "4", "5", "6"], "system": {"kind": "diagonal", "d": 2},
+        "unit": {"kind": "standard"}, "counit": {"kind": "standard"},
+        "suites": ["gns"], "max_interior_points": 4}))
+    chunks, residual = linalg.unit_column_chunks, states_gns.gram_preservation_residual
+    streamed, pairs = [], []
+
+    def recording_chunks(in_dim, out_dim):
+        streamed.append(in_dim)
+        return chunks(in_dim, out_dim)
+
+    def recording_residual(*args, **kwargs):
+        start = len(streamed)
+        res = residual(*args, **kwargs)
+        pairs.append(len(streamed) - start)
+        return res
+
+    monkeypatch.setattr(linalg, "unit_column_chunks", recording_chunks)
+    monkeypatch.setattr(states_gns, "gram_preservation_residual", recording_residual)
+    assert suites.run_gns(setup, np.random.default_rng(0)).passed
+    assert len(pairs) == 66 and sum(pairs) == 0
 
 
 def test_brute_force_gram_equals_the_pair_loop():
