@@ -538,7 +538,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         s = body["summary"]
         residuals = [r.get("residual") for r in body["records"]
                      if "residual" in r and "negative_control" not in r["check"]]
-        worst = max(residuals) if residuals else 0.0
+        worst = np.max(residuals) if residuals else 0.0
         status = "pass" if s["failed"] == 0 else "FAIL"
         print(f"{suite:12s} {status}  checks={s['total']:4d}  max residual={worst:.3e}")
     s = out["summary"]

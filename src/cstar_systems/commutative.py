@@ -282,18 +282,18 @@ def pushforward_point_map(point_map: np.ndarray, mu: Measure, out_size: int) -> 
     return tuple(out)
 
 
-def measure_projectivity_discrepancy(sys: FiniteMultSystem, mu: Mapping[Pair, Measure],
-                                     coarse: Partition, fine: Partition) -> Fraction:
+def measure_projectivity_discrepancy(point_map: np.ndarray, mu_fine: Measure,
+                                     mu_coarse: Measure) -> Fraction:
     """Exact gap in mu_I = pushforward of mu_J along the partition point map.
 
-    Uses the padded map between partitions with different endpoints, where
-    projectivity needs no normalization hypothesis: marginalizing the outer
-    coordinates is automatic for probability measures.
+    ``point_map`` is ``chi_cross`` of the refinement I <= J, and the measures
+    are ``measure_on_partition`` of J and I.  The map may be padded, between
+    partitions with different endpoints, where projectivity needs no
+    normalization hypothesis: marginalizing the outer coordinates is automatic
+    for probability measures.
     """
-    pm = chi_cross(sys, coarse, fine)
-    pushed = pushforward_point_map(pm, measure_on_partition(mu, fine),
-                                   space_on_partition(sys, coarse))
-    return measure_discrepancy(measure_on_partition(mu, coarse), pushed)
+    pushed = pushforward_point_map(point_map, mu_fine, len(mu_coarse))
+    return measure_discrepancy(mu_coarse, pushed)
 
 
 # -- partition-level point maps ------------------------------------------------------

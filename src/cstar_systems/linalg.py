@@ -66,9 +66,10 @@ def numerical_rank(m) -> int:
 
     The cutoff is the usual one for a matrix known to working precision
     (Golub and Van Loan, *Matrix Computations*, 4th ed., section 5.4); it does
-    not depend on the residual tolerance of the checks.
+    not depend on the residual tolerance of the checks.  A real matrix
+    (``exact_real``) is decomposed in float64.
     """
-    m = as_matrix(m)
+    m = exact_real(as_matrix(m))
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
@@ -114,7 +115,7 @@ def tensor_blocks(a: Blocks, b: Blocks) -> Blocks:
 
 
 @lru_cache(maxsize=None)
-def _entry_coords(blocks: Blocks) -> tuple[np.ndarray, ...]:
+def entry_coords(blocks: Blocks) -> tuple[np.ndarray, ...]:
     """(block, row, column, size, offset) of each vec entry, offset + row * size + column."""
     sizes = np.asarray(blocks, dtype=np.intp)
     block = np.repeat(np.arange(sizes.size), sizes * sizes)
@@ -132,8 +133,8 @@ def tensor_perm(a: Blocks, b: Blocks) -> np.ndarray:
     is a permutation of range(dim_A * dim_B); it is associative across nested
     tensor products because both the pair order and the Kronecker layout are.
     """
-    ka, r1, c1, na, _ = (x[:, None] for x in _entry_coords(a))
-    kb, r2, c2, nb, _ = _entry_coords(b)
+    ka, r1, c1, na, _ = (x[:, None] for x in entry_coords(a))
+    kb, r2, c2, nb, _ = entry_coords(b)
     offs_t = np.reshape(block_offsets(tensor_blocks(a, b)), (len(a), len(b)))
     # (r1, c1) of block i and (r2, c2) of block j meet at row r1 nb + r2, column
     # c1 nb + c2 of block (i,j); built in place, with one dim_A x dim_B temporary
@@ -480,8 +481,8 @@ def composite_residual(lhs, rhs) -> float:
             left = op.apply_many(left)
         for op in reversed(rhs[:-1]):
             right = op.apply_many(right)
-        worst = max(worst, max_abs(left - right))
-    return worst
+        worst = np.maximum(worst, max_abs(left - right))
+    return float(worst)
 
 
 def superop_from_conjugation(u) -> Superoperator:
@@ -556,7 +557,7 @@ class HomReport:
 @lru_cache(maxsize=None)
 def star_perm(blocks: Blocks) -> np.ndarray:
     """Index map with vec(x*) = conj(vec(x))[star_perm]: entry (i, j) reads (j, i)."""
-    _, row, col, size, offset = _entry_coords(blocks)
+    _, row, col, size, offset = entry_coords(blocks)
     return offset + col * size + row
 
 
@@ -567,7 +568,7 @@ def unit_products(blocks: Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Within a block, e_ij e_jl = e_il; every other product is 0.  The triples
     (a, b, target) are sorted by a, then by l.
     """
-    _, row, col, size, offset = _entry_coords(blocks)
+    _, row, col, size, offset = entry_coords(blocks)
     a = np.repeat(np.arange(size.size), size)  # e_a = e_ij meets e_jl for each l
     l = np.arange(a.size) - np.repeat(np.cumsum(size) - size, size)
     base = offset[a] + l
@@ -645,8 +646,8 @@ def _multiplicativity_residual(mat: np.ndarray, dom: Blocks, cod: Blocks) -> flo
             prod = (imgs[a0:a1].reshape(-1, m) @ right).reshape(a1 - a0, m, n, m)
             lo, hi = np.searchsorted(a_idx, (a0, a1))
             prod[a_idx[lo:hi] - a0, :, b_idx[lo:hi], :] -= imgs[t_idx[lo:hi]]
-            mult = max(mult, max_abs(prod))
-    return mult
+            mult = np.maximum(mult, max_abs(prod))
+    return float(mult)
 
 
 def _adjoint_residual(mat: np.ndarray, dom: Blocks, cod: Blocks) -> float:
@@ -663,5 +664,5 @@ def _adjoint_residual(mat: np.ndarray, dom: Blocks, cod: Blocks) -> float:
         diff = mat[:, sp_dom[a0:a0 + width]]
         star = mat[sp_cod, a0:a0 + width]
         diff -= np.conjugate(star, out=star)
-        adj = max(adj, max_abs(diff))
-    return adj
+        adj = np.maximum(adj, max_abs(diff))
+    return float(adj)

@@ -83,7 +83,7 @@ class Report:
     @property
     def max_residual(self) -> float:
         vals = [r.residual for r in self.records if r.residual is not None]
-        return max(vals) if vals else 0.0
+        return float(np.max(vals)) if vals else 0.0
 
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.passed]

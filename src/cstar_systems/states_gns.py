@@ -254,11 +254,11 @@ def gns_unit_vector_residual(gsys: GnsSystem, unit: UnitFamily) -> float:
     for (s, t), data in gsys.gns_data.items():
         xi = data.eta @ unit.p(s, t).vec()
         coords[(s, t)] = xi
-        worst = max(worst, abs(float(np.linalg.norm(xi)) - 1.0))
+        worst = np.maximum(worst, abs(float(np.linalg.norm(xi)) - 1.0))
     for (r, s, t), v in gsys.isometries.items():
-        worst = max(worst, max_abs(
+        worst = np.maximum(worst, max_abs(
             v @ coords[(r, t)] - np.kron(coords[(r, s)], coords[(s, t)])))
-    return worst
+    return float(worst)
 
 
 # -- dilation agreement (Gram preservation) --------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -39,12 +40,15 @@ from .linalg import (
     Tolerance,
     block_offsets,
     composite_residual,
+    entry_coords,
     exact_real,
     identity_superop,
+    join_vec,
     max_abs,
     numerical_rank,
     superop_from_conjugation,
     superop_tensor,
+    tensor_blocks,
 )
 from .partition_calculus import (
     Germ,
@@ -159,7 +163,7 @@ def run_partition(setup: Setup, rng) -> Report:
             "interval_map_oracle_equivalence",
             "recursive interval map = left-nested product = right-nested product",
             {"I": part},
-            max(composite_residual([rec], left), composite_residual([rec], right)),
+            np.maximum(composite_residual([rec], left), composite_residual([rec], right)),
             tol.eps,
         )
     for coarse, fine in refinement_pairs(sharp):
@@ -377,41 +381,44 @@ def brute_force_gram(alg: FiniteCStarAlgebra, phi: LinearFunctional) -> np.ndarr
 def associativity_residual(phi: LinearFunctional) -> float:
     """max_abs of (phi (x) phi) (x) phi - phi (x) (phi (x) phi), streamed.
 
-    Every entry of the triple density is compared, with the products np.kron
-    would form, as ``functional_tensor`` forms the pair density's, one block
-    triple (i, j, k) and row pair (p, q) at a time: rows (p, q, r) of
-    (pair_ij (x) rho_k) against rho_i[p] (x) rows (q, r) of pair_jk, broadcast
-    into buffers of nk * ni * nj * nk entries (2^16 on M_16), where the
-    difference, its abs and their max are taken in place, so no triple density
-    is held whole.  Real densities (``exact_real``) are multiplied in float64.
+    Let x be the joined vec of the densities and S its nonzero entries.  Over
+    every triple (u, v, w) of entries of x, the triple density holds
+    (x_u x_v) x_w on the left and x_u (x_v x_w) on the right, where x_u x_v
+    is the entry of the pair density ``functional_tensor`` forms.  Its
+    entries over S, P[u, v], are read from its vec where np.kron would put
+    them, at positions worked out here, not by the index map it checks.  The
+    triple entries over S are compared in chunks of at most
+    ``STREAM_ENTRIES``: P[u, v] x_S against x_u P[v, :].  Each is the one
+    product np.kron forms, one scalar times a row, as in np.kron(pair, rho)
+    and np.kron(rho, pair).  An entry off S has a zero factor, so for finite
+    x it is exactly +-0 on both sides and the residual is that of the whole
+    triple density; a NaN or an infinity in x makes it NaN.  Real densities
+    (``exact_real``) are multiplied in float64.
     """
-    rhos = [exact_real(r) for r in phi.densities]
-    pair = [exact_real(r) for r in functional_tensor(phi, phi).densities]
-    nb = len(rhos)
-    res = 0.0
-    for i, ri in enumerate(rhos):
-        ni = ri.shape[0]
-        for j, rj in enumerate(rhos):
-            nj = rj.shape[0]
-            left = pair[i * nb + j].reshape(ni * nj, 1, 1, ni * nj, 1)
-            for k, rk in enumerate(rhos):
-                nk = rk.shape[0]
-                right = pair[j * nb + k].reshape(nj, 1, nk, 1, nj * nk)
-                rk4 = rk.reshape(1, nk, 1, nk)
-                # the operand shapes np.kron would use for np.kron(row, rk) and
-                # np.kron(ri[p], rows), so every product is the one it would form
-                dtype = np.result_type(left, rk, ri, right)
-                lhs = np.empty((1, nk, ni * nj, nk), dtype)
-                rhs = np.empty((1, nk, ni, nj * nk), dtype)
-                mag = np.empty(lhs.shape)
-                for p in range(ni):
-                    rip = ri[p].reshape(1, 1, ni, 1)
-                    for q in range(nj):
-                        np.multiply(left[p * nj + q], rk4, out=lhs)
-                        np.multiply(rip, right[q], out=rhs)
-                        np.subtract(lhs, rhs.reshape(lhs.shape), out=lhs)
-                        res = max(res, np.abs(lhs, out=mag).max())
-    return float(res)
+    blocks = phi.algebra.blocks
+    x = exact_real(join_vec(phi.densities))
+    support = np.flatnonzero(x)
+    xs = x[support]
+    # x_u = rho_i[r, c] and x_v = rho_j[r', c'] meet in block (i, j) of the pair
+    # density, kron(rho_i, rho_j), at row r n_j + r' and column c n_j + c'
+    block, row, col, size, _ = (c[support] for c in entry_coords(blocks))
+    offsets = np.reshape(block_offsets(tensor_blocks(blocks, blocks)), (len(blocks),) * 2)
+    n_j = size[None, :]
+    pos = (offsets[block[:, None], block[None, :]] + col[:, None] * n_j + col[None, :]
+           + (row[:, None] * n_j + row[None, :]) * size[:, None] * n_j)
+    p = exact_real(join_vec(functional_tensor(phi, phi).densities)[pos])
+    n = support.size
+    # a chunk holds `rows` values of u, each with `cols` values of v and every w
+    cols = min(n, max(1, STREAM_ENTRIES // max(1, n)))
+    rows = max(1, STREAM_ENTRIES // max(1, cols * n))
+    worst = 0.0
+    for a0 in range(0, n, rows):
+        left_x = xs[a0:a0 + rows, None, None]
+        for b0 in range(0, n, cols):
+            diff = p[a0:a0 + rows, b0:b0 + cols, None] * xs[None, None, :]
+            diff -= left_x * p[None, b0:b0 + cols, :]
+            worst = np.maximum(worst, max_abs(diff))
+    return float(worst)
 
 
 def run_algebra(setup: Setup, rng) -> Report:
@@ -528,10 +535,10 @@ def run_gns(setup: Setup, rng) -> Report:
             phi = build_idempotent_state(sys, setup.unit, fam, tol,
                                          max_interior=min(2, setup.max_interior_points))
             marg = marginal_states(phi, sys)
-            res = max(
+            res = np.max([
                 max_abs(marg.phi(s, t).row() - fam.phi(s, t).row())
                 for (s, t) in sys.grid.pairs()
-            )
+            ])
             report.residual_record(
                 "idempotent_state_marginal_round_trip",
                 "the marginals of the germ state are the original co-unit",
@@ -568,8 +575,8 @@ def run_commutative(setup: Setup, rng) -> Report:
         grid = mult.grid
         pairs = refinement_pairs(
             enumerate_all_partitions(grid, min(4, setup.max_interior_points + 2)))
-        for coarse, fine in pairs:
-            point_map = chi_cross(mult, coarse, fine)
+        point_maps = [chi_cross(mult, coarse, fine) for coarse, fine in pairs]
+        for (coarse, fine), point_map in zip(pairs, point_maps):
             lifted = superop_from_point_map(point_map, space_on_partition(mult, coarse))
             alg_map = delta_cross(cstar, ones, coarse, fine)
             exact = composite_residual([lifted], [alg_map]) == 0.0
@@ -579,8 +586,9 @@ def run_commutative(setup: Setup, rng) -> Report:
                 params={"model": label, "I": coarse, "J": fine}, passed=exact,
                 exact_discrepancy="0" if exact else "1",
             ))
-        for coarse, fine in pairs:
-            disc = measure_projectivity_discrepancy(mult, mu, coarse, fine)
+        measure = cache(partial(measure_on_partition, mu))
+        for (coarse, fine), point_map in zip(pairs, point_maps):
+            disc = measure_projectivity_discrepancy(point_map, measure(fine), measure(coarse))
             report.add(CheckRecord(
                 check="measure_projectivity_under_point_maps",
                 law="mu_I = pushforward of mu_J along the partition point map",
@@ -588,7 +596,7 @@ def run_commutative(setup: Setup, rng) -> Report:
                 exact_discrepancy=str(disc),
             ))
         full = Partition(list(grid.points))
-        joint = measure_on_partition(mu, full)
+        joint = measure(full)
         for s in full.interior:
             disc = split_measure_idempotence(mult, joint, full, s)
             report.add(CheckRecord(

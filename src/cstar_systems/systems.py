@@ -233,7 +233,7 @@ def check_system_axioms(sys: TensorialSystem, tol: Tolerance = DEFAULT_TOL) -> R
             law=LAW_HOMOMORPHISM,
             params={"r": r, "s": s, "t": t},
             passed=hom.is_monomorphism,
-            residual=max(hom.multiplicativity_residual, hom.adjoint_residual),
+            residual=float(np.maximum(hom.multiplicativity_residual, hom.adjoint_residual)),
             detail=hom.classification,
         ))
     for (r, s, t, u) in sys.grid.quadruples():

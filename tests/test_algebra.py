@@ -129,6 +129,13 @@ def _random_functional(rng, integer):
     return LinearFunctional(FiniteCStarAlgebra(blocks), [draw(n) for n in blocks])
 
 
+def kron_triple_residual(rhos) -> float:
+    """max_abs of (phi (x) phi) (x) phi - phi (x) (phi (x) phi), block triple by block
+    triple from the densities np.kron forms."""
+    return np.max([max_abs(np.kron(np.kron(ri, rj), rk) - np.kron(ri, np.kron(rj, rk)))
+                   for ri in rhos for rj in rhos for rk in rhos])
+
+
 @pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "gaussian_integer"])
 def test_functional_tensor_is_the_block_pair_kron_bitwise(integer):
     from cstar_systems.suites import associativity_residual
@@ -143,12 +150,44 @@ def test_functional_tensor_is_the_block_pair_kron_bitwise(integer):
         assert all(np.array_equal(x, y) for x, y in zip(fg.densities, ref))
         assert np.array_equal(fg.row(), np.concatenate([r.T.reshape(-1) for r in ref]))
         # the streamed associativity check against the triple densities np.kron forms
-        rhos = f.densities
-        dense = max(max_abs(np.kron(np.kron(ri, rj), rk) - np.kron(ri, np.kron(rj, rk)))
-                    for ri in rhos for rj in rhos for rk in rhos)
+        dense = kron_triple_residual(f.densities)
         assert associativity_residual(f) == dense
         if integer:
             assert dense == 0
+
+
+def test_associativity_residual_is_the_kron_triple_residual_bitwise():
+    from cstar_systems.suites import associativity_residual
+
+    rng = np.random.default_rng(24)
+    # 128 one-by-one blocks, as on commutative systems, with a non-uniform measure;
+    # the triple density is np.kron of the weights, one first weight at a time
+    w = rng.dirichlet(np.ones(128))
+    phi = LinearFunctional(FiniteCStarAlgebra([1] * 128), [np.array([[x]]) for x in w])
+    dense = np.max([max_abs(np.kron(np.kron(w[i:i + 1], w), w) - np.kron(w[i:i + 1], np.kron(w, w)))
+                    for i in range(w.size)])
+    assert dense > 0
+    assert associativity_residual(phi) == dense
+    # complex densities with zero rows and a zero block
+    rhos = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (3, 2, 2)]
+    rhos[0][1] = 0
+    rhos[1][:, 0] = rhos[1][0] = 0
+    rhos[2][:] = 0
+    dense = kron_triple_residual(rhos)
+    assert dense > 0
+    assert associativity_residual(LinearFunctional(FiniteCStarAlgebra((3, 2, 2)), rhos)) == dense
+
+
+@pytest.mark.parametrize("rhos", [[np.diag([0.5, np.nan])], [np.diag([np.inf, 0.5]), np.eye(1)]],
+                         ids=["nan", "inf"])
+def test_associativity_residual_of_a_non_finite_density_fails(rhos):
+    from cstar_systems.suites import associativity_residual
+
+    phi = LinearFunctional(FiniteCStarAlgebra([r.shape[0] for r in rhos]), rhos)
+    with np.errstate(invalid="ignore"):
+        res = associativity_residual(phi)
+    assert np.isnan(res)
+    assert not res <= 1e-9
 
 
 def test_functional_holds_complex_densities_and_family_views_stay_read_only():

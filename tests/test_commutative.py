@@ -310,15 +310,20 @@ class TestPointSplitting:
             (Partition([1, 3, 5]), Partition([1, 2, 3, 4, 5])),
         ]
         for coarse, fine in cases:
-            assert measure_projectivity_discrepancy(glue, mu, coarse, fine) == 0
+            disc = measure_projectivity_discrepancy(chi_cross(glue, coarse, fine),
+                                                    measure_on_partition(mu, fine),
+                                                    measure_on_partition(mu, coarse))
+            assert disc == 0
 
     def test_projectivity_detects_broken_families(self, z2):
         from cstar_systems.commutative import measure_projectivity_discrepancy
 
         mu = {pair: (F(1, 2), F(1, 2)) for pair in z2.grid.pairs()}
         mu[(F(1), F(3))] = (F(1), F(0))
-        disc = measure_projectivity_discrepancy(
-            z2, mu, Partition([1, 3]), Partition([1, 2, 3]))
+        coarse, fine = Partition([1, 3]), Partition([1, 2, 3])
+        disc = measure_projectivity_discrepancy(chi_cross(z2, coarse, fine),
+                                                measure_on_partition(mu, fine),
+                                                measure_on_partition(mu, coarse))
         assert disc == F(1, 2)
 
 

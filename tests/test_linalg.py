@@ -555,6 +555,20 @@ def test_composite_residual_covers_every_matrix_unit(monkeypatch):
         composite_residual([op], [identity_superop((2,))])
 
 
+def test_residual_accumulators_propagate_nan():
+    # Python's max keeps its first argument when the next one is NaN: one NaN entry
+    # of a map must make each residual NaN, which fails its record
+    from cstar_systems.linalg import _adjoint_residual, _multiplicativity_residual, composite_residual
+
+    f = superop_from_conjugation(random_complex((2, 2)))
+    a = superop_from_conjugation(random_complex((2, 2)))
+    bad = a.matrix.copy()
+    bad[1, 2] = np.nan
+    assert np.isnan(composite_residual([f, a], [f, Superoperator(bad, a.dom, a.cod)]))
+    assert np.isnan(_multiplicativity_residual(bad, (2,), (2,)))
+    assert np.isnan(_adjoint_residual(bad, (2,), (2,)))
+
+
 def test_maps_reject_inputs_of_the_wrong_size():
     dense = Superoperator(random_complex((4, 4)), (2,), (2,))
     with pytest.raises(ValueError):

@@ -309,6 +309,19 @@ def test_gns_images_of_the_unit_form_a_normalized_unit(diag, diag_families):
     assert gns_unit_vector_residual(gsys, unit) < 1e-9
 
 
+def test_gns_unit_vector_residual_propagates_nan(diag, diag_families):
+    from cstar_systems.states_gns import GnsSystem, gns_unit_vector_residual
+
+    _, sys = diag
+    unit, fam = diag_families
+    gsys = gns_system(sys, fam)
+    isometries = dict(gsys.isometries)
+    triple = next(iter(isometries))
+    isometries[triple] = np.full_like(isometries[triple], np.nan)
+    broken = GnsSystem(sys=sys, gns_data=gsys.gns_data, isometries=isometries)
+    assert np.isnan(gns_unit_vector_residual(broken, unit))
+
+
 class TestHilbertPartitionIsometries:
     """The partition isometries of a Hilbert system are the maps of its vector system."""
 
