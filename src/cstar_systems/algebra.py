@@ -1,10 +1,12 @@
 """Finite-dimensional C*-algebras: direct sums of matrix blocks.
 
-Elements are lists of square complex blocks; linear functionals are stored by
-block densities, phi(x) = sum_k Tr(rho_k x_k), which covers every bounded
-functional in finite dimensions and turns positivity and normalization into
-eigenvalue checks.  The GNS construction returns the coordinate map onto an
-orthonormal basis of the quotient.  Its Gram matrix repeats the n x n matrix
+An element is stored as one read-only complex vec, the row-major entries of
+its square blocks in block order, and its blocks are views of it.  A linear
+functional is held by its density rho, an element of the same algebra with
+phi(x) = sum_k Tr(rho_k x_k), which covers every bounded functional in finite
+dimensions and turns positivity and normalization into eigenvalue checks;
+tensoring functionals tensors their densities.  The GNS construction returns
+the coordinate map onto an orthonormal basis of the quotient.  Its Gram matrix repeats the n x n matrix
 rho_k^T along the rows of block k, so the basis is built by one Gram-Schmidt
 per block, over the matrix units in index order, and placed along the rows:
 the cost follows the block sizes, not the square of the algebra's dimension,
@@ -58,18 +60,29 @@ class FiniteCStarAlgebra:
         return blocks_dim(self.blocks)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.zeros((n, n), dtype=complex) for n in self.blocks])
+        return self.from_vec(np.zeros(self.dim, dtype=complex))
 
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.blocks])
 
     def matrix_unit(self, block: int, i: int, j: int) -> "AlgebraElement":
-        x = self.zero()
-        x.block_matrices[block][i, j] = 1.0
-        return x
+        v = np.zeros(self.dim, dtype=complex)
+        split_vec(self.blocks, v)[block][i, j] = 1.0
+        return self.from_vec(v)
 
     def from_vec(self, v: np.ndarray) -> "AlgebraElement":
-        return AlgebraElement(self, split_vec(self.blocks, v))
+        """The element whose vec is ``v``, holding a read-only view of ``v``.
+
+        A complex ``v`` is not copied (any other is converted), so the caller
+        must not write to it afterwards.
+        """
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        if v.size != self.dim:
+            raise ValueError(f"vector of size {v.size} does not fit blocks {self.blocks}")
+        x = object.__new__(AlgebraElement)
+        x.algebra, x._vec = self, v.view()
+        x._vec.setflags(write=False)
+        return x
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> "AlgebraElement":
         mats = [
@@ -79,37 +92,47 @@ class FiniteCStarAlgebra:
         return AlgebraElement(self, mats)
 
 
-@dataclass
 class AlgebraElement:
-    algebra: FiniteCStarAlgebra
-    block_matrices: list[np.ndarray]
+    """An element of a direct sum of matrix blocks, stored as its vec.
 
-    def __post_init__(self):
-        mats = [as_matrix(m).astype(complex) for m in self.block_matrices]
-        if len(mats) != len(self.algebra.blocks):
+    The vec is one read-only complex array: the row-major entries of the
+    blocks in block order.  The constructor takes one square matrix per block
+    and copies them into a new vec, so no array a caller passes is shared or
+    frozen; ``FiniteCStarAlgebra.from_vec`` holds a given vec as it is.
+    ``block_matrices`` are read-only views of the vec.  No element is ever
+    written to, so elements are shared as they are.
+    """
+
+    __slots__ = ("algebra", "_vec")
+
+    def __init__(self, algebra: FiniteCStarAlgebra, block_matrices: Iterable[np.ndarray]):
+        mats = [as_matrix(m) for m in block_matrices]
+        if len(mats) != len(algebra.blocks):
             raise ValueError("one matrix per block required")
-        for m, n in zip(mats, self.algebra.blocks):
+        for m, n in zip(mats, algebra.blocks):
             if m.shape != (n, n):
                 raise ValueError(f"block of shape {m.shape} does not fit size {n}")
-        self.block_matrices = mats
+        self.algebra = algebra
+        self._vec = join_vec(mats)
+        self._vec.setflags(write=False)
+
+    @property
+    def block_matrices(self) -> list[np.ndarray]:
+        return split_vec(self.algebra.blocks, self._vec)
 
     def vec(self) -> np.ndarray:
-        return join_vec(self.block_matrices)
+        return self._vec
 
     def star(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [m.conj().T for m in self.block_matrices])
+        return self.algebra.from_vec(self._vec.conj()[star_perm(self.algebra.blocks)])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
-        return AlgebraElement(
-            self.algebra, [a + b for a, b in zip(self.block_matrices, other.block_matrices)]
-        )
+        return self.algebra.from_vec(self._vec + other._vec)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
-        return AlgebraElement(
-            self.algebra, [a - b for a, b in zip(self.block_matrices, other.block_matrices)]
-        )
+        return self.algebra.from_vec(self._vec - other._vec)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -117,7 +140,7 @@ class AlgebraElement:
             return AlgebraElement(
                 self.algebra, [a @ b for a, b in zip(self.block_matrices, other.block_matrices)]
             )
-        return AlgebraElement(self.algebra, [other * m for m in self.block_matrices])
+        return self.algebra.from_vec(other * self._vec)
 
     __rmul__ = __mul__
 
@@ -127,11 +150,11 @@ class AlgebraElement:
 
     def distance(self, other: "AlgebraElement") -> float:
         self._same_algebra(other)
-        return max_abs(self.vec() - other.vec())
+        return max_abs(self._vec - other._vec)
 
     def is_projection(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return (
-            max_abs(self.vec() - self.star().vec()) <= tol.eps
+            max_abs(self._vec - self.star()._vec) <= tol.eps
             and (self * self).distance(self) <= tol.eps
         )
 
@@ -145,23 +168,33 @@ def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return t.from_vec(vec_tensor(x.algebra.blocks, y.algebra.blocks, x.vec(), y.vec()))
 
 
-@dataclass
 class LinearFunctional:
-    """phi(x) = sum_k Tr(rho_k x_k) for one density matrix per block.
+    """phi(x) = sum_k Tr(rho_k x_k), held as its density rho, an element of the algebra.
 
-    A complex density is held as it is passed, without a copy; any other is
-    converted.  Nothing here writes to a density, nor may its caller after.
+    ``LinearFunctional(algebra, densities)`` takes one square density matrix
+    per block and copies them, as ``AlgebraElement`` does; ``of_density``
+    holds a given element as it is.  ``densities`` are the density's
+    read-only block views.
     """
 
-    algebra: FiniteCStarAlgebra
-    densities: list[np.ndarray]
+    __slots__ = ("density",)
 
-    def __post_init__(self):
-        rhos = [as_matrix(r) for r in self.densities]
-        for r, n in zip(rhos, self.algebra.blocks):
-            if r.shape != (n, n):
-                raise ValueError(f"density of shape {r.shape} does not fit block size {n}")
-        self.densities = rhos
+    def __init__(self, algebra: FiniteCStarAlgebra, densities: Iterable[np.ndarray]):
+        self.density = AlgebraElement(algebra, densities)
+
+    @classmethod
+    def of_density(cls, rho: AlgebraElement) -> "LinearFunctional":
+        phi = object.__new__(cls)
+        phi.density = rho
+        return phi
+
+    @property
+    def algebra(self) -> FiniteCStarAlgebra:
+        return self.density.algebra
+
+    @property
+    def densities(self) -> list[np.ndarray]:
+        return self.density.block_matrices
 
     def __call__(self, x: AlgebraElement) -> complex:
         return complex(
@@ -169,19 +202,20 @@ class LinearFunctional:
         )
 
     def row(self) -> np.ndarray:
-        """Row vector with phi(x) = row @ vec(x): the vec of the transposed densities."""
-        return join_vec(self.densities)[star_perm(self.algebra.blocks)]
+        """Row vector with phi(x) = row @ vec(x): the vec of the transposed density."""
+        return self.density.vec()[star_perm(self.algebra.blocks)]
 
     def state_residuals(self) -> tuple[float, float]:
-        """(negativity, normalization error): both ~0 iff this is a state."""
+        """(negativity, normalization error): both ~0 iff this is a state; NaN if
+        a density entry is."""
         neg = 0.0
         total = 0.0
         for r in self.densities:
             herm = max_abs(r - r.conj().T)
             eigs = np.linalg.eigvalsh((r + r.conj().T) / 2)
-            neg = max(neg, herm, float(max(0.0, -eigs.min(initial=0.0))))
+            neg = np.maximum(neg, np.maximum(herm, -eigs.min(initial=0.0)))
             total += float(np.trace(r).real)
-        return neg, abs(total - 1.0)
+        return float(neg), abs(total - 1.0)
 
     def is_state(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         neg, norm_err = self.state_residuals()
@@ -189,14 +223,12 @@ class LinearFunctional:
 
 
 def functional_tensor(f: LinearFunctional, g: LinearFunctional) -> LinearFunctional:
-    """(f (x) g)(x (x) y) = f(x) g(y): densities tensor as elements do (``vec_tensor``).
+    """(f (x) g)(x (x) y) = f(x) g(y): the functional of the tensor of the densities.
 
-    Block (i, j) holds kron(rho_i, sigma_j), each entry the one product np.kron forms.
+    Block (i, j) of its density holds kron(rho_i, sigma_j), each entry the one
+    product np.kron forms.
     """
-    t = tensor_algebra(f.algebra, g.algebra)
-    v = vec_tensor(f.algebra.blocks, g.algebra.blocks,
-                   join_vec(f.densities), join_vec(g.densities))
-    return LinearFunctional(t, split_vec(t.blocks, v))
+    return LinearFunctional.of_density(tensor_element(f.density, g.density))
 
 
 def trace_functional(algebra: FiniteCStarAlgebra, normalized: bool = False) -> LinearFunctional:
@@ -206,10 +238,9 @@ def trace_functional(algebra: FiniteCStarAlgebra, normalized: bool = False) -> L
 
 
 def vector_state(algebra: FiniteCStarAlgebra, block: int = 0, index: int = 0) -> LinearFunctional:
-    """The state x -> <e_index, x e_index> supported on one block."""
-    densities = [np.zeros((n, n), dtype=complex) for n in algebra.blocks]
-    densities[block][index, index] = 1.0
-    return LinearFunctional(algebra, densities)
+    """The state x -> <e_index, x e_index> supported on one block: its density is
+    the matrix unit at (index, index) of that block."""
+    return LinearFunctional.of_density(algebra.matrix_unit(block, index, index))
 
 
 # -- GNS construction ---------------------------------------------------------
@@ -283,8 +314,8 @@ def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEF
     the cut; kernel eigenvalues that are exact zeros leave rho_k^T bit for
     bit.  The dim x dim Gram matrix is never formed.
     """
-    neg, norm_err = phi.state_residuals()
-    if neg > tol.eps or norm_err > tol.eps:
+    if not phi.is_state(tol):
+        neg, norm_err = phi.state_residuals()
         raise ValueError(
             f"not a state: positivity residual {neg:.3g}, trace error {norm_err:.3g}"
         )

@@ -199,7 +199,7 @@ def to_cstar(sys: FiniteMultSystem, dim_cap: int = DEFAULT_DIM_CAP) -> Tensorial
 def functional_from_measure(alg: FiniteCStarAlgebra, mu: Measure) -> LinearFunctional:
     if len(mu) != len(alg.blocks) or alg.blocks != (1,) * len(mu):
         raise ValueError("measure size must match a commutative algebra")
-    return LinearFunctional(alg, [np.array([[float(w)]]) for w in mu])
+    return LinearFunctional.of_density(alg.from_vec(np.array([float(w) for w in mu])))
 
 
 def measure_family_functionals(cstar: TensorialSystem,
@@ -212,12 +212,8 @@ def measure_family_functionals(cstar: TensorialSystem,
 
 def indicator_unit(cstar: TensorialSystem, point: int = 0) -> UnitFamily:
     """The indicator of one compatible point orbit (works for glue-type systems)."""
-    elements = {}
-    for pair, alg in cstar.algebras.items():
-        p = alg.zero()
-        p.block_matrices[point][0, 0] = 1.0
-        elements[pair] = p
-    return UnitFamily(elements)
+    return UnitFamily({pair: alg.matrix_unit(point, 0, 0)
+                       for pair, alg in cstar.algebras.items()})
 
 
 # -- measures ----------------------------------------------------------------------

@@ -67,10 +67,11 @@ def numerical_rank(m) -> int:
     The cutoff is the usual one for a matrix known to working precision
     (Golub and Van Loan, *Matrix Computations*, 4th ed., section 5.4); it does
     not depend on the residual tolerance of the checks.  A real matrix
-    (``exact_real``) is decomposed in float64.
+    (``exact_real``) is decomposed in float64.  A matrix with a NaN or an
+    infinite entry has no singular values and is given rank 0.
     """
     m = exact_real(as_matrix(m))
-    if m.size == 0:
+    if m.size == 0 or not np.isfinite(m).all():
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:

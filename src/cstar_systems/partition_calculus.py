@@ -23,13 +23,13 @@ embedding into a larger interval are explicit re-indexing plus residual checks.
 Equality of germs is decided at the single common refinement I u J; agreement
 at every finer partition follows from the cocycle law, which is itself under
 test.  Per-system caches keyed by partitions keep repeated map construction
-cheap; systems are otherwise immutable.  Cached maps are shared as they are:
-a ``Superoperator`` holds only read-only arrays.
+cheap; systems are otherwise immutable.  Cached maps, elements and
+functionals are shared as they are: a ``Superoperator`` holds only read-only
+arrays, and an element (a functional's density too) is one read-only vec.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Optional
@@ -163,26 +163,13 @@ def delta_refinement(sys: TensorialSystem, coarse: Partition, fine: Partition) -
     return out
 
 
-def _read_only(x):
-    """A shallow copy of an element or functional whose lists of block arrays hold
-    read-only views, so callers can share it; the owner's arrays stay writable."""
-    x = copy.copy(x)
-    for f in fields(x):
-        value = getattr(x, f.name)
-        if isinstance(value, list):
-            views = [a.view() for a in value]
-            for a in views:
-                a.setflags(write=False)
-            setattr(x, f.name, views)
-    return x
-
-
 def _cell_product(family, partition: Partition, cell, tensor):
     """The left fold ``tensor(...tensor(cell(i0, i1), cell(i1, i2))..., cell(im, im+1))``.
 
-    Memoised per partition in ``family._cache``, read-only: each product is one
-    ``tensor`` call on the stored product over all but the last cell, so it is
-    bitwise the ``reduce`` of ``tensor`` over the cells.
+    Memoised per partition in ``family._cache`` and shared as it is, since
+    elements and functionals are read-only: each product is one ``tensor``
+    call on the stored product over all but the last cell, so it is bitwise
+    the ``reduce`` of ``tensor`` over the cells.
     """
     out = family._cache.get(partition)
     if out is None:
@@ -190,7 +177,7 @@ def _cell_product(family, partition: Partition, cell, tensor):
         out = cell(pts[-2], pts[-1])
         if len(pts) > 2:
             out = tensor(_cell_product(family, Partition(pts[:-1]), cell, tensor), out)
-        out = family._cache[partition] = _read_only(out)
+        family._cache[partition] = out
     return out
 
 

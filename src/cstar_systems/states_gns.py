@@ -33,7 +33,6 @@ from .linalg import (
     composite_residual,
     isometry_residual,
     max_abs,
-    split_vec,
     star_perm,
     tensor_perm,
 )
@@ -178,8 +177,8 @@ def _unit_vec(dim: int, a: int) -> np.ndarray:
 
 
 def _functional_from_row(alg: FiniteCStarAlgebra, row: np.ndarray) -> LinearFunctional:
-    """The functional whose ``row()`` is ``row``: the densities are its vec transposed."""
-    return LinearFunctional(alg, split_vec(alg.blocks, row[star_perm(alg.blocks)]))
+    """The functional whose ``row()`` is ``row``: its density is ``row`` transposed."""
+    return LinearFunctional.of_density(alg.from_vec(row[star_perm(alg.blocks)]))
 
 
 # -- GNS systems ---------------------------------------------------------------

@@ -81,9 +81,71 @@ def test_element_arithmetic_and_norm():
     unitary = AlgebraElement(M2, [np.array([[0, 1], [1, 0]], dtype=complex)])
     assert operator_norm(unitary) == pytest.approx(1.0)
     direct_sum = FiniteCStarAlgebra([2, 3])
-    z = direct_sum.zero()
-    z.block_matrices[1][0, 0] = 5.0
+    z = 5.0 * direct_sum.matrix_unit(1, 0, 0)
     assert operator_norm(z) == pytest.approx(5.0)
+    assert np.array_equal(z.vec(), np.eye(13)[4] * 5.0)
+    # an element is read-only, its blocks views of its vec
+    with pytest.raises(ValueError):
+        z.block_matrices[1][0, 0] = 1.0
+    assert np.shares_memory(z.block_matrices[1], z.vec())
+    with pytest.raises(IndexError):
+        direct_sum.matrix_unit(0, 0, 2)
+
+
+def _random_element(rng, blocks):
+    alg = FiniteCStarAlgebra(blocks)
+    return alg, [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                 for n in blocks]
+
+
+def test_vec_storage_is_the_per_block_arithmetic_bitwise():
+    rng = np.random.default_rng(23)
+    for blocks in [(2, 1, 3), (1, 1, 1, 1), (3,), (2, 2)]:
+        alg, xs = _random_element(rng, blocks)
+        _, ys = _random_element(rng, blocks)
+        x, y = AlgebraElement(alg, xs), AlgebraElement(alg, ys)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+
+        def same(elem, mats):
+            return (len(elem.block_matrices) == len(mats)
+                    and all(np.array_equal(a, b) for a, b in zip(elem.block_matrices, mats)))
+
+        assert same(x, xs)
+        assert same(x.star(), [a.conj().T for a in xs])
+        assert same(x + y, [a + b for a, b in zip(xs, ys)])
+        assert same(x - y, [a - b for a, b in zip(xs, ys)])
+        # x * c is c * x, as the per-block product was
+        assert same(c * x, [c * a for a in xs]) and same(x * c, [c * a for a in xs])
+        assert same(x * y, [a @ b for a, b in zip(xs, ys)])
+        alg2, zs = _random_element(rng, (1, 2))
+        z = AlgebraElement(alg2, zs)
+        assert same(tensor_element(x, z), [np.kron(a, b) for a in xs for b in zs])
+        f, g = LinearFunctional(alg, xs), LinearFunctional(alg2, zs)
+        fg = functional_tensor(f, g)
+        assert same(fg.density, [np.kron(a, b) for a in xs for b in zs])
+        assert np.array_equal(f.row(), np.concatenate([a.T.reshape(-1) for a in xs]))
+        assert np.array_equal(fg.row(), np.concatenate(
+            [np.kron(a, b).T.reshape(-1) for a in xs for b in zs]))
+        # results are read-only; the arrays passed stay writable and unshared
+        for elem in (x, x.star(), x + y, x - y, c * x, x * y, tensor_element(x, z), fg.density):
+            assert not elem.vec().flags.writeable
+        assert all(a.flags.writeable for a in xs + ys + zs)
+        assert not any(np.shares_memory(a, e.vec()) for a in xs for e in (x, f.density))
+
+
+def test_from_vec_holds_a_read_only_view_without_a_copy():
+    alg = FiniteCStarAlgebra([2, 1])
+    v = np.arange(5, dtype=complex)
+    x = alg.from_vec(v)
+    assert np.shares_memory(x.vec(), v) and np.array_equal(x.vec(), v)
+    assert not x.vec().flags.writeable and v.flags.writeable
+    assert all(np.shares_memory(b, v) and not b.flags.writeable for b in x.block_matrices)
+    with pytest.raises(ValueError):
+        x.vec()[0] = 1.0
+    real = np.arange(5.0)  # any other dtype is converted into a new complex vec
+    assert not np.shares_memory(alg.from_vec(real).vec(), real)
+    with pytest.raises(ValueError, match="does not fit blocks"):
+        alg.from_vec(np.zeros(4))
 
 
 def test_functional_tensor_of_normalized_traces():
@@ -196,18 +258,22 @@ def test_functional_holds_complex_densities_and_family_views_stay_read_only():
     from cstar_systems.timegrid import Partition
 
     rho = np.diag([0.25, 0.75]).astype(complex)
-    assert LinearFunctional(M2, [rho]).densities[0] is rho
-    assert LinearFunctional(M2, [np.diag([0.25, 0.75])]).densities[0].dtype == complex
+    real = np.diag([0.25, 0.75])
+    for given in (rho, real):  # the densities are copied into one complex vec
+        held = LinearFunctional(M2, [given]).densities[0]
+        assert held.dtype == complex and np.array_equal(held, given)
+        assert not np.shares_memory(held, given) and not held.flags.writeable
     fam = FunctionalFamily({(1, 2): LinearFunctional(M2, [rho]), (2, 3): vector_state(M2)})
     for part in (Partition([1, 2]), Partition([1, 2, 3])):
         phi = state_on_partition(fam, part)
         assert not any(r.flags.writeable for r in phi.densities)
-        # a functional built on the shared views holds them as they are, read-only
-        again = LinearFunctional(phi.algebra, phi.densities)
-        assert all(a is b for a, b in zip(again.densities, phi.densities))
+        assert np.shares_memory(phi.densities[0], phi.density.vec())
+        # a functional built on the shared density holds it as it is, read-only
+        again = LinearFunctional.of_density(phi.density)
+        assert again.density is phi.density
         with pytest.raises(ValueError):
             again.densities[0][0, 0] = 1.0
-    assert rho.flags.writeable  # the family's own array is never frozen in place
+    assert rho.flags.writeable and real.flags.writeable  # a caller's array is never frozen
 
 
 def test_state_predicate():
@@ -215,6 +281,17 @@ def test_state_predicate():
     assert trace_functional(M2, normalized=True).is_state()
     assert not trace_functional(M2).is_state()
     assert not LinearFunctional(M2, [np.diag([2.0, -1.0])]).is_state()
+
+
+def test_a_nan_density_is_not_a_state():
+    # Python's max once dropped the NaN negativity, so this was a state and gns
+    # failed in Gram-Schmidt with ArithmeticError
+    phi = LinearFunctional(M2, [np.array([[0.5, np.nan], [np.nan, 0.5]])])
+    neg, norm_err = phi.state_residuals()
+    assert np.isnan(neg) and norm_err == 0.0
+    assert not phi.is_state()
+    with pytest.raises(ValueError, match="not a state"):
+        gns(M2, phi)
 
 
 class TestGns:

@@ -131,8 +131,8 @@ class TestGelfandBridge:
 
     def test_z2_coproduct_of_point_indicator(self, z2):
         cs = to_cstar(z2)
-        d0 = cs.alg(F(1), F(2)).zero()
-        d0.block_matrices[0][0, 0] = 1.0
+        d0 = indicator_unit(cs, 0).p(F(1), F(2))
+        assert d0.vec().tolist() == [1, 0] and not d0.vec().flags.writeable
         image = cs.delta(F(1), F(2), F(3)).apply(d0.vec())
         assert image.real.tolist() == [1, 0, 0, 1]
         assert check_system_axioms(cs).records[-1].detail == "subproduct"

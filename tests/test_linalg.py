@@ -569,6 +569,18 @@ def test_residual_accumulators_propagate_nan():
     assert np.isnan(_adjoint_residual(bad, (2,), (2,)))
 
 
+def test_star_homomorphism_check_reports_a_nan_map():
+    # numerical_rank's SVD once raised LinAlgError on the NaN entry
+    mat = superop_from_conjugation(np.eye(2)).matrix.copy()
+    mat[1, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        rep = check_star_homomorphism(Superoperator(mat, (2,), (2,)))
+    assert np.isnan(rep.multiplicativity_residual) and np.isnan(rep.adjoint_residual)
+    assert rep.rank == 0 and not rep.injective and not rep.surjective
+    assert rep.classification == "not a homomorphism"
+    assert numerical_rank(np.array([[1.0, np.inf]])) == 0
+
+
 def test_maps_reject_inputs_of_the_wrong_size():
     dense = Superoperator(random_complex((4, 4)), (2,), (2,))
     with pytest.raises(ValueError):

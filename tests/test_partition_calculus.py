@@ -541,15 +541,21 @@ class TestLiftedMorphisms:
 
 
 def random_families(sys, rng):
-    """A functional and an element per grid pair, all random: the fold's order shows bitwise."""
+    """A functional and an element per grid pair, all random: the fold's order shows
+    bitwise.  Also returns the block arrays they were built from."""
+    drawn = []
+
     def draw(alg):
-        return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 for n in alg.blocks]
+        drawn.extend(mats)
+        return mats
 
     return (FunctionalFamily({pair: LinearFunctional(alg, draw(alg))
                               for pair, alg in sys.algebras.items()}),
             UnitFamily({pair: AlgebraElement(alg, draw(alg))
-                        for pair, alg in sys.algebras.items()}))
+                        for pair, alg in sys.algebras.items()}),
+            drawn)
 
 
 @pytest.mark.parametrize("make", [
@@ -559,13 +565,15 @@ def random_families(sys, rng):
 @pytest.mark.parametrize("order", [1, -1], ids=["short-first", "long-first"])
 def test_memoised_products_are_the_left_fold(make, order):
     sys = make()
-    fam, unit = random_families(sys, np.random.default_rng(5))
+    fam, unit, drawn = random_families(sys, np.random.default_rng(5))
     parts = enumerate_all_partitions(sys.grid, len(sys.grid.points))[::order]
+    shared = []
     for part in parts:
         cells = part.pairs()
         phi = state_on_partition(fam, part)
         want = reduce(functional_tensor, [fam.phi(a, b) for a, b in cells])
         assert phi.algebra == want.algebra
+        assert np.array_equal(phi.density.vec(), want.density.vec())
         assert all(np.array_equal(x, y) for x, y in zip(phi.densities, want.densities))
         p = unit_on_partition(unit, part)
         want = reduce(tensor_element, [unit.p(a, b) for a, b in cells])
@@ -576,9 +584,15 @@ def test_memoised_products_are_the_left_fold(make, order):
             phi.densities[0][0, 0] = 1.0
         with pytest.raises(ValueError):
             p.block_matrices[0][0, 0] = 1.0
-    # the families' own arrays are shared read-only, never frozen in place
-    assert all(a.flags.writeable for f in fam.functionals.values() for a in f.densities)
-    assert all(a.flags.writeable for x in unit.elements.values() for a in x.block_matrices)
+        shared += [phi.density.vec(), p.vec()]
+    # the families' own elements are read-only too, and shared by the one-cell products
+    own = [f.density.vec() for f in fam.functionals.values()]
+    own += [x.vec() for x in unit.elements.values()]
+    assert not any(v.flags.writeable for v in own)
+    assert any(v is w for v in own for w in shared)
+    # the arrays the families were built from stay writable and unshared
+    assert all(a.flags.writeable for a in drawn)
+    assert not any(np.shares_memory(a, v) for a in drawn for v in own + shared)
 
 
 def test_partition_products_are_built_once(monkeypatch):

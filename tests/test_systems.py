@@ -133,9 +133,9 @@ class TestTrivialFromBialgebra:
         sys = trivial_from_bialgebra(GRID, alg, delta)
         assert check_system_axioms(sys).records[-1].detail == "subproduct"
         # indicator of 0 maps to the sum of the diagonal pair indicators
-        d0 = alg.zero()
-        d0.block_matrices[0][0, 0] = 1.0
+        d0 = alg.matrix_unit(0, 0, 0)
         assert sys.delta(F(1), F(2), F(3)).apply(d0.vec()).real.tolist() == [1, 0, 0, 1]
+        assert d0.vec().tolist() == [1, 0] and not d0.vec().flags.writeable
 
     def test_matrix_bialgebra(self):
         u = np.zeros((4, 2), dtype=complex)
