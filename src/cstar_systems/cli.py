@@ -5,7 +5,9 @@ system kind declares its payload fields, with theirs, in its ``SYSTEM_KINDS``
 entry, beside its builder and the unit and co-unit that ``"standard"`` means for
 it.  So ``RunConfig.from_json`` checks the whole document before anything is
 built.  Defaults are keyed on the configured kind, so a ``perturb_delta`` negative
-control keeps the defaults of the system it perturbs.  The suites live in ``suites.py``.
+control keeps the defaults of the system it perturbs; it declares none of the kind's
+morphism families, which need not be morphisms of the perturbed maps.  The suites live
+in ``suites.py``.
 
 Exit codes: 0 all checks pass, 1 some check fails, 2 invalid configuration
 (including a dimension-cap violation, which names the offending partition).
@@ -46,7 +48,7 @@ from .commutative import (
     modular_addition_system,
     to_cstar,
 )
-from .linalg import Superoperator, Tolerance
+from .linalg import Superoperator, Tolerance, superop_from_conjugation
 from .serialize import element_from_json, functional_from_json, parse_time_key, superop_from_json
 # Every runner stays bound as cli.run_<suite>: perfbench/tracer.py times the
 # suites under these names, and run() dispatches through SUITE_RUNNERS.
@@ -66,6 +68,7 @@ from .systems import (
     FunctionalFamily,
     Grid,
     HilbertSystem,
+    MorphismFamily,
     TensorialSystem,
     UnitFamily,
     constant_functional_family,
@@ -237,12 +240,14 @@ class RunConfig:
 # -- system kinds ------------------------------------------------------------------
 
 class Built(NamedTuple):
-    """What a payload builder returns; ``expected`` is the class the generator should produce."""
+    """What a payload builder returns; ``expected`` is the class the generator should produce,
+    and ``morphisms`` are the kind's automorphism families besides the identity."""
 
     system: TensorialSystem
     hilbert: Optional[HilbertSystem] = None
     mult: Optional[FiniteMultSystem] = None
     expected: Optional[str] = None
+    morphisms: tuple[tuple[str, MorphismFamily], ...] = ()
 
 
 class SystemKind(NamedTuple):
@@ -251,7 +256,7 @@ class SystemKind(NamedTuple):
 
     build: Callable[[dict, Grid, int], Built]
     unit: Callable[[TensorialSystem], UnitFamily]
-    counit: Callable[..., FunctionalFamily]  # (system, mult, measures)
+    counit: Callable[..., FunctionalFamily]  # (system, payload, mult, measures)
     fields: dict
 
 
@@ -285,9 +290,19 @@ def _algebras(name: str, table: dict, arity: int) -> dict:
     return _keyed(name, table, arity, lambda spec, *_: FiniteCStarAlgebra(spec["blocks"]))
 
 
+def _basis_permutation(system: TensorialSystem, d: int, head: list[int]) -> MorphismFamily:
+    """Conjugation of every pair algebra M_d by the basis permutation starting with ``head``."""
+    perm = np.eye(d, dtype=complex)[head + list(range(len(head), d))]
+    return MorphismFamily(dict.fromkeys(system.algebras, superop_from_conjugation(perm)))
+
+
 def _build_diagonal(payload: dict, grid: Grid, dim_cap: int) -> Built:
-    hilbert, system = diagonal_system(grid, payload["d"], dim_cap=dim_cap)
-    return Built(system, hilbert, expected="product" if payload["d"] == 1 else "subproduct")
+    d = payload["d"]
+    hilbert, system = diagonal_system(grid, d, dim_cap=dim_cap)
+    heads = {"permutation_fixing_the_unit": [0, 2, 1], "swap_first_two": [1, 0]}
+    return Built(system, hilbert, expected="product" if d == 1 else "subproduct",
+                 morphisms=tuple((name, _basis_permutation(system, d, head))
+                                 for name, head in heads.items() if len(head) <= d))
 
 
 def _build_glue_hilbert(payload: dict, grid: Grid, dim_cap: int) -> Built:
@@ -316,7 +331,7 @@ def _build_custom(payload: dict, grid: Grid, dim_cap: int) -> Built:
     algs = _algebras("algebras", payload["algebras"], 2)
     deltas = _keyed("deltas", payload["deltas"], 3, lambda spec, r, s, t: superop_from_json(
         spec, algs[(r, t)].blocks, tensor_algebra(algs[(r, s)], algs[(s, t)]).blocks))
-    return Built(TensorialSystem(grid, algs, deltas, dim_cap=dim_cap, kind="custom"))
+    return Built(TensorialSystem(grid, algs, deltas, dim_cap=dim_cap))
 
 
 def _build_commutative(payload: dict, grid: Grid, dim_cap: int) -> Built:
@@ -342,31 +357,31 @@ def _measure(weights, space: Optional[FiniteSpace]) -> tuple[Fraction, ...]:
     return measure
 
 
-def _vector_states(system, mult, measures) -> FunctionalFamily:
+def _vector_states(system, payload, mult, measures) -> FunctionalFamily:
     return constant_functional_family(system, vector_state)
 
 
-def _faithful_cell_product(system, mult, measures) -> FunctionalFamily:
-    if not system.payload.get("cell_dims"):
+def _faithful_cell_product(system, payload, mult, measures) -> FunctionalFamily:
+    if not payload.get("cell_dims"):
         raise ConfigError("faithful_cell_product needs a glue_hilbert system")
-    return glue_cell_state(system, system.payload["cell_dims"])
+    return glue_cell_state(system, payload["cell_dims"])
 
 
-def _from_measures(system, mult, measures) -> FunctionalFamily:
+def _from_measures(system, payload, mult, measures) -> FunctionalFamily:
     if mult is None or not measures:
         raise ConfigError("from_measures needs a commutative system and measures")
     return measure_family_functionals(system, measures)
 
 
-def _uniform(system, mult, measures) -> FunctionalFamily:
+def _uniform(system, payload, mult, measures) -> FunctionalFamily:
     if mult is None:
         raise ConfigError("uniform counit needs a commutative system")
     return measure_family_functionals(system, {
         pair: as_measure([Fraction(1, sp.size)] * sp.size) for pair, sp in mult.spaces.items()})
 
 
-def _measures_or_uniform(system, mult, measures) -> FunctionalFamily:
-    return (_from_measures if measures else _uniform)(system, mult, measures)
+def _measures_or_uniform(system, payload, mult, measures) -> FunctionalFamily:
+    return (_from_measures if measures else _uniform)(system, payload, mult, measures)
 
 
 _positive = partial(_integer, minimum=1)
@@ -414,8 +429,7 @@ def _perturbed(system: TensorialSystem, triple: Optional[str], epsilon: float) -
     mat = old.matrix.copy()
     mat[0, 0] += epsilon
     deltas = {**system.deltas, key: Superoperator(mat, old.dom, old.cod)}
-    return TensorialSystem(system.grid, system.algebras, deltas, dim_cap=system.dim_cap,
-                           kind=system.kind + "+perturbed", payload=system.payload)
+    return TensorialSystem(system.grid, system.algebras, deltas, dim_cap=system.dim_cap)
 
 
 def _family(role: str, config: RunConfig, system: TensorialSystem, *args):
@@ -440,9 +454,9 @@ def build_setup(config: RunConfig) -> Setup:
                                                           config.dim_cap)
         if config.measures is not None and built.mult is None:
             raise ConfigError(f"measures need a commutative system, not {config.system['kind']!r}")
-        system, expected = built.system, built.expected
+        system, expected, morphisms = built.system, built.expected, built.morphisms
         if config.perturbation:
-            system, expected = _perturbed(system, **config.perturbation), None
+            system, expected, morphisms = _perturbed(system, **config.perturbation), None, ()
         if len(config.grid.points) < 3:
             expected = None  # no triples: the classification is vacuous
         measures = None if config.measures is None else _keyed(
@@ -450,14 +464,15 @@ def build_setup(config: RunConfig) -> Setup:
             lambda vals, s, t: _measure(vals, built.mult.spaces.get((s, t))),
             cover=system.algebras)
         unit = _family("unit", config, system)
-        counit = _family("counit", config, system, built.mult, measures)
+        counit = _family("counit", config, system, config.payload, built.mult, measures)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return Setup(system=system, max_interior_points=config.max_interior_points,
                  hilbert=built.hilbert, unit=unit, counit=counit, mult_system=built.mult,
-                 measures=measures, expected_class=expected, tol=Tolerance(config.tolerance))
+                 measures=measures, expected_class=expected, tol=Tolerance(config.tolerance),
+                 morphisms=morphisms)
 
 
 def run(config: RunConfig) -> tuple[dict, bool, float]:

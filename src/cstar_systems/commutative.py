@@ -193,7 +193,7 @@ def to_cstar(sys: FiniteMultSystem, dim_cap: int = DEFAULT_DIM_CAP) -> Tensorial
     }
     deltas = {triple: superop_from_point_map(m.table.reshape(-1), m.out_size)
               for triple, m in sys.chi.items()}
-    return TensorialSystem(sys.grid, algebras, deltas, dim_cap=dim_cap, kind="commutative")
+    return TensorialSystem(sys.grid, algebras, deltas, dim_cap=dim_cap)
 
 
 def functional_from_measure(alg: FiniteCStarAlgebra, mu: Measure) -> LinearFunctional:

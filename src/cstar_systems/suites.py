@@ -45,7 +45,6 @@ from .linalg import (
     identity_superop,
     max_abs,
     numerical_rank,
-    superop_from_conjugation,
     superop_tensor,
     tensor_blocks,
 )
@@ -110,6 +109,7 @@ class Setup:
     measures: Optional[dict] = None
     expected_class: Optional[str] = None
     tol: Tolerance = field(default_factory=Tolerance)
+    morphisms: tuple[tuple[str, MorphismFamily], ...] = ()  # besides the identity
 
 
 def _sharp_partitions(setup: Setup) -> list[Partition]:
@@ -503,7 +503,9 @@ def run_gns(setup: Setup, rng) -> Report:
         return report
     hs = gsys.hilbert_system()
     report.extend(check_hilbert_axioms(hs, tol))
-    if setup.hilbert is not None and sys.kind == "diagonal":
+    # V = U can hold only where the co-unit is pure, so its GNS spaces are the H(s,t)
+    if setup.hilbert is not None and all(v.shape == setup.hilbert.u(*triple).shape
+                                         for triple, v in gsys.isometries.items()):
         for (r, s, t) in sys.grid.triples():
             report.residual_record(
                 "gns_isometry_recovers_generator", "V[r,s,t] = U[r,s,t] entrywise",
@@ -662,71 +664,57 @@ def run_commutative(setup: Setup, rng) -> Report:
     return report
 
 
-def _permutation_family(sys: TensorialSystem, head: list[int]) -> MorphismFamily:
-    """Conjugation of every pair algebra M_d by the basis permutation starting with ``head``."""
-    d = sys.payload["d"]
-    perm = np.eye(d, dtype=complex)[head + list(range(len(head), d))]
-    return MorphismFamily({pair: superop_from_conjugation(perm) for pair in sys.algebras})
+def _fixes_unit(fam: MorphismFamily, unit: UnitFamily, tol: Tolerance) -> bool:
+    """theta(s,t)(p(s,t)) = p(s,t) on every pair, within ``tol``."""
+    return all(max_abs(fam.theta(*pair).apply(p.vec()) - p.vec()) <= tol.eps
+               for pair, p in unit.elements.items())
 
 
 def run_morphism(setup: Setup, rng) -> Report:
-    sys = setup.system
-    tol = setup.tol
+    sys, tol, unit = setup.system, setup.tol, setup.unit
     report = Report()
     identity = MorphismFamily({pair: identity_superop(alg.blocks)
                                for pair, alg in sys.algebras.items()})
-    families = [("identity", identity, True)]
-    if sys.kind == "diagonal" and sys.payload["d"] >= 3:
-        families.append(("permutation_fixing_the_unit", _permutation_family(sys, [0, 2, 1]),
-                         True))
     sharp = _sharp_partitions(setup)
-    for name, fam, preserves_unit in families:
+    full = Partition(list(sys.grid.points))
+    for name, fam in [("identity", identity), *setup.morphisms]:
         rep = check_morphism(sys, sys, fam, tol)
-        for rec in rep.records:
-            rec.params = {"morphism": name, **rec.params}
-        report.extend(rep)
-        for coarse, fine in refinement_pairs(sharp):
-            res = lifted_morphism_residual(sys, sys, fam, coarse, fine,
-                                           setup.unit, setup.unit)
-            report.residual_record(
-                "lifted_morphism_intertwines_refinement",
-                "theta_J D[I,J] = D[I,J] theta_I for the cellwise tensor lift",
-                {"morphism": name, "I": coarse, "J": fine}, res, tol.eps,
-            )
-        if preserves_unit and setup.unit is not None:
-            cross = [p for p in _cross_partitions(setup)
-                     if p.endpoints != (sys.grid.points[0], sys.grid.points[-1])][:4]
-            full = Partition(list(sys.grid.points))
-            for coarse in cross:
-                res = lifted_morphism_residual(sys, sys, fam, coarse, full,
-                                               setup.unit, setup.unit)
+        if unit is None or _fixes_unit(fam, unit, tol):
+            for rec in rep.records:
+                rec.params = {"morphism": name, **rec.params}
+            report.extend(rep)
+            for coarse, fine in refinement_pairs(sharp):
                 report.residual_record(
-                    "lifted_morphism_intertwines_padding",
-                    "theta_J (padded D[I,J]) = (padded D[I,J]) theta_I",
-                    {"morphism": name, "I": coarse, "J": full}, res, tol.eps,
+                    "lifted_morphism_intertwines_refinement",
+                    "theta_J D[I,J] = D[I,J] theta_I for the cellwise tensor lift",
+                    {"morphism": name, "I": coarse, "J": fine},
+                    lifted_morphism_residual(sys, sys, fam, coarse, fine, unit, unit), tol.eps,
                 )
-    # negative control: a unit-moving automorphism breaks the padded intertwining
-    if sys.kind == "diagonal" and sys.payload["d"] >= 2 and setup.unit is not None \
-            and len(sys.grid.points) >= 3:
-        theta = _permutation_family(sys, [1, 0])
-        rep = check_morphism(sys, sys, theta, tol)
-        report.add(CheckRecord(
-            check="unit_moving_morphism_still_intertwines",
-            law="basis permutations intertwine the diagonal comultiplication",
-            params={"morphism": "swap_first_two"}, passed=rep.passed,
-            residual=rep.max_residual,
-        ))
-        lo = sys.grid.points[0]
-        coarse = Partition([lo, sys.grid.points[1]])
-        full = Partition(list(sys.grid.points))
-        res = lifted_morphism_residual(sys, sys, theta, coarse, full,
-                                       setup.unit, setup.unit)
-        report.residual_record(
-            "unit_moving_morphism_fails_padding_negative_control",
-            "padding intertwines only when the unit is preserved",
-            {"morphism": "swap_first_two", "I": coarse, "J": full}, res, tol.eps,
-            expect_fail=True, fail_floor=1e-4,
-        )
+            if unit is not None:
+                cross = [p for p in _cross_partitions(setup) if p.endpoints != full.endpoints]
+                for coarse in cross[:4]:
+                    report.residual_record(
+                        "lifted_morphism_intertwines_padding",
+                        "theta_J (padded D[I,J]) = (padded D[I,J]) theta_I",
+                        {"morphism": name, "I": coarse, "J": full},
+                        lifted_morphism_residual(sys, sys, fam, coarse, full, unit, unit),
+                        tol.eps,
+                    )
+        elif len(sys.grid.points) >= 3:
+            # negative control: a unit-moving automorphism breaks the padded intertwining
+            report.add(CheckRecord(
+                check="unit_moving_morphism_still_intertwines",
+                law="basis permutations intertwine the diagonal comultiplication",
+                params={"morphism": name}, passed=rep.passed, residual=rep.max_residual,
+            ))
+            coarse = Partition(sys.grid.points[:2])
+            report.residual_record(
+                "unit_moving_morphism_fails_padding_negative_control",
+                "padding intertwines only when the unit is preserved",
+                {"morphism": name, "I": coarse, "J": full},
+                lifted_morphism_residual(sys, sys, fam, coarse, full, unit, unit), tol.eps,
+                expect_fail=True, fail_floor=1e-4,
+            )
     return report
 
 

@@ -124,7 +124,7 @@ class HilbertSystem:
         deltas = {(r, s, t): Superoperator(u, (1,) * self.dims[(r, t)],
                                            (1,) * (self.dims[(r, s)] * self.dims[(s, t)]))
                   for (r, s, t), u in self.isometries.items()}
-        return TensorialSystem(self.grid, algebras, deltas, kind="hilbert")
+        return TensorialSystem(self.grid, algebras, deltas)
 
 
 @dataclass
@@ -135,8 +135,6 @@ class TensorialSystem:
     algebras: Mapping[Pair, FiniteCStarAlgebra]
     deltas: Mapping[Triple, Superoperator]
     dim_cap: int = DEFAULT_DIM_CAP
-    kind: str = "custom"
-    payload: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -354,15 +352,12 @@ def check_triple_dims(grid: Grid, dims: Mapping[Pair, int], dim_cap: int) -> Non
                 f"pair {Partition(pair)} needs vectorized dimension {dim} > cap {dim_cap}")
 
 
-def tensorial_from_hilbert(hs: HilbertSystem, kind: str = "custom",
-                           payload: dict | None = None,
-                           dim_cap: int = DEFAULT_DIM_CAP) -> TensorialSystem:
+def tensorial_from_hilbert(hs: HilbertSystem, dim_cap: int = DEFAULT_DIM_CAP) -> TensorialSystem:
     """B(H(s,t)) with conjugation by the system isometries."""
     check_triple_dims(hs.grid, {pair: n * n for pair, n in hs.dims.items()}, dim_cap)
     algebras = {pair: FiniteCStarAlgebra([hs.dims[pair]]) for pair in hs.dims}
     deltas = {triple: superop_from_conjugation(u) for triple, u in hs.isometries.items()}
-    return TensorialSystem(hs.grid, algebras, deltas, dim_cap=dim_cap,
-                           kind=kind, payload=payload or {})
+    return TensorialSystem(hs.grid, algebras, deltas, dim_cap=dim_cap)
 
 
 def diagonal_isometry(d: int) -> np.ndarray:
@@ -387,7 +382,7 @@ def diagonal_system(grid: Grid, d: int,
     check_triple_dims(grid, {pair: d * d for pair in dims}, dim_cap)
     u = diagonal_isometry(d)
     hs = HilbertSystem(grid, dims, {triple: u for triple in grid.triples()})
-    return hs, tensorial_from_hilbert(hs, kind="diagonal", payload={"d": d}, dim_cap=dim_cap)
+    return hs, tensorial_from_hilbert(hs, dim_cap=dim_cap)
 
 
 def glue_hilbert_system(grid: Grid, cell_dims: Iterable[int],
@@ -411,9 +406,7 @@ def glue_hilbert_system(grid: Grid, cell_dims: Iterable[int],
         (r, s, t): np.eye(dims[(r, t)], dtype=complex) for (r, s, t) in grid.triples()
     }
     hs = HilbertSystem(grid, dims, isometries)
-    ts = tensorial_from_hilbert(hs, kind="glue_hilbert",
-                                payload={"cell_dims": dims_list}, dim_cap=dim_cap)
-    return hs, ts
+    return hs, tensorial_from_hilbert(hs, dim_cap=dim_cap)
 
 
 def glue_cell_state(sys: TensorialSystem, cell_dims: list[int]) -> FunctionalFamily:
@@ -449,9 +442,7 @@ def trivial_from_bialgebra(grid: Grid, alg: FiniteCStarAlgebra, delta: Superoper
         )
     algebras = {pair: alg for pair in grid.pairs()}
     deltas = {triple: delta for triple in grid.triples()}
-    return TensorialSystem(grid, algebras, deltas, dim_cap=dim_cap,
-                           kind="trivial_bialgebra",
-                           payload={"blocks": list(alg.blocks)})
+    return TensorialSystem(grid, algebras, deltas, dim_cap=dim_cap)
 
 
 def from_one_parameter(grid: Grid, z: Mapping[Fraction, FiniteCStarAlgebra],
@@ -469,7 +460,7 @@ def from_one_parameter(grid: Grid, z: Mapping[Fraction, FiniteCStarAlgebra],
         if key not in xi:
             raise ValueError(f"no map declared for duration pair {key}")
         deltas[(r, s, t)] = xi[key]
-    return TensorialSystem(grid, algebras, deltas, dim_cap=dim_cap, kind="one_parameter")
+    return TensorialSystem(grid, algebras, deltas, dim_cap=dim_cap)
 
 
 def group_z2_bialgebra() -> tuple[FiniteCStarAlgebra, Superoperator]:

@@ -296,6 +296,57 @@ GLUE_232 = {
 }
 
 
+PAIRS4 = [f"{s},{t}" for s, t in itertools.combinations(range(1, 5), 2)]
+# diagonal d=3 whose unit and co-unit sit at the last basis vector, not the first
+E22 = matrix_json(np.diag([0.0, 0.0, 1.0]))
+DIAGONAL_LAST_VECTOR = {
+    "grid": ["1", "2", "3", "4"],
+    "system": {"kind": "diagonal", "d": 3},
+    "unit": {"kind": "explicit", "elements": dict.fromkeys(PAIRS4, {"blocks": [E22]})},
+    "counit": {"kind": "explicit", "functionals": dict.fromkeys(PAIRS4, {"densities": [E22]})},
+    "suites": list(ALL_SUITES),
+    "max_interior_points": 2,
+}
+
+
+@pytest.mark.parametrize("raw, controls, padded", [
+    # (0, 2, 1) moves e_2 and the swap of e_0 and e_1 fixes it: the roles of the
+    # diagonal kind's two families are those of the standard unit, exchanged
+    (DIAGONAL_LAST_VECTOR, {"permutation_fixing_the_unit"}, {"identity", "swap_first_two"}),
+    (dict(DIAGONAL_LAST_VECTOR, unit={"kind": "trivial"}, suites=["morphism"]), set(),
+     {"identity", "permutation_fixing_the_unit", "swap_first_two"}),
+    (dict(DIAGONAL_LAST_VECTOR, unit={"kind": "standard"}, suites=["morphism"]),
+     {"swap_first_two"}, {"identity", "permutation_fixing_the_unit"}),
+], ids=["last-basis-vector", "trivial-unit", "standard-unit"])
+def test_the_unit_decides_which_permutation_is_the_negative_control(raw, controls, padded):
+    out, ok, _ = run(RunConfig.from_json(raw))
+    assert ok
+    records = out["suites"]["morphism"]["records"]
+    by_check = lambda check: {r["params"]["morphism"] for r in records if r["check"] == check}
+    assert by_check("unit_moving_morphism_fails_padding_negative_control") == controls
+    assert by_check("lifted_morphism_intertwines_padding") == padded
+
+
+# the gns suite of the product-glue16 workload: a faithful, so mixed, co-unit on M_4 (x) M_4
+PRODUCT_GLUE16 = {"grid": ["1", "2", "3"], "system": {"kind": "glue_hilbert", "cell_dims": [4, 4]},
+                  "suites": ["gns"], "dim_cap": 65536}
+
+
+@pytest.mark.parametrize("raw, generator_records", [
+    (dict(GLUE_232, counit={"kind": "vector_state"}), 4),
+    ({"grid": ["1", "2", "3"], "system": {"kind": "glue_hilbert", "cell_dims": [1, 1]},
+      "suites": ["gns"]}, 1),
+    (PRODUCT_GLUE16, 0),
+], ids=["glue-232-vector-state", "glue-11-standard", "product-glue16"])
+def test_generator_record_runs_exactly_when_the_counit_is_pure(raw, generator_records):
+    out, ok, _ = run(RunConfig.from_json(raw))
+    assert ok
+    records = [r for r in out["suites"]["gns"]["records"]
+               if r["check"] == "gns_isometry_recovers_generator"]
+    assert len(records) == generator_records
+    assert all(r["pass"] and r["residual"] == 0.0 for r in records)
+
+
 @pytest.mark.parametrize("raw, total, digest", [
     (json.loads(ORACLE_CONFIG.read_text()), 443,
      "9a4cb8dacc37de5be4cd601913623cfd8db60ce25e1a69914080b458b6f55ca5"),
@@ -323,14 +374,25 @@ def test_oracle_report_is_byte_identical():
 @pytest.mark.parametrize("system", [
     {"kind": "glue_hilbert", "cell_dims": [2, 3]},
     {"kind": "commutative", "model": "glue"},
-], ids=["glue_hilbert", "commutative"])
+    {"kind": "diagonal", "d": 3},
+], ids=["glue_hilbert", "commutative", "diagonal"])
 def test_perturbation_keeps_the_default_unit_and_counit(system):
     plain = build_setup(config(system=system))
     perturbed = build_setup(config(system=system, perturb_delta={"epsilon": 1e-3}))
-    assert perturbed.system.kind == system["kind"] + "+perturbed"
+    # the kind's morphism families need not be morphisms of the perturbed maps
+    assert perturbed.morphisms == ()
     for pair in plain.system.algebras:
         assert np.array_equal(perturbed.unit.p(*pair).vec(), plain.unit.p(*pair).vec())
         assert np.array_equal(perturbed.counit.phi(*pair).row(), plain.counit.phi(*pair).row())
+
+
+def test_perturbed_diagonal_checks_only_the_identity_morphism():
+    system = {"kind": "diagonal", "d": 3}
+    assert [name for name, _ in build_setup(config(system=system)).morphisms] == [
+        "permutation_fixing_the_unit", "swap_first_two"]
+    out, _, _ = run(config(system=system, suites=["morphism"], perturb_delta={"epsilon": 1e-3}))
+    records = out["suites"]["morphism"]["records"]
+    assert records and {r["params"]["morphism"] for r in records} == {"identity"}
 
 
 def test_perturbed_system_fails_with_visible_residual():

@@ -8,8 +8,11 @@ re-exports nothing, and a re-export is not a use, so ``__init__.py`` is not
 scanned for uses.  No module imports another's private (``_``-prefixed) names.
 """
 import ast
+import dataclasses
 from pathlib import Path
 
+from cstar_systems.cli import SYSTEM_KINDS
+from cstar_systems.systems import TensorialSystem
 from test_cli import load_benchmark_tracer
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cstar_systems"
@@ -59,3 +62,21 @@ def test_no_module_imports_a_private_name():
                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_only_the_cli_names_a_system_kind():
+    # a suite decides from the system's data, never from its kind's name;
+    # "commutative" also names a suite, so the keys of SUITE_RUNNERS are exempt
+    modules = _modules()
+    exempt = {id(key) for node in modules["suites"].body if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) == "SUITE_RUNNERS"
+              for key in node.value.keys}
+    named = [f"{name}: {node.value}" for name, tree in modules.items() if name != "cli"
+             for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and node.value in SYSTEM_KINDS and id(node) not in exempt]
+    assert exempt and named == []
+
+
+def test_a_tensorial_system_holds_only_its_data():
+    names = [f.name for f in dataclasses.fields(TensorialSystem)]
+    assert names == ["grid", "algebras", "deltas", "dim_cap", "_cache"]

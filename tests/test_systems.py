@@ -251,7 +251,7 @@ def test_transposed_delta_makes_system_invalid():
     key = (F(1), F(2), F(3))
     deltas[key] = Superoperator(transpose @ deltas[key].matrix,
                                 deltas[key].dom, deltas[key].cod)
-    broken = TensorialSystem(sys.grid, sys.algebras, deltas, kind="broken")
+    broken = TensorialSystem(sys.grid, sys.algebras, deltas)
     rep = check_system_axioms(broken)
     assert rep.records[-1].detail == "invalid"
 
@@ -279,7 +279,7 @@ def conjugated_copy(sys, rng):
         inverse = superop_from_conjugation(w[(r, t)].conj().T)
         deltas[(r, s, t)] = compose(outer, compose(d, inverse))
     theta = MorphismFamily({pair: superop_from_conjugation(q) for pair, q in w.items()})
-    return TensorialSystem(sys.grid, sys.algebras, deltas, kind="conjugated"), theta
+    return TensorialSystem(sys.grid, sys.algebras, deltas), theta
 
 
 class TestConjugatedSystem:
