@@ -7,20 +7,25 @@ block descriptors of its domain and codomain.  It is held either as one dense
 (out_dim x in_dim) matrix, or, when it is a tensor of smaller maps, as their
 Kronecker factors, each with its own domain and codomain descriptors (Van
 Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000).
-The input gather and output scatter of a factored map follow from those
-descriptors and are cached per layout.  A factored map is applied one factor
-at a time and never stored densely.
+A factor between single blocks M_n -> M_m may be a conjugation x -> u x u*,
+held as u (m x n) instead of its (m^2 x n^2) matrix u (x) conj(u): every map
+of a system whose comultiplications are conjugations, B(H(s,t)) with Ad(U),
+is one conjugation per cell, by Ad(A) Ad(B) = Ad(AB) and, on single blocks,
+Ad(A) (x) Ad(B) = Ad(A (x) B).  The input gather and output scatter of a
+factored map follow from the descriptors and are cached per layout.  A
+factored map is applied one factor at a time and never stored densely.
 
 Every identity check reduces to three operations: composition, entrywise
-comparison of maps and a rank.  ``compose`` is dense: one map applied to the
-columns of the other; only the recursive interval map is built with it.
-Every map identity is one ``composite_residual`` call on two chains of maps,
-outermost first, such as the nested-expansion oracles return.  It merges
-factored maps factor by factor, by the mixed-product rule (A (x) B)(C (x) D)
-= AC (x) BD; returns 0 when the merged sides hold the same maps; and
+comparison of maps and a rank.  ``compose`` gives one conjugation when both
+maps are conjugations and a dense map otherwise; only the recursive interval
+map is built with it.  Every map identity is one ``composite_residual`` call
+on two chains of maps, outermost first, such as the nested-expansion oracles
+return.  It merges factored maps factor by factor, by the mixed-product
+rule (A (x) B)(C (x) D) = AC (x) BD, and drops the identity maps that merge
+with no neighbour; returns 0 when the merged sides hold the same maps; and
 otherwise pushes the identity through both sides in column chunks, so no
-composite is formed.  The rank is taken of a dense matrix, which only
-the small per-pair maps need.
+composite is formed.  The rank is taken of a dense matrix, which only the
+small per-pair maps need.
 """
 from __future__ import annotations
 
@@ -198,21 +203,19 @@ def _is_identity(m: np.ndarray) -> bool:
     return m.shape == (n, n) and np.count_nonzero(m) == n and bool(np.all(np.diagonal(m) == 1))
 
 
-def _kron_apply(factors, skip, x: np.ndarray) -> np.ndarray:
-    """(F_1 (x) ... (x) F_m) x for x of shape (product of column counts, k).
+def _kron_apply(axes, x: np.ndarray) -> np.ndarray:
+    """(A_1 (x) ... (x) A_m) x for x of shape (product of column counts, k).
 
-    Factor i acts on axis i of x read as an (n_1, ..., n_m, k) array, through
-    a batched product over the axes before and after it; identity factors
-    are skipped.  No Kronecker product is formed.
+    ``axes`` are (A_i, skip_i) pairs, as ``Superoperator._axes`` gives them.
+    A_i acts on axis i of x read as an (n_1, ..., n_m, k) array, through a
+    batched product over the axes before and after it; identity factors are
+    skipped.  No Kronecker product is formed.
     """
-    k = x.shape[1]
-    rows = [f.shape[0] for f in factors]
-    cols = [f.shape[1] for f in factors]
-    for i, f in enumerate(factors):
-        if skip[i]:
-            continue
-        left = math.prod(rows[:i])
-        x = np.matmul(f, x.reshape(left, cols[i], -1))
+    k, left = x.shape[1], 1
+    for a, skip in axes:
+        if not skip:
+            x = np.matmul(a, x.reshape(left, a.shape[1], -1))
+        left *= a.shape[0]
     return x.reshape(-1, k)
 
 
@@ -249,62 +252,89 @@ def _layout(descriptors: tuple[Blocks, ...]) -> tuple[Blocks, np.ndarray | None]
 class Superoperator:
     """A linear map between vectorized algebra elements, held as Kronecker factors.
 
-    The map is x -> scatter((F_1 (x) ... (x) F_m) x[gather]): ``factors`` are
-    the matrices F_i and factor i maps the blocks ``fdoms[i]`` to ``fcods[i]``.
-    ``gather`` reads the input in the Kronecker layout and ``scatter`` writes
-    the output back (y[scatter] = y_kron); both are derived from those
-    descriptors by ``_layout`` and shared between maps laid out alike, and
-    None stands for the identity order.  ``dom``/``cod`` are the block
-    descriptors of domain and codomain, the tensors of the factors' ones.
+    The map is x -> scatter((F_1 (x) ... (x) F_m) x[gather]): factor i maps the
+    blocks ``fdoms[i]`` to ``fcods[i]``.  It is stored in ``factors[i]``,
+    either as its matrix F_i or, when ``ad[i]``, as a conjugation factor: a
+    matrix u (m x n) standing for x -> u x u* from M_n to M_m, whose matrix
+    F_i = u (x) conj(u) in the row-major vec is formed only by ``matrix``.
+    ``skip`` flags the identity factors.  ``gather`` reads the input in the
+    Kronecker layout and ``scatter`` writes the output back (y[scatter] =
+    y_kron); both are derived from the descriptors by ``_layout`` and shared
+    between maps laid out alike, and None stands for the identity order.
+    ``dom``/``cod`` are the block descriptors of domain and codomain, the
+    tensors of the factors' ones.
 
-    ``Superoperator(matrix, dom, cod)`` is a dense map: one factor, no index
-    arrays.  ``superop_tensor`` builds the factored ones, and
-    ``composite_residual`` merges them (``_merge``).
-    ``apply_many`` and ``rapply`` act one factor at a time; ``matrix`` builds
-    the dense (out_dim x in_dim) matrix of a factored map on every access and
-    keeps nothing.  All arrays held are read-only; a dense map holds a view
-    of the caller's matrix, which stays writable.
+    ``Superoperator(matrix, dom, cod)`` is a dense map: one matrix factor, no
+    index arrays.  ``superop_from_conjugation`` builds a conjugation,
+    ``superop_tensor`` the factored maps, and ``_merge`` composes them.
+    ``apply_many`` and ``rapply`` act one factor at a time, a conjugation as
+    two products on the (n, n) matrices of the vecs; ``matrix`` builds the
+    dense (out_dim x in_dim) matrix of any other map on every access and keeps
+    nothing.  All arrays held are read-only; a dense map holds a view of the
+    caller's matrix, which stays writable.
     """
 
-    __slots__ = ("factors", "skip", "fdoms", "fcods", "gather", "scatter", "dom", "cod",
+    __slots__ = ("factors", "skip", "ad", "fdoms", "fcods", "gather", "scatter", "dom", "cod",
                  "in_dim", "out_dim")
 
     def __init__(self, matrix, dom: Blocks, cod: Blocks):
         m = as_matrix(matrix).view()
-        self._fill((m,), (_is_identity(m),), (tuple(dom),), (tuple(cod),))
+        self._fill((m,), (_is_identity(m),), (tuple(dom),), (tuple(cod),), (False,))
 
     @classmethod
-    def factored(cls, factors, skip, fdoms, fcods) -> "Superoperator":
+    def factored(cls, factors, skip, fdoms, fcods, ad=None) -> "Superoperator":
         """A map held as ``factors``, factor i from blocks ``fdoms[i]`` to ``fcods[i]``;
         ``skip`` flags the identity factors, as carried over from the maps the
-        factors came from."""
+        factors came from, and ``ad`` the conjugation factors (none by default)."""
         op = cls.__new__(cls)
-        op._fill(tuple(factors), tuple(skip), tuple(fdoms), tuple(fcods))
+        factors = tuple(factors)
+        op._fill(factors, tuple(skip), tuple(fdoms), tuple(fcods),
+                 (False,) * len(factors) if ad is None else tuple(ad))
         return op
 
-    def _fill(self, factors, skip, fdoms, fcods):
-        for f, dom, cod in zip(factors, fdoms, fcods):
-            if f.shape != (blocks_dim(cod), blocks_dim(dom)):
+    def _fill(self, factors, skip, fdoms, fcods, ad):
+        for f, dom, cod, conj in zip(factors, fdoms, fcods, ad):
+            shape = (cod[0], dom[0]) if conj else (blocks_dim(cod), blocks_dim(dom))
+            if f.shape != shape or conj and len(dom) + len(cod) != 2:
                 raise ValueError(f"matrix shape {f.shape} does not match dom {dom} -> cod {cod}")
             f.setflags(write=False)
-        self.factors, self.skip, self.fdoms, self.fcods = factors, skip, fdoms, fcods
+        self.factors, self.skip, self.ad, self.fdoms, self.fcods = factors, skip, ad, fdoms, fcods
         self.dom, self.gather = _layout(fdoms)
         self.cod, self.scatter = _layout(fcods)
-        self.out_dim = math.prod(f.shape[0] for f in factors)
-        self.in_dim = math.prod(f.shape[1] for f in factors)
+        self.out_dim = math.prod(map(blocks_dim, fcods))
+        self.in_dim = math.prod(map(blocks_dim, fdoms))
 
     @property
     def is_dense(self) -> bool:
-        return len(self.factors) == 1
+        """Whether the map is one matrix factor, its dense matrix."""
+        return self.ad == (False,)
+
+    def run(self, i: int, j: int) -> "Superoperator":
+        """The tensor of factors i, ..., j - 1 alone, as a map of its own."""
+        return Superoperator.factored(self.factors[i:j], self.skip[i:j], self.fdoms[i:j],
+                                      self.fcods[i:j], self.ad[i:j])
+
+    def _axes(self, transpose: bool = False):
+        """(A, skip) for each Kronecker axis of the factors, for ``_kron_apply``: a
+        matrix factor is one axis, a conjugation u two, u and conj(u); with
+        ``transpose``, each A is transposed."""
+        return [(a.T if transpose else a, skip)
+                for f, skip, conj in zip(self.factors, self.skip, self.ad)
+                for a in ((f, f.conj()) if conj else (f,))]
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix: the stored one, or built column chunk by column chunk."""
+        """The dense matrix: the stored one, u (x) conj(u) of one conjugation factor, or
+        built column chunk by column chunk."""
         if self.is_dense:
             return self.factors[0]
-        out = np.empty((self.out_dim, self.in_dim), dtype=complex)
-        for start, cols in unit_column_chunks(self.in_dim, self.out_dim):
-            out[:, start:start + cols.shape[1]] = self.apply_many(cols)
+        if self.ad == (True,):
+            u = self.factors[0]
+            out = np.kron(u, u.conj())
+        else:
+            out = np.empty((self.out_dim, self.in_dim), dtype=complex)
+            for start, cols in unit_column_chunks(self.in_dim, self.out_dim):
+                out[:, start:start + cols.shape[1]] = self.apply_many(cols)
         out.setflags(write=False)
         return out
 
@@ -313,7 +343,7 @@ class Superoperator:
         x = np.asarray(x, dtype=complex)
         if x.ndim != 2 or x.shape[0] != self.in_dim:
             raise ValueError(f"cannot apply a map on dimension {self.in_dim} to shape {x.shape}")
-        y = _kron_apply(self.factors, self.skip, x if self.gather is None else x[self.gather])
+        y = _kron_apply(self._axes(), x if self.gather is None else x[self.gather])
         if self.scatter is None:
             return y.copy() if np.may_share_memory(y, x) else y
         out = np.empty_like(y)
@@ -327,8 +357,7 @@ class Superoperator:
             raise ValueError(f"cannot apply a map onto dimension {self.out_dim} to rows of shape "
                              f"{r.shape}")
         rt = np.atleast_2d(r).T
-        z = _kron_apply([f.T for f in self.factors], self.skip,
-                        rt if self.scatter is None else rt[self.scatter])
+        z = _kron_apply(self._axes(transpose=True), rt if self.scatter is None else rt[self.scatter])
         out = np.empty((rt.shape[1], self.in_dim), dtype=complex)
         out[:, slice(None) if self.gather is None else self.gather] = z.T
         return out.reshape(r.shape[:-1] + (self.in_dim,))
@@ -362,14 +391,24 @@ def column_images(ops, rows: int):
 
 
 def identity_superop(blocks: Blocks) -> Superoperator:
-    n = blocks_dim(tuple(blocks))
-    return Superoperator(np.eye(n, dtype=complex), tuple(blocks), tuple(blocks))
+    """The identity of an algebra: the conjugation by the identity of a single block,
+    else the dense identity matrix."""
+    blocks = tuple(blocks)
+    if len(blocks) == 1:
+        return superop_from_conjugation(np.eye(blocks[0]))
+    n = blocks_dim(blocks)
+    return Superoperator(np.eye(n, dtype=complex), blocks, blocks)
 
 
 def compose(f: Superoperator, g: Superoperator) -> Superoperator:
-    """f after g, as a dense map: f applied to the columns of g's matrix."""
+    """f after g: one conjugation factor when ``_merge`` gives conjugation factors
+    only, by Ad(A) (x) Ad(B) = Ad(A (x) B) on single blocks; else the dense
+    map, f applied to the columns of g's matrix."""
     if g.cod != f.dom:
         raise ValueError(f"cannot compose: inner blocks {g.cod} != {f.dom}")
+    merged = _merge(f, g)
+    if merged is not None and all(merged.ad):
+        return superop_from_conjugation(reduce(np.kron, merged.factors))
     return Superoperator(f.apply_many(g.matrix), g.dom, f.cod)
 
 
@@ -382,11 +421,15 @@ def _merge(f: Superoperator, g: Superoperator) -> Superoperator | None:
     reads back through f's gather as the runs' own gathers, and by the
     mixed-product rule (A (x) B)(C (x) D) = AC (x) BD each run composes with
     its G_k into one factor, (F_i (x) ... (x) F_j) G_k, from G_k's domain to
-    the tensor of the run's codomains.  The result has g's gather and f's
-    scatter.  A factor of f on blocks (1,), such as a unit constant of a
-    padded map, reads no input: it stays a factor of its own, unless it
-    borders the run of a G_k that reads none either.  That run then yields
-    one constant, as a padded map of the composite's span holds.
+    the tensor of the run's codomains.  A run of conjugation factors u_i,
+    ..., u_j meeting a conjugation g_k gives the conjugation by
+    (u_i (x) ... (x) u_j) g_k, since Ad(A) (x) Ad(B) = Ad(A (x) B) on single
+    blocks and Ad(A) Ad(B) = Ad(AB); any other run is applied to the matrix
+    of G_k.  The result has g's gather and f's scatter.  A factor of f on
+    blocks (1,), such as a unit constant of a padded map, reads no input: it
+    stays a factor of its own, unless it borders the run of a G_k that reads
+    none either.  That run then yields one constant, as a padded map of the
+    composite's span holds.
     """
     if f.is_dense or g.is_dense or g.cod != f.dom:
         return None
@@ -394,26 +437,31 @@ def _merge(f: Superoperator, g: Superoperator) -> Superoperator | None:
 
     def own_constants(i):
         while i < m and f.fdoms[i] == (1,):
-            out.append((f.factors[i], f.skip[i], (1,), f.fcods[i]))
+            out.append((f.factors[i], f.skip[i], (1,), f.fcods[i], f.ad[i]))
             i += 1
         return i
 
-    for gk, flag, dom, cod in zip(g.factors, g.skip, g.fdoms, g.fcods):
+    for gk, flag, dom, cod, conj in zip(g.factors, g.skip, g.fdoms, g.fcods, g.ad):
         constant = dom == (1,)
         if not constant:
             i = own_constants(i)
-        j, size = i, 1
-        while j < m and (size < gk.shape[0] or constant and f.fdoms[j] == (1,)):
-            size *= f.factors[j].shape[1]
+        j, size, need = i, 1, blocks_dim(cod)
+        while j < m and (size < need or constant and f.fdoms[j] == (1,)):
+            size *= blocks_dim(f.fdoms[j])
             j += 1
-        if size != gk.shape[0] or _layout(f.fdoms[i:j])[0] != cod:
+        if size != need or _layout(f.fdoms[i:j])[0] != cod:
             return None
         if j > i:
-            run = Superoperator.factored(f.factors[i:j], f.skip[i:j], f.fdoms[i:j],
-                                         f.fcods[i:j])
-            gk, cod = run.apply_many(gk), run.cod
-            flag = _is_identity(gk)
-        out.append((gk, flag, dom, cod))
+            ad_run = conj and all(f.ad[i:j])
+            # a run of identities that maps its blocks onto themselves leaves G_k as it is
+            if not (all(f.skip[i:j]) and (ad_run or not conj and f.fdoms[i:j] == f.fcods[i:j])):
+                if ad_run:
+                    gk = reduce(np.kron, f.factors[i:j]) @ gk
+                else:
+                    gk, conj = f.run(i, j).apply_many(np.kron(gk, gk.conj()) if conj else gk), False
+                flag = _is_identity(gk)
+            cod = _layout(f.fcods[i:j])[0]
+        out.append((gk, flag, dom, cod, conj))
         i = j
     if own_constants(i) < m:
         return None
@@ -421,26 +469,42 @@ def _merge(f: Superoperator, g: Superoperator) -> Superoperator | None:
 
 
 def _merge_chain(chain):
-    """The chain with each map merged into the one before it wherever ``_merge`` can."""
-    out = [chain[0]]
-    for op in chain[1:]:
-        merged = _merge(out[-1], op)
-        if merged is None:
-            out.append(op)
-        else:
+    """The chain with each map merged into the one before it wherever ``_merge`` can,
+    and without the identity maps that merge with neither neighbour (one is kept if
+    all are).
+
+    A map is the identity when every factor is flagged identity and maps its
+    blocks onto themselves, so that its gather and scatter are one index map.
+    An identity that merges is kept in the merged map: it lays its neighbour's
+    factors out as its own, as an identity D[I,J] of a product system lays
+    out the factors of D[J,K] by the cells of I.
+    """
+    def identity(op):
+        return all(op.skip) and op.fdoms == op.fcods
+
+    out = []
+    for op in chain:
+        merged = _merge(out[-1], op) if out else None
+        if merged is not None:
             out[-1] = merged
+        elif out and identity(out[-1]):
+            out[-1] = op
+        elif not (out and identity(op)):
+            out.append(op)
     return out
 
 
 def _same_maps(lhs, rhs) -> bool:
     """Whether the two chains hold the same maps: equal descriptors and identity
-    flags, and other factors that are equal and finite entry by entry.  Each
-    column then goes through the same products in the same order on both
-    sides, so every entry of L - R is exactly 0."""
+    flags, and other factors that are equal and finite entry by entry, both
+    conjugations (compared by u) or both matrices.  An identity factor is the
+    same map whether held as Ad(1) or as a matrix, and neither side applies
+    it.  Each column then goes through the same products in the same order on
+    both sides, so every entry of L - R is exactly 0."""
     return len(lhs) == len(rhs) and all(
         a.skip == b.skip and a.fdoms == b.fdoms and a.fcods == b.fcods
-        and all(s or np.array_equal(f, g) and np.isfinite(f).all()
-                for f, g, s in zip(a.factors, b.factors, a.skip))
+        and all(s or c == d and np.array_equal(f, g) and np.isfinite(f).all()
+                for f, g, s, c, d in zip(a.factors, b.factors, a.skip, a.ad, b.ad))
         for a, b in zip(lhs, rhs))
 
 
@@ -452,15 +516,17 @@ def composite_residual(lhs, rhs) -> float:
     gives its column image, a slice when it is stored dense, and the rest of
     the chain is applied to it.  So every entry of L - R is compared and no
     dense map is formed.  This is the one comparator of map
-    identities, and the only place where factored maps are merged.
+    identities.
 
     First each chain is merged (``_merge_chain``): adjacent factored maps
     whose layouts align become one factored map, as the right side
-    D[J,K] D[I,J] of a cocycle does.  The merged factors are the products a
-    dense composite would hold, so with 0/1 or integer entries, as in the
-    shipped systems, every entry is exact and the residual is the unmerged
-    chain's bit for bit; with other entries a sum may be rounded in another
-    order, by a few ulp of the entries.
+    D[J,K] D[I,J] of a cocycle does, a run of conjugations meeting a
+    conjugation stays one conjugation, and identity maps that merge with no
+    neighbour are dropped.  The merged factors are the products a dense
+    composite would hold, so with 0/1 or integer entries, as in the shipped
+    systems, every entry is exact and the residual is the unmerged chain's
+    bit for bit; with other entries a sum may be rounded in another order, by
+    a few ulp of the entries.
 
     When the merged sides hold the same maps (``_same_maps``), every entry of
     L - R is exactly 0 and nothing is streamed.  Otherwise every column of the
@@ -487,23 +553,24 @@ def composite_residual(lhs, rhs) -> float:
 
 
 def superop_from_conjugation(u) -> Superoperator:
-    """The map x -> u x u* between single-block algebras, as a superoperator.
+    """The map x -> u x u* from M_n to M_m, for u (m x n), as one conjugation factor.
 
-    For row-major vec, vec(u x u*) = (u (x) conj(u)) vec(x).
+    It holds a copy of u, flagged identity when u is the identity.  Its matrix,
+    for row-major vec, is u (x) conj(u), since vec(u x u*) = (u (x) conj(u)) vec(x).
     """
-    u = as_matrix(u)
+    u = as_matrix(u).copy()
     m, n = u.shape
-    return Superoperator(np.kron(u, u.conj()), (n,), (m,))
+    return Superoperator.factored((u,), (_is_identity(u),), ((n,),), ((m,),), (True,))
 
 
 def superop_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
     """(f (x) g)(x (x) y) = f(x) (x) g(y), in the vec layout of the tensor algebras.
 
-    The result keeps the factors of f and g with their descriptors; its gather
-    and scatter are the ``_layout`` of those.
+    The result keeps the factors of f and g with their descriptors and flags;
+    its gather and scatter are the ``_layout`` of those.
     """
     return Superoperator.factored(f.factors + g.factors, f.skip + g.skip,
-                                  f.fdoms + g.fdoms, f.fcods + g.fcods)
+                                  f.fdoms + g.fdoms, f.fcods + g.fcods, f.ad + g.ad)
 
 
 def superop_tensor_all(factors) -> Superoperator:
@@ -611,7 +678,7 @@ def check_star_homomorphism(f: Superoperator, tol: Tolerance = DEFAULT_TOL) -> H
     the pairwise algebras of a system, not for large partition algebras
     (those maps are homomorphisms by construction).
     """
-    mat = f.matrix
+    mat = exact_real(f.matrix)
     mult = _multiplicativity_residual(mat, f.dom, f.cod)
     adj = _adjoint_residual(mat, f.dom, f.cod)
     rank = numerical_rank(mat)

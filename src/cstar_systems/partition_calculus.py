@@ -86,7 +86,9 @@ def delta_interval_to_partition(sys: TensorialSystem, partition: Partition) -> S
     The two-point case is the identity (forced by the refinement-map
     convention D[I,I] = id and required for uniform code paths); three points
     give the comultiplication itself.  Beyond that the map is
-    (map of the head (x) id) after D[s, second to last point, t].
+    (map of the head (x) id) after D[s, second to last point, t].  When every
+    comultiplication is a conjugation Ad(U), as on B(H(s,t)), ``compose``
+    keeps the map one conjugation Ad(V), V the Hilbert map of the partition.
     """
     key = ("interval", partition)
     if key in sys._cache:

@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_TOL,
     Superoperator,
     Tolerance,
+    blocks_dim,
     composite_residual,
     isometry_residual,
     max_abs,
@@ -314,10 +315,9 @@ def _piece_runs(sys: TensorialSystem, op: Superoperator, pieces: Sequence[Partit
         alg = partition_algebra(sys, piece)
         j, size = i, 1
         while j < m and (j == i or size < alg.dim):
-            size *= op.factors[j].shape[0]
+            size *= blocks_dim(op.fcods[j])
             j += 1
-        run = Superoperator.factored(op.factors[i:j], op.skip[i:j], op.fdoms[i:j],
-                                     op.fcods[i:j])
+        run = op.run(i, j)
         if j == i or run.cod != alg.blocks:
             raise ValueError(f"the factors of the connecting map do not align with {piece}")
         yield piece, alg, run

@@ -500,8 +500,10 @@ def test_partition_and_dilation_memory_stays_bounded_on_d3():
 
 
 def test_partition_suite_memory_stays_bounded_on_dense_d3():
-    # the nested-expansion oracles stay chains: no 6561 x 81 composite (8.5 MB) of
-    # theirs is formed (4.4 MB measured, 21.4 MB with dense oracles)
+    # the nested-expansion oracles stay chains, and the interval maps conjugations by
+    # their Hilbert maps: no 6561 x 81 composite (8.5 MB) of the oracles and no dense
+    # 6561 x 9 interval map is formed (2.5 MiB measured in a fresh process, 4.1 MiB with
+    # dense interval maps, 21.4 MB with dense oracles)
     setup = build_setup(RunConfig.from_json(dict(
         DIAGONAL_D3, grid=["1", "2", "3", "4", "5"], suites=["partition"], dim_cap=8192)))
     tracemalloc.start()
@@ -511,7 +513,7 @@ def test_partition_suite_memory_stays_bounded_on_dense_d3():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 8 * 2**20
+    assert peak < 3 * 2**20
 
 
 def test_dimension_cap_is_a_config_error(tmp_path):
@@ -856,20 +858,38 @@ def test_readme_names_every_config_key_and_payload_field():
     assert [name for name in names if f"`{name}`" not in readme] == []
 
 
-def load_benchmark_tracer(monkeypatch):
-    """perfbench/tracer.py, loaded read-only and without writing bytecode."""
+def load_benchmark_module(monkeypatch, name):
+    """perfbench/<name>.py, loaded read-only and without writing bytecode."""
     bench = ORACLE_CONFIG.parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_cold_cache_hook_runs_on_every_module(monkeypatch):
+    # perfbench/worker.py empties the package's memo tables before each timed verify by
+    # calling ``cache_clear()`` on every module-level callable that has one: a module-level
+    # class with a ``cache_clear`` method would make it raise TypeError and fail every run
+    import pkgutil
+
+    import cstar_systems
+    from cstar_systems import linalg
+
+    worker = load_benchmark_module(monkeypatch, "worker")
+    for info in pkgutil.iter_modules(cstar_systems.__path__):
+        importlib.import_module(f"{worker.PACKAGE}.{info.name}")
+    linalg.tensor_perm((2,), (2,))
+    assert linalg.tensor_perm.cache_info().currsize > 0
+    worker._clear_process_caches()
+    assert linalg.tensor_perm.cache_info().currsize == 0
 
 
 def test_benchmark_tracer_names_resolve(monkeypatch):
     # perfbench/tracer.py wraps these names by lookup; a rename breaks --trace 1
-    tracer = load_benchmark_tracer(monkeypatch)
+    tracer = load_benchmark_module(monkeypatch, "tracer")
     for modname, names in tracer.TARGETS.items():
         mod = importlib.import_module(f"{tracer.PACKAGE}.{modname}")
         for name in names:
@@ -882,7 +902,7 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
 
 def test_benchmark_tracer_times_every_suite(monkeypatch):
     # run() must call the objects the tracer rebinds, or --trace 1 reports 0 s
-    tracer = load_benchmark_tracer(monkeypatch)
+    tracer = load_benchmark_module(monkeypatch, "tracer")
     spans = tracer.Tracer()
     try:
         spans.install()

@@ -702,9 +702,9 @@ def test_peel_leaves_maps_that_differ_in_layout_alone():
         # different identity flags: g in place of the identity factor
         "skip": superop_tensor(Superoperator(np.ones((5, 5)), (1, 2), (1, 2)), f),
         # a different gather: the same factors, the identity read from blocks (2, 1)
-        "gather": Superoperator.factored(op.factors, op.skip, ((2, 1), (2,)), op.fcods),
+        "gather": Superoperator.factored(op.factors, op.skip, ((2, 1), (2,)), op.fcods, op.ad),
         # a different scatter: the same factors, the identity written to blocks (2, 1)
-        "scatter": Superoperator.factored(op.factors, op.skip, op.fdoms, ((2, 1), (2,))),
+        "scatter": Superoperator.factored(op.factors, op.skip, op.fdoms, ((2, 1), (2,)), op.ad),
         # different factor shapes (4 x 4 (x) 5 x 5) with the same flags and dimensions
         "shapes": Superoperator.factored((np.eye(4), random_complex((5, 5))), op.skip,
                                          ((2,), (1, 2)), ((2,), (1, 2))),
@@ -764,9 +764,11 @@ def test_split_family_streams_only_core_columns(monkeypatch):
         bumped = op.factors[i].copy()
         bumped[0, 0] += 0.5
         other = Superoperator.factored(op.factors[:i] + (bumped,) + op.factors[i + 1:], op.skip,
-                                       op.fdoms, op.fcods)
+                                       op.fdoms, op.fcods, op.ad)
         start = len(streamed)
-        assert linalg.composite_residual([op], [other]) == 0.5
+        # the bumped factor is a conjugation u with u[0, 0] = 1: its map's entry
+        # |u[0, 0]|^2 moves from 1 to 2.25, exactly
+        assert op.ad[i] and linalg.composite_residual([op], [other]) == 1.25
         assert streamed[start:] == [op.in_dim]
 
 
@@ -878,9 +880,14 @@ def test_merge_leaves_dense_operands_and_mismatched_layouts_alone():
     dense = Superoperator(factored.matrix, factored.dom, factored.cod)
     after = superop_tensor(identity_superop((2,)), Superoperator(random_complex((2, 5)),
                                                                  (1, 2), (1, 1)))
+    ad = superop_from_conjugation(random_complex((2, 3)))
     cases = {
         "dense inner map": (after, dense),
         "dense outer map": (Superoperator(after.matrix, after.dom, after.cod), factored),
+        # a conjugation meets a dense map as any factor does
+        "dense map inside a conjugation": (ad, Superoperator(random_complex((9, 4)), (2,), (3,))),
+        "dense map outside a conjugation": (Superoperator(random_complex((4, 4)), (2,), (2,)),
+                                            ad),
         # one factor of f, on (2,) (x) (2,) = (4,), would read two factors of g
         "a run across factors of g": (
             superop_tensor(Superoperator(random_complex((3, 16)), (4,), (1, 1, 1)),
@@ -905,8 +912,9 @@ def test_merge_leaves_dense_operands_and_mismatched_layouts_alone():
 
 def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):
     # dense-d3's partition suite: the right side D[J,K] D[I,J] of every refinement and padded
-    # cocycle record whose two maps are factored becomes one factored map laid out as the
-    # left side D[I,K], so ``_same_maps`` can settle it
+    # cocycle record, and D[I,J] D[{s,t},I] of a factorisation through a refinement, becomes
+    # one factored map laid out as the left side, so ``_same_maps`` can settle it; every map
+    # is factored, the interval maps one conjugation factor each
     from cstar_systems import linalg, suites
     from cstar_systems.cli import RunConfig, build_setup
 
@@ -914,12 +922,13 @@ def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):
         "grid": ["1", "2", "3", "4", "5"], "system": {"kind": "diagonal", "d": 3},
         "unit": {"kind": "standard"}, "counit": {"kind": "standard"},
         "suites": ["partition"], "max_interior_points": 3, "dim_cap": 8192}))
-    merges, sides, oracle_chains = [], [], []
+    merges, sides, oracle_chains, comparing = [], [], [], []
     merge, residual = linalg._merge, suites.composite_residual
 
     def recording_merge(f, g):
         out = merge(f, g)
-        if not (f.is_dense or g.is_dense):
+        if comparing:  # not the merges of ``compose`` that build an interval map
+            assert not (f.is_dense or g.is_dense)
             merges.append(out)
         return out
 
@@ -931,7 +940,9 @@ def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):
 
     def recording_residual(lhs, rhs):
         start = len(merges)
+        comparing.append(rhs)
         res = residual(lhs, rhs)
+        comparing.pop()
         if any(rhs is chain for chain in oracle_chains):
             del merges[start:]  # a nested-expansion oracle's chain merges too; it is no cocycle
         elif len(rhs) == 2 and len(merges) > start:
@@ -946,6 +957,184 @@ def test_every_cocycle_chain_of_two_factored_maps_merges(monkeypatch):
     assert report.passed
     cocycles = [r for r in report.records if r.check in ("refinement_cocycle", "padded_cocycle")]
     assert len(cocycles) == 158
-    assert len(merges) == len(sides) == 111 and all(m is not None for m in merges)
+    factorisations = [r for r in report.records
+                      if r.check == "interval_map_factors_through_refinement"]
+    assert len(factorisations) == 19
+    assert len(merges) == len(sides) == 158 + 19 and all(m is not None for m in merges)
     for lhs, one in sides:
-        assert (one.fdoms, one.fcods, one.skip) == (lhs.fdoms, lhs.fcods, lhs.skip)
+        assert (one.fdoms, one.fcods, one.skip, one.ad) == (lhs.fdoms, lhs.fcods, lhs.skip,
+                                                            lhs.ad)
+
+
+# -- conjugation factors against their dense matrix u (x) conj(u) -------------------
+
+def random_isometry(rng, kind, rows, cols):
+    """An isometry (rows >= cols) of an entry kind: a 0/1 one ("binary") sends the basis
+    to distinct basis vectors; a "real" or "complex" one is the Q of a Gaussian's QR."""
+    if kind == "binary":
+        u = np.zeros((rows, cols), dtype=complex)
+        u[rng.permutation(rows)[:cols], np.arange(cols)] = 1.0
+        return u
+    a = rng.standard_normal((rows, cols))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(a)[0].astype(complex)
+
+
+def dense_conjugation(u) -> Superoperator:
+    """Reference: x -> u x u* as the dense matrix u (x) conj(u)."""
+    return Superoperator(np.kron(u, u.conj()), (u.shape[1],), (u.shape[0],))
+
+
+def within_bound(got, ref, scale):
+    return max_abs(got - ref) <= 16 * np.finfo(float).eps * scale
+
+
+@st.composite
+def conjugation_cases(draw):
+    """Isometries a (p x m1), b (q x m2) and u (m1 m2 x n) of one entry kind, and the rng
+    that drew them."""
+    kind = draw(st.sampled_from(ENTRY_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m1, m2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, m1 * m2))
+    p, q = draw(st.integers(m1, 4)), draw(st.integers(m2, 4))
+    a, b = random_isometry(rng, kind, p, m1), random_isometry(rng, kind, q, m2)
+    return a, b, random_isometry(rng, kind, m1 * m2, n), kind, rng
+
+
+@settings(deadline=None, max_examples=60)
+@given(conjugation_cases())
+def test_conjugation_factor_acts_as_its_dense_matrix(case):
+    from cstar_systems.linalg import _merge
+
+    a, b, u, kind, rng = case
+    op, dense = superop_from_conjugation(u), dense_conjugation(u)
+    assert op.ad == (True,) and not op.is_dense
+    assert np.array_equal(op.matrix, dense.matrix)
+    x = rng.standard_normal((op.in_dim, 3)) + 1j * rng.standard_normal((op.in_dim, 3))
+    rows = rng.standard_normal((2, op.out_dim)) + 1j * rng.standard_normal((2, op.out_dim))
+    mat = np.abs(dense.matrix)
+    assert within_bound(op.apply_many(x), dense.matrix @ x, max_abs(mat @ np.abs(x)))
+    assert within_bound(op.rapply(rows), rows @ dense.matrix, max_abs(np.abs(rows) @ mat))
+    # a tensor keeps one factor per map, beside a conjugation or a matrix factor
+    other = Superoperator(random_complex((5, 5)), (1, 2), (1, 2))
+    for f, g in ((op, superop_from_conjugation(a)), (op, other), (other, op)):
+        tensor = superop_tensor(f, g)
+        assert tensor.ad == f.ad + g.ad
+        scale = max_abs(np.kron(np.abs(f.matrix), np.abs(g.matrix)))
+        assert within_bound(tensor.matrix, dense_tensor(f, g), scale)
+    # a run of conjugations meeting a conjugation merges into one, Ad((a (x) b) u); a
+    # factor on M_1 reads no input and stays one of its own, which ``compose`` tensors in
+    f = superop_tensor(superop_from_conjugation(a), superop_from_conjugation(b))
+    dense_f = Superoperator(dense_tensor(*(dense_conjugation(w) for w in (a, b))), f.dom, f.cod)
+    merged, composed = _merge(f, op), compose(f, op)
+    assert all(merged.ad) and composed.ad == (True,)
+    assert composed.factors[0].shape == (a.shape[0] * b.shape[0], u.shape[1])
+    ref = dense_f.matrix @ dense.matrix
+    for got in (merged.matrix, composed.matrix):
+        if kind == "binary":
+            assert np.array_equal(got, ref)
+        else:
+            assert within_bound(got, ref, max_abs(np.abs(dense_f.matrix) @ mat))
+
+
+@settings(deadline=None, max_examples=60)
+@given(conjugation_cases())
+def test_conjugation_identities_settle_only_on_equal_factors(case):
+    a, b, u, kind, rng = case
+    streamed = []
+    chunks = linalg.unit_column_chunks
+
+    def recording_chunks(in_dim, out_dim):
+        streamed.append(in_dim)
+        return chunks(in_dim, out_dim)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "unit_column_chunks", recording_chunks)
+        check_conjugation_identities(a, b, u, streamed)
+
+
+def check_conjugation_identities(a, b, u, streamed):
+    from cstar_systems.linalg import composite_residual
+
+    f = superop_tensor(superop_from_conjugation(a), superop_from_conjugation(b))
+    g = superop_from_conjugation(u)
+    # settled: the chain merges into the conjugation ``compose`` forms, factor for factor;
+    # a factor on M_1 stays one of its own there, and an identity u leaves the chain first
+    if min(a.shape[1], b.shape[1]) > 1 and not g.skip[0]:
+        assert composite_residual([f, g], [compose(f, g)]) == 0.0 and streamed == []
+
+    def streamed_residual(lhs, rhs):
+        """The residual, checked against the dense maps; every column is streamed."""
+        start = len(streamed)
+        res = composite_residual([lhs], [rhs])
+        assert streamed[start:] == [lhs.in_dim]
+        reference = max_abs(lhs.matrix - rhs.matrix)
+        assert abs(res - reference) <= 16 * np.finfo(float).eps * max(
+            max_abs(lhs.matrix), max_abs(rhs.matrix))
+        return res
+
+    # streamed: beside the same conjugation, a matrix factor with one entry bumped
+    mat = random_complex((5, 5))
+    bumped = mat.copy()
+    bumped[0, 0] += 1e-3
+    lhs = superop_tensor(g, Superoperator(mat, (1, 2), (1, 2)))
+    rhs = superop_tensor(g, Superoperator(bumped, (1, 2), (1, 2)))
+    assert streamed_residual(lhs, rhs) > 0
+    # a bumped u never settles, however small the bump
+    for delta in (0.5, 2.0 ** -40):
+        v = u.copy()
+        v[0, 0] += delta
+        assert streamed_residual(g, superop_from_conjugation(v)) > 0
+    # nor does a conjugation against its own matrix u (x) conj(u), unless it is the identity
+    if not g.skip[0]:
+        streamed_residual(g, dense_conjugation(u))
+
+
+def test_identity_maps_are_dropped_or_merged_before_a_chain_is_compared(monkeypatch):
+    # [id, f, id] against [f]: identity maps that merge with no neighbour leave the chain,
+    # so the two sides hold the same map and settle with no column streamed; a chain of
+    # identities keeps one.  An identity that merges lays its neighbour's factors out as
+    # its own, as D[I,J] = id does for D[J,K] in a cocycle of a product system
+    from cstar_systems.linalg import composite_residual
+
+    def refuse(*_):
+        raise AssertionError("streamed")
+
+    monkeypatch.setattr(linalg, "unit_column_chunks", refuse)
+    f = superop_tensor(Superoperator(random_complex((5, 5)), (1, 2), (1, 2)),
+                       superop_from_conjugation(random_complex((3, 2))))
+    # dense identities of the two-block algebras, which ``_merge`` would leave alone
+    ident_in, ident_out = identity_superop(f.dom), identity_superop(f.cod)
+    assert ident_in.is_dense and ident_out.is_dense
+    assert composite_residual([ident_out, f, ident_in], [f]) == 0.0
+    assert composite_residual([f], [ident_out, ident_out, f]) == 0.0
+    assert composite_residual([ident_in], [ident_in, ident_in]) == 0.0
+    # a factored identity is dropped too
+    split = superop_tensor(identity_superop((1, 2)), identity_superop((2,)))
+    assert split.dom == f.dom and split.ad == (False, True) and all(split.skip)
+    assert composite_residual([f, split], [f]) == 0.0
+    a, b = random_complex((2, 2)), random_complex((3, 3))
+    cells = superop_tensor(superop_from_conjugation(a), superop_from_conjugation(b))
+    whole = superop_from_conjugation(np.kron(a, b))
+    assert composite_residual([cells, identity_superop((6,))], [whole]) == 0.0
+    # an identity factor is the same map held as Ad(1) or as a matrix
+    assert composite_residual([identity_superop((2,))], [Superoperator(np.eye(4), (2,), (2,))]) == 0.0
+
+
+def test_merge_passes_a_factor_of_g_through_a_run_of_identities():
+    # a run of Ad(1) leaves a conjugation factor u of g as it is; a run of identity matrices
+    # from (2,) to (1, 1, 1, 1) still moves g's entries from the vec layout of M_4 into the
+    # Kronecker layout of its codomains
+    from cstar_systems.linalg import _merge, superop_tensor_all
+
+    relabel = Superoperator(np.eye(4), (2,), (1, 1, 1, 1))
+    assert relabel.skip == (True,)
+    u = random_complex((4, 3))
+    g = superop_tensor(Superoperator(random_complex((16, 4)), (2,), (4,)),
+                       superop_from_conjugation(u))
+    f = superop_tensor_all([relabel, relabel, identity_superop((4,))])
+    merged = _merge(f, g)
+    assert merged.ad == (False, True) and np.array_equal(merged.factors[1], u)
+    assert np.array_equal(merged.matrix, f.matrix @ g.matrix)

@@ -128,6 +128,17 @@ class TestIntervalMap:
         assert max_abs(rec - chain_matrix(interval_map_left_nested(glue, part))) < 1e-9
         assert max_abs(rec - chain_matrix(interval_map_right_nested(glue, part))) < 1e-9
 
+    def test_interval_map_is_one_conjugation_by_the_hilbert_map(self):
+        # A(1,5) -> A_{1,...,5} of diagonal d=3: the 6561 x 9 map (945 KB dense) is held
+        # as the conjugation by its 81 x 3 Hilbert map V, e_i -> e_i (x) e_i (x) e_i (x) e_i
+        _, sys = diagonal_system(Grid([1, 2, 3, 4, 5]), 3, dim_cap=8192)
+        op = delta_interval_to_partition(sys, Partition([1, 2, 3, 4, 5]))
+        assert (op.out_dim, op.in_dim) == (6561, 9) and op.ad == (True,)
+        assert sum(f.nbytes for f in op.factors) <= 4096
+        v = np.zeros((81, 3))
+        v[np.arange(3) * 40, np.arange(3)] = 1.0
+        assert np.array_equal(op.factors[0], v)
+
     @pytest.mark.parametrize("pts", [[1, 2, 3], [1, 2, 3, 4], [2, 3, 5, 6],
                                      [1, 2, 3, 4, 5, 6]])
     def test_oracles_are_chains_of_triple_maps(self, diag, pts):
@@ -158,16 +169,19 @@ class TestIntervalMap:
             chain = list(build(sys, part))
             if part == target:
                 link = chain[0]
+                assert link.ad == (True, True)
                 chain[0] = Superoperator.factored(
                     [f if skip else f * (1 + 1e-6) for f, skip in zip(link.factors, link.skip)],
-                    link.skip, link.fdoms, link.fcods)
+                    link.skip, link.fdoms, link.fcods, link.ad)
             return chain
 
         monkeypatch.setattr(suites, "interval_map_left_nested", perturbed)
         failing = suites.run_partition(setup, np.random.default_rng(0)).failures()
         assert [(r.check, r.params["I"]) for r in failing] == [
             ("interval_map_oracle_equivalence", target)]
-        assert failing[0].residual == pytest.approx(1e-6)
+        # the link's one non-identity factor is a conjugation u: u (1 + e) scales its map
+        # by (1 + e)^2
+        assert failing[0].residual == pytest.approx((1 + 1e-6) ** 2 - 1)
 
 
 class TestRefinementMaps:

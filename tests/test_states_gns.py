@@ -436,15 +436,16 @@ class TestGramPreservation:
     @pytest.mark.parametrize("stream_entries", [None, 1], ids=["default_chunks", "one_column"])
     def test_streamed_matches_dense_formula_across_chunks(self, monkeypatch, stream_entries):
         # glue [3, 3, 3] under a product of random complex non-diagonal cell states: two
-        # factored maps into the finest partition, one of them padded, and the dense
-        # interval map; the 729 x 729 ones span several chunks of STREAM_ENTRIES
+        # factored maps into the finest partition, one of them padded by a unit constant,
+        # and the interval map, one conjugation factor; the 729 x 729 ones span several
+        # chunks of STREAM_ENTRIES
         from cstar_systems import linalg
 
         sys, unit, fam = random_complex_glue([3, 3, 3])
         fine = Partition([1, 2, 3, 4])
         coarses = [Partition([1, 3, 4]), Partition([1, 4]), Partition([2, 4])]
         ops = [delta_cross(sys, unit, coarse, fine) for coarse in coarses]
-        assert [op.is_dense for op in ops] == [False, True, False]
+        assert [op.ad for op in ops] == [(True, True), (True,), (False, True)]
         assert max(op.in_dim // linalg.chunk_width(op.in_dim, op.out_dim) for op in ops) > 1
         refs = [dense_gram_preservation_residual(sys, fam, coarse, fine, unit)
                 for coarse in coarses]
@@ -476,25 +477,29 @@ class TestGramPreservation:
                                Partition([1, 2, 3, 4, 5, 6]))
 
     def test_memory_stays_bounded_on_dense_d3(self):
-        # the 6561 x 729 map of diagonal d=3 would take 73 MB dense; its factors give one
-        # 81 x 9 G F and three 9 x 9 F^H G F, against three 9 x 9 cell Grams for G_I
+        # the 6561 x 729 map of diagonal d=3 would take 73 MB dense; it holds three
+        # conjugation factors, 9 x 3 and two 3 x 3 (720 bytes), which give one 81 x 9 G F
+        # and three 9 x 9 F^H G F, against three 9 x 9 cell Grams for G_I
         # (0.27 MiB measured in a fresh process)
         _, sys = diagonal_system(Grid([1, 2, 3, 4, 5]), 3, dim_cap=8192)
         fam = constant_functional_family(sys, vector_state)
         coarse, fine = Partition([1, 3, 4, 5]), Partition([1, 2, 3, 4, 5])
         op = delta_cross(sys, None, coarse, fine)
-        assert (op.out_dim, op.in_dim) == (6561, 729) and not op.is_dense
+        assert (op.out_dim, op.in_dim) == (6561, 729) and op.ad == (True, True, True)
+        assert sum(f.nbytes for f in op.factors) == 720
         self.assert_peak_below(4 * 2**20, sys, fam, coarse, fine)
 
     def test_memory_stays_bounded_on_m16(self):
-        # the 256 x 256 map of glue [4, 4] is stored dense, as the identity, and its piece
-        # is the whole of A_{1,2,3}: F^H G F is then that piece's Gram matrix, and it and
-        # G_I are 256 x 256, 1 MiB each (2.07 MiB measured in a fresh process)
+        # the 256 x 256 map of glue [4, 4] is the conjugation by the identity of C^16,
+        # flagged identity, and its piece is the whole of A_{1,2,3}: F^H G F is then that
+        # piece's Gram matrix, and it and G_I are 256 x 256, 1 MiB each (2.07 MiB measured
+        # in a fresh process)
         _, sys = glue_hilbert_system(Grid([1, 2, 3]), [4, 4], dim_cap=65536)
         unit = standard_unit(sys)
         fam = constant_functional_family(sys, vector_state)
         coarse, fine = Partition([1, 3]), Partition([1, 2, 3])
-        assert delta_cross(sys, unit, coarse, fine).is_dense
+        op = delta_cross(sys, unit, coarse, fine)
+        assert op.ad == op.skip == (True,) and op.factors[0].shape == (16, 16)
         self.assert_peak_below(3.5 * 2**20, sys, fam, coarse, fine, unit)
 
     def test_factored_comultiplication_pairs_a_run_of_factors_with_its_piece(self):

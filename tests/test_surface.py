@@ -13,7 +13,7 @@ from pathlib import Path
 
 from cstar_systems.cli import SYSTEM_KINDS
 from cstar_systems.systems import TensorialSystem
-from test_cli import load_benchmark_tracer
+from test_cli import load_benchmark_module
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cstar_systems"
 
@@ -43,7 +43,7 @@ def _uses(modules) -> set[str]:
 
 
 def test_every_definition_is_reached(monkeypatch):
-    tracer = load_benchmark_tracer(monkeypatch)
+    tracer = load_benchmark_module(monkeypatch, "tracer")
     traced = {(module, fn) for module, names in tracer.TARGETS.items() for fn in names}
     modules = _modules()
     used = _uses(modules)
