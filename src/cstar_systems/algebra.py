@@ -80,7 +80,7 @@ class FiniteCStarAlgebra:
         if v.size != self.dim:
             raise ValueError(f"vector of size {v.size} does not fit blocks {self.blocks}")
         x = object.__new__(AlgebraElement)
-        x.algebra, x._vec = self, v.view()
+        x.algebra, x._vec, x._blocks = self, v.view(), None
         x._vec.setflags(write=False)
         return x
 
@@ -99,11 +99,12 @@ class AlgebraElement:
     blocks in block order.  The constructor takes one square matrix per block
     and copies them into a new vec, so no array a caller passes is shared or
     frozen; ``FiniteCStarAlgebra.from_vec`` holds a given vec as it is.
-    ``block_matrices`` are read-only views of the vec.  No element is ever
-    written to, so elements are shared as they are.
+    ``block_matrices`` are read-only views of the vec, built on first access
+    and kept.  No element is ever written to, so elements are shared as they
+    are.
     """
 
-    __slots__ = ("algebra", "_vec")
+    __slots__ = ("algebra", "_vec", "_blocks")
 
     def __init__(self, algebra: FiniteCStarAlgebra, block_matrices: Iterable[np.ndarray]):
         mats = [as_matrix(m) for m in block_matrices]
@@ -112,13 +113,15 @@ class AlgebraElement:
         for m, n in zip(mats, algebra.blocks):
             if m.shape != (n, n):
                 raise ValueError(f"block of shape {m.shape} does not fit size {n}")
-        self.algebra = algebra
+        self.algebra, self._blocks = algebra, None
         self._vec = join_vec(mats)
         self._vec.setflags(write=False)
 
     @property
-    def block_matrices(self) -> list[np.ndarray]:
-        return split_vec(self.algebra.blocks, self._vec)
+    def block_matrices(self) -> tuple[np.ndarray, ...]:
+        if self._blocks is None:
+            self._blocks = tuple(split_vec(self.algebra.blocks, self._vec))
+        return self._blocks
 
     def vec(self) -> np.ndarray:
         return self._vec
@@ -193,7 +196,7 @@ class LinearFunctional:
         return self.density.algebra
 
     @property
-    def densities(self) -> list[np.ndarray]:
+    def densities(self) -> tuple[np.ndarray, ...]:
         return self.density.block_matrices
 
     def __call__(self, x: AlgebraElement) -> complex:

@@ -11,9 +11,12 @@ A factor between single blocks M_n -> M_m may be a conjugation x -> u x u*,
 held as u (m x n) instead of its (m^2 x n^2) matrix u (x) conj(u): every map
 of a system whose comultiplications are conjugations, B(H(s,t)) with Ad(U),
 is one conjugation per cell, by Ad(A) Ad(B) = Ad(AB) and, on single blocks,
-Ad(A) (x) Ad(B) = Ad(A (x) B).  The input gather and output scatter of a
-factored map follow from the descriptors and are cached per layout.  A
-factored map is applied one factor at a time and never stored densely.
+Ad(A) (x) Ad(B) = Ad(A (x) B).  What the descriptors of a factored map fix,
+its input gather and output scatter, dimensions and factor shapes, is one
+cached frame per layout, shared by every map laid out alike, and the
+identity of each block descriptor is built once and shared.  A factored map
+is applied one factor at a time and never stored densely; the Kronecker
+products of 2-D factors that merging forms are one broadcast product each.
 
 Every identity check reduces to three operations: composition, entrywise
 comparison of maps and a rank.  ``compose`` gives one conjugation when both
@@ -22,7 +25,8 @@ map is built with it.  Every map identity is one ``composite_residual`` call
 on two chains of maps, outermost first, such as the nested-expansion oracles
 return.  It merges factored maps factor by factor, by the mixed-product
 rule (A (x) B)(C (x) D) = AC (x) BD, and drops the identity maps that merge
-with no neighbour; returns 0 when the merged sides hold the same maps; and
+with no neighbour; returns 0 when the merged sides hold the same maps, up
+to identity factors on blocks (1,), which no layout sees; and
 otherwise pushes the identity through both sides in column chunks, so no
 composite is formed.  The rank is taken of a dense matrix, which only the
 small per-pair maps need.
@@ -57,7 +61,7 @@ def as_matrix(a) -> np.ndarray:
 
 def max_abs(a) -> float:
     a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
 def isometry_residual(v) -> float:
@@ -154,6 +158,14 @@ def tensor_perm(a: Blocks, b: Blocks) -> np.ndarray:
     return perm.reshape(-1)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays: entry (i p + k, j q + l) is a[i, j] * b[k, l], for b
+    (p x q), formed by one broadcast product, without np.kron's handling of other
+    shapes; each entry is the same one product."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def vec_tensor(a: Blocks, b: Blocks, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """Vectorized elementary tensor of vectorized elements.
 
@@ -162,7 +174,7 @@ def vec_tensor(a: Blocks, b: Blocks, va: np.ndarray, vb: np.ndarray) -> np.ndarr
     each entry is the same one product either way.
     """
     if len(a) == len(b) == 1:
-        return np.kron(va.reshape(a[0], a[0]), vb.reshape(b[0], b[0])).reshape(-1)
+        return _kron(va.reshape(a[0], a[0]), vb.reshape(b[0], b[0])).reshape(-1)
     perm = tensor_perm(a, b)  # built before the product, so their peaks do not meet
     out = np.empty(va.size * vb.size, dtype=complex)
     out[perm] = np.kron(va.reshape(-1), vb.reshape(-1))
@@ -200,7 +212,7 @@ def unit_column_chunks(in_dim: int, out_dim: int):
 
 def _is_identity(m: np.ndarray) -> bool:
     n = m.shape[0]
-    return m.shape == (n, n) and np.count_nonzero(m) == n and bool(np.all(np.diagonal(m) == 1))
+    return m.shape == (n, n) and np.count_nonzero(m) == n and bool((m.diagonal() == 1).all())
 
 
 def _kron_apply(axes, x: np.ndarray) -> np.ndarray:
@@ -249,6 +261,31 @@ def _layout(descriptors: tuple[Blocks, ...]) -> tuple[Blocks, np.ndarray | None]
     return tensor_blocks(head, last), out
 
 
+class _Frame:
+    """What the descriptors of a factored map fix: the blocks ``dom``/``cod`` and
+    dimensions ``in_dim``/``out_dim`` of its domain and codomain, its ``gather``
+    and ``scatter``, the ``shapes`` of its factors (None where no matrix fits: a
+    conjugation needs single blocks), and the indices of the factors on blocks
+    (1,) -> (1,), ``trivial``."""
+
+    __slots__ = ("dom", "cod", "gather", "scatter", "in_dim", "out_dim", "shapes", "trivial")
+
+
+@lru_cache(maxsize=None)
+def _frame(fdoms: tuple[Blocks, ...], fcods: tuple[Blocks, ...], ad: tuple[bool, ...]) -> _Frame:
+    """The one ``_Frame`` of a layout, shared by every map laid out alike."""
+    frame = _Frame()
+    (frame.dom, frame.gather), (frame.cod, frame.scatter) = _layout(fdoms), _layout(fcods)
+    frame.in_dim = math.prod(map(blocks_dim, fdoms))
+    frame.out_dim = math.prod(map(blocks_dim, fcods))
+    frame.shapes = tuple(((cod[0], dom[0]) if len(dom) + len(cod) == 2 else None) if conj
+                         else (blocks_dim(cod), blocks_dim(dom))
+                         for dom, cod, conj in zip(fdoms, fcods, ad))
+    frame.trivial = tuple(i for i, (dom, cod) in enumerate(zip(fdoms, fcods))
+                          if dom == cod == (1,))
+    return frame
+
+
 class Superoperator:
     """A linear map between vectorized algebra elements, held as Kronecker factors.
 
@@ -259,23 +296,25 @@ class Superoperator:
     F_i = u (x) conj(u) in the row-major vec is formed only by ``matrix``.
     ``skip`` flags the identity factors.  ``gather`` reads the input in the
     Kronecker layout and ``scatter`` writes the output back (y[scatter] =
-    y_kron); both are derived from the descriptors by ``_layout`` and shared
-    between maps laid out alike, and None stands for the identity order.
-    ``dom``/``cod`` are the block descriptors of domain and codomain, the
-    tensors of the factors' ones.
+    y_kron), None standing for the identity order.  ``dom``/``cod`` are the
+    block descriptors of domain and codomain, the tensors of the factors'
+    ones.  These, ``in_dim``/``out_dim`` and the shape each factor must have
+    come from ``frame``, the one ``_frame`` of the descriptors, which maps
+    laid out alike share; building a map looks it up and compares shapes.
 
     ``Superoperator(matrix, dom, cod)`` is a dense map: one matrix factor, no
     index arrays.  ``superop_from_conjugation`` builds a conjugation,
     ``superop_tensor`` the factored maps, and ``_merge`` composes them.
     ``apply_many`` and ``rapply`` act one factor at a time, a conjugation as
-    two products on the (n, n) matrices of the vecs; ``matrix`` builds the
-    dense (out_dim x in_dim) matrix of any other map on every access and keeps
-    nothing.  All arrays held are read-only; a dense map holds a view of the
-    caller's matrix, which stays writable.
+    two products on the (n, n) matrices of the vecs, u and conj(u) formed on
+    first use and kept, as is the finiteness of each factor; ``matrix``
+    builds the dense (out_dim x in_dim) matrix of any other map on every
+    access and keeps nothing.  All arrays held are read-only; a dense map
+    holds a view of the caller's matrix, which stays writable.
     """
 
-    __slots__ = ("factors", "skip", "ad", "fdoms", "fcods", "gather", "scatter", "dom", "cod",
-                 "in_dim", "out_dim")
+    __slots__ = ("factors", "skip", "ad", "fdoms", "fcods", "frame", "dom", "cod", "gather",
+                 "scatter", "in_dim", "out_dim", "_axes_list", "_finite")
 
     def __init__(self, matrix, dom: Blocks, cod: Blocks):
         m = as_matrix(matrix).view()
@@ -293,16 +332,20 @@ class Superoperator:
         return op
 
     def _fill(self, factors, skip, fdoms, fcods, ad):
-        for f, dom, cod, conj in zip(factors, fdoms, fcods, ad):
-            shape = (cod[0], dom[0]) if conj else (blocks_dim(cod), blocks_dim(dom))
-            if f.shape != shape or conj and len(dom) + len(cod) != 2:
-                raise ValueError(f"matrix shape {f.shape} does not match dom {dom} -> cod {cod}")
+        frame = _frame(fdoms, fcods, ad)
+        if tuple(f.shape for f in factors) != frame.shapes:
+            for f, dom, cod, shape in zip(factors, fdoms, fcods, frame.shapes):
+                if f.shape != shape:
+                    raise ValueError(
+                        f"matrix shape {f.shape} does not match dom {dom} -> cod {cod}")
+            raise ValueError(f"{len(factors)} factors for {len(fdoms)} pairs of descriptors")
+        for f in factors:
             f.setflags(write=False)
         self.factors, self.skip, self.ad, self.fdoms, self.fcods = factors, skip, ad, fdoms, fcods
-        self.dom, self.gather = _layout(fdoms)
-        self.cod, self.scatter = _layout(fcods)
-        self.out_dim = math.prod(map(blocks_dim, fcods))
-        self.in_dim = math.prod(map(blocks_dim, fdoms))
+        self.frame, self.dom, self.cod = frame, frame.dom, frame.cod
+        self.gather, self.scatter, self.in_dim, self.out_dim = (frame.gather, frame.scatter,
+                                                                frame.in_dim, frame.out_dim)
+        self._axes_list = self._finite = None
 
     @property
     def is_dense(self) -> bool:
@@ -317,10 +360,18 @@ class Superoperator:
     def _axes(self, transpose: bool = False):
         """(A, skip) for each Kronecker axis of the factors, for ``_kron_apply``: a
         matrix factor is one axis, a conjugation u two, u and conj(u); with
-        ``transpose``, each A is transposed."""
-        return [(a.T if transpose else a, skip)
-                for f, skip, conj in zip(self.factors, self.skip, self.ad)
-                for a in ((f, f.conj()) if conj else (f,))]
+        ``transpose``, each A is transposed.  The axes are built on first use
+        and kept, so conj(u) is formed once per map."""
+        if self._axes_list is None:
+            self._axes_list = [(a, skip) for f, skip, conj in zip(self.factors, self.skip, self.ad)
+                               for a in ((f, f.conj()) if conj else (f,))]
+        return [(a.T, skip) for a, skip in self._axes_list] if transpose else self._axes_list
+
+    def _finite_factors(self) -> tuple[bool, ...]:
+        """Whether each factor has finite entries only; computed on first use."""
+        if self._finite is None:
+            self._finite = tuple(bool(np.isfinite(f).all()) for f in self.factors)
+        return self._finite
 
     @property
     def matrix(self) -> np.ndarray:
@@ -330,7 +381,7 @@ class Superoperator:
             return self.factors[0]
         if self.ad == (True,):
             u = self.factors[0]
-            out = np.kron(u, u.conj())
+            out = _kron(u, u.conj())
         else:
             out = np.empty((self.out_dim, self.in_dim), dtype=complex)
             for start, cols in unit_column_chunks(self.in_dim, self.out_dim):
@@ -345,7 +396,8 @@ class Superoperator:
             raise ValueError(f"cannot apply a map on dimension {self.in_dim} to shape {x.shape}")
         y = _kron_apply(self._axes(), x if self.gather is None else x[self.gather])
         if self.scatter is None:
-            return y.copy() if np.may_share_memory(y, x) else y
+            # y is x itself only when no factor acted on it and no gather copied it
+            return y.copy() if self.gather is None and all(self.skip) else y
         out = np.empty_like(y)
         out[self.scatter] = y
         return out
@@ -392,8 +444,13 @@ def column_images(ops, rows: int):
 
 def identity_superop(blocks: Blocks) -> Superoperator:
     """The identity of an algebra: the conjugation by the identity of a single block,
-    else the dense identity matrix."""
-    blocks = tuple(blocks)
+    else the dense identity matrix.  One map per descriptor is built and shared
+    (``_identity``); its arrays are read-only, as every map's are."""
+    return _identity(tuple(blocks))
+
+
+@lru_cache(maxsize=None)
+def _identity(blocks: Blocks) -> Superoperator:
     if len(blocks) == 1:
         return superop_from_conjugation(np.eye(blocks[0]))
     n = blocks_dim(blocks)
@@ -408,7 +465,7 @@ def compose(f: Superoperator, g: Superoperator) -> Superoperator:
         raise ValueError(f"cannot compose: inner blocks {g.cod} != {f.dom}")
     merged = _merge(f, g)
     if merged is not None and all(merged.ad):
-        return superop_from_conjugation(reduce(np.kron, merged.factors))
+        return superop_from_conjugation(reduce(_kron, merged.factors))
     return Superoperator(f.apply_many(g.matrix), g.dom, f.cod)
 
 
@@ -456,9 +513,9 @@ def _merge(f: Superoperator, g: Superoperator) -> Superoperator | None:
             # a run of identities that maps its blocks onto themselves leaves G_k as it is
             if not (all(f.skip[i:j]) and (ad_run or not conj and f.fdoms[i:j] == f.fcods[i:j])):
                 if ad_run:
-                    gk = reduce(np.kron, f.factors[i:j]) @ gk
+                    gk = reduce(_kron, f.factors[i:j]) @ gk
                 else:
-                    gk, conj = f.run(i, j).apply_many(np.kron(gk, gk.conj()) if conj else gk), False
+                    gk, conj = f.run(i, j).apply_many(_kron(gk, gk.conj()) if conj else gk), False
                 flag = _is_identity(gk)
             cod = _layout(f.fcods[i:j])[0]
         out.append((gk, flag, dom, cod, conj))
@@ -494,18 +551,36 @@ def _merge_chain(chain):
     return out
 
 
+def _without_trivial(op: Superoperator) -> Superoperator:
+    """op without its identity factors on blocks (1,) -> (1,): the same map, since
+    blocks (1,) are neutral in ``_layout`` and such a factor is never applied."""
+    trivial = op.frame.trivial
+    keep = [i for i in range(len(op.factors)) if not (i in trivial and op.skip[i])]
+    if len(keep) == len(op.factors):
+        return op
+    return Superoperator.factored(*([seq[i] for i in keep]
+                                    for seq in (op.factors, op.skip, op.fdoms, op.fcods, op.ad)))
+
+
 def _same_maps(lhs, rhs) -> bool:
-    """Whether the two chains hold the same maps: equal descriptors and identity
-    flags, and other factors that are equal and finite entry by entry, both
-    conjugations (compared by u) or both matrices.  An identity factor is the
-    same map whether held as Ad(1) or as a matrix, and neither side applies
+    """Whether the two chains hold the same maps: after the identity factors on
+    blocks (1,) -> (1,) are dropped (``_without_trivial``), equal descriptors and
+    identity flags, and other factors that are equal and finite entry by entry,
+    both conjugations (compared by u) or both matrices.  An identity factor is
+    the same map whether held as Ad(1) or as a matrix, and neither side applies
     it.  Each column then goes through the same products in the same order on
     both sides, so every entry of L - R is exactly 0."""
-    return len(lhs) == len(rhs) and all(
-        a.skip == b.skip and a.fdoms == b.fdoms and a.fcods == b.fcods
-        and all(s or c == d and np.array_equal(f, g) and np.isfinite(f).all()
-                for f, g, s, c, d in zip(a.factors, b.factors, a.skip, a.ad, b.ad))
-        for a, b in zip(lhs, rhs))
+    if len(lhs) != len(rhs):
+        return False
+    for a, b in zip(lhs, rhs):
+        if a.frame.trivial or b.frame.trivial:
+            a, b = _without_trivial(a), _without_trivial(b)
+        if not (a.skip == b.skip and a.fdoms == b.fdoms and a.fcods == b.fcods and all(
+                s or c == d and (f == g).all() and finite
+                for f, g, s, c, d, finite in zip(a.factors, b.factors, a.skip, a.ad, b.ad,
+                                                 a._finite_factors()))):
+            return False
+    return True
 
 
 def composite_residual(lhs, rhs) -> float:

@@ -148,6 +148,26 @@ def test_from_vec_holds_a_read_only_view_without_a_copy():
         alg.from_vec(np.zeros(4))
 
 
+def test_block_views_are_built_once_and_stay_read_only():
+    from cstar_systems.linalg import split_vec
+
+    rng = np.random.default_rng(5)
+    alg, xs = _random_element(rng, (2, 1, 3))
+    _, ys = _random_element(rng, (2, 1, 3))
+    for x in (AlgebraElement(alg, xs), alg.from_vec(np.arange(14, dtype=complex))):
+        views = x.block_matrices
+        assert x.block_matrices is views and isinstance(views, tuple)
+        assert all(np.shares_memory(b, x.vec()) for b in views)
+        with pytest.raises(ValueError):
+            views[2][0, 0] = 1.0
+    # a functional reads the kept views, bitwise as it read a fresh split of each vec
+    phi, y = LinearFunctional(alg, xs), AlgebraElement(alg, ys)
+    ref = complex(sum(np.trace(r @ m) for r, m in zip(split_vec(alg.blocks, phi.density.vec()),
+                                                      split_vec(alg.blocks, y.vec()))))
+    assert phi(y) == ref and phi(y) == ref
+    assert phi.densities is phi.density.block_matrices
+
+
 def test_functional_tensor_of_normalized_traces():
     lhs = functional_tensor(trace_functional(M2, normalized=True),
                             trace_functional(M3, normalized=True))

@@ -872,19 +872,56 @@ def load_benchmark_module(monkeypatch, name):
 def test_benchmark_cold_cache_hook_runs_on_every_module(monkeypatch):
     # perfbench/worker.py empties the package's memo tables before each timed verify by
     # calling ``cache_clear()`` on every module-level callable that has one: a module-level
-    # class with a ``cache_clear`` method would make it raise TypeError and fail every run
+    # class with a ``cache_clear`` method would make it raise TypeError and fail every run.
+    # After a verify, every ``lru_cache`` of every module is filled or not, and after the
+    # hook every one is empty, so no frame or interned map carries over into a timed verify
     import pkgutil
 
     import cstar_systems
-    from cstar_systems import linalg
 
     worker = load_benchmark_module(monkeypatch, "worker")
-    for info in pkgutil.iter_modules(cstar_systems.__path__):
-        importlib.import_module(f"{worker.PACKAGE}.{info.name}")
-    linalg.tensor_perm((2,), (2,))
-    assert linalg.tensor_perm.cache_info().currsize > 0
+    modules = [importlib.import_module(f"{worker.PACKAGE}.{info.name}")
+               for info in pkgutil.iter_modules(cstar_systems.__path__)]
+    run(RunConfig.from_json(json.loads(ORACLE_CONFIG.read_text())))
+    tables = {f"{fn.__module__}.{fn.__qualname__}": fn for mod in modules
+              for fn in vars(mod).values() if callable(getattr(fn, "cache_info", None))}
+    filled = {name for name, fn in tables.items() if fn.cache_info().currsize > 0}
+    assert {"cstar_systems.linalg._frame", "cstar_systems.linalg._identity",
+            "cstar_systems.linalg.tensor_perm"} <= filled
     worker._clear_process_caches()
-    assert linalg.tensor_perm.cache_info().currsize == 0
+    sizes = {name: fn.cache_info().currsize for name, fn in tables.items()}
+    assert sizes == dict.fromkeys(tables, 0)
+
+
+GLUE_2312 = {"grid": ["1", "2", "3", "4", "5"],
+             "system": {"kind": "glue_hilbert", "cell_dims": [2, 3, 1, 2]},
+             "unit": {"kind": "standard"}, "counit": {"kind": "standard"},
+             "suites": ALL_SUITES, "max_interior_points": 4, "dim_cap": 65536}
+
+
+@pytest.mark.parametrize("name, settled, calls", [
+    ("subproduct-grid6", 1512, 1626), ("product-glue16", 30, 113), ("dense-d3", 208, 208),
+    ("glue-2312", 285, 378)])
+def test_map_identities_settle_at_least_as_often_as_measured(monkeypatch, name, settled, calls):
+    # a settled ``composite_residual`` call compares factors and streams no column; a faster
+    # comparator must not settle fewer of the benchmark's identities, nor of glue [2,3,1,2],
+    # whose cell of dimension 1 makes factors on blocks (1,) that merged sides split off
+    from cstar_systems import linalg
+
+    if name == "glue-2312":
+        raw = dict(GLUE_2312, seed=1)
+    else:
+        raw = load_benchmark_module(monkeypatch, "workloads").config_for(name, 1)
+    outcomes = []
+    same_maps = linalg._same_maps
+
+    def recording(lhs, rhs):
+        outcomes.append(same_maps(lhs, rhs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(linalg, "_same_maps", recording)
+    run(RunConfig.from_json(raw))
+    assert len(outcomes) == calls and sum(outcomes) >= settled
 
 
 def test_benchmark_tracer_names_resolve(monkeypatch):

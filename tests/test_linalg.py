@@ -1138,3 +1138,159 @@ def test_merge_passes_a_factor_of_g_through_a_run_of_identities():
     merged = _merge(f, g)
     assert merged.ad == (False, True) and np.array_equal(merged.factors[1], u)
     assert np.array_equal(merged.matrix, f.matrix @ g.matrix)
+
+
+# -- the per-layout frame and the Kronecker helper ----------------------------------
+
+SPECIAL_ENTRIES = (np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf))
+# a product with a NaN or an infinite entry warns; the tests compare what it gives
+special_arithmetic = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+
+
+@st.composite
+def entry_arrays(draw, shape):
+    """An array of one entry kind, with up to three entries NaN or infinite."""
+    kind = draw(st.sampled_from(ENTRY_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "binary":
+        a = rng.integers(0, 2, shape).astype(complex)
+    elif kind == "real":
+        a = rng.standard_normal(shape).astype(complex)
+    else:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if a.size:
+        for value in draw(st.lists(st.sampled_from(SPECIAL_ENTRIES), max_size=3)):
+            a[tuple(rng.integers(0, n) for n in shape)] = value
+    return a
+
+
+@st.composite
+def layouts(draw):
+    """Descriptors (fdoms, fcods, ad) of 1-3 factors and the shape of each factor: a
+    conjugation only between single blocks."""
+    fdoms, fcods, ad, shapes = [], [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        dom, cod = draw(st.sampled_from(DESCRIPTORS)), draw(st.sampled_from(DESCRIPTORS))
+        conj = len(dom) == len(cod) == 1 and draw(st.booleans())
+        shapes.append((cod[0], dom[0]) if conj else (sum(n * n for n in cod),
+                                                     sum(n * n for n in dom)))
+        fdoms.append(dom), fcods.append(cod), ad.append(conj)
+    return tuple(fdoms), tuple(fcods), tuple(ad), shapes
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+@special_arithmetic
+def test_kron_helper_is_bitwise_np_kron(data):
+    from cstar_systems.linalg import _kron
+
+    a, b = (data.draw(entry_arrays(data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))))
+            for _ in range(2))
+    for x, y in ((a, b), (a.T, b), (a, b.conj()), (a[::2], b[:, ::-1])):
+        got, ref = _kron(x, y), np.kron(x, y)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+@special_arithmetic
+def test_maps_laid_out_alike_share_one_frame(data):
+    from cstar_systems.linalg import _frame, _layout
+
+    fdoms, fcods, ad, shapes = data.draw(layouts())
+    skip = (False,) * len(fdoms)
+    one, two = (Superoperator.factored([data.draw(entry_arrays(s)) for s in shapes], skip,
+                                       fdoms, fcods, ad) for _ in range(2))
+    assert one.frame is two.frame is _frame(fdoms, fcods, ad)
+    assert (one.dom, one.gather) == (two.dom, two.gather)
+    assert (one.dom, one.cod) == (_layout(fdoms)[0], _layout(fcods)[0])
+    assert (one.in_dim, one.out_dim) == (one.matrix.shape[1], one.matrix.shape[0])
+    # a tensor of the factors' own maps has the same frame
+    parts = [Superoperator.factored([f], [s], [d], [c], [a]) for f, s, d, c, a
+             in zip(one.factors, skip, fdoms, fcods, ad)]
+    from cstar_systems.linalg import superop_tensor_all
+    assert superop_tensor_all(parts).frame is one.frame
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_a_factor_that_does_not_fit_its_descriptors_is_refused(data):
+    fdoms, fcods, ad, shapes = data.draw(layouts())
+    k = data.draw(st.integers(0, len(shapes) - 1))
+    rows, cols = shapes[k]
+    bad = list(shapes)
+    bad[k] = data.draw(st.sampled_from([(rows + 1, cols), (rows, cols + 1), (cols, rows)])
+                       .filter(lambda s: s != shapes[k]))
+    factors = [data.draw(entry_arrays(s)) for s in bad]
+    with pytest.raises(ValueError, match="does not match"):
+        Superoperator.factored(factors, (False,) * len(factors), fdoms, fcods, ad)
+    if not ad[k]:
+        with pytest.raises(ValueError, match="does not match"):
+            Superoperator(factors[k], fdoms[k], fcods[k])
+    # a conjugation needs single blocks, whatever the shape of u
+    with pytest.raises(ValueError, match="does not match"):
+        Superoperator.factored([np.eye(2)], [False], [(1, 1)], [(1, 1)], [True])
+    # as many factors as descriptors
+    with pytest.raises(ValueError):
+        Superoperator.factored([np.eye(1)] * 2, [True] * 2, [(1,)], [(1,)], [False])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+@special_arithmetic
+def test_identity_superop_is_shared_read_only_and_rebuilt_after_cache_clear(data):
+    blocks = data.draw(st.sampled_from(DESCRIPTORS))
+    ident = identity_superop(list(blocks))
+    assert identity_superop(blocks) is ident and all(ident.skip)
+    assert not any(f.flags.writeable for f in ident.factors)
+    with pytest.raises(ValueError):
+        ident.factors[0][0, 0] = 2.0
+    x = data.draw(entry_arrays((ident.in_dim, 2)))
+    assert np.array_equal(ident.apply_many(x), x, equal_nan=True)
+    linalg._identity.cache_clear()
+    again = identity_superop(blocks)
+    assert again is not ident and np.array_equal(again.matrix, ident.matrix)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+@special_arithmetic
+def test_apply_many_never_returns_memory_of_its_input(data):
+    fdoms, fcods, ad, shapes = data.draw(layouts())
+    # a square factor may be an identity, flagged and skipped
+    skip = [r == c and data.draw(st.booleans()) for r, c in shapes]
+    op = Superoperator.factored([np.eye(s[0]) if i else data.draw(entry_arrays(s))
+                                 for s, i in zip(shapes, skip)], skip, fdoms, fcods, ad)
+    idents = superop_tensor(identity_superop(fdoms[0]), identity_superop((1, 2)))
+    for f in (op, identity_superop(fdoms[0]), idents):
+        x = data.draw(entry_arrays((f.in_dim, data.draw(st.integers(1, 3)))))
+        before = x.copy()
+        y = f.apply_many(x)
+        assert not np.shares_memory(y, x)
+        assert np.array_equal(x, before, equal_nan=True)
+        if all(f.skip) and f.fdoms == f.fcods:
+            assert np.array_equal(y, x, equal_nan=True)
+
+
+def test_identity_factors_on_one_dimensional_cells_do_not_stop_a_settle(monkeypatch):
+    # A (x) Ad(1) (x) B against A (x) B: the identity on blocks (1,) -> (1,) is neutral, as in
+    # ``_layout``, so the sides settle with no column streamed.  A factor on (1,) that is not
+    # flagged identity is compared as it is, and the sides stream
+    from cstar_systems.linalg import _same_maps, composite_residual, superop_tensor_all
+
+    a = superop_from_conjugation(random_complex((3, 2)))
+    b = Superoperator(random_complex((5, 4)), (2,), (1, 2))
+    one = identity_superop((1,))
+    assert one.frame.trivial == (0,) and one.skip == (True,)
+    with_cell, without = superop_tensor_all([a, one, b]), superop_tensor(a, b)
+    assert (with_cell.dom, with_cell.cod) == (without.dom, without.cod)
+    assert _same_maps([with_cell], [without]) and _same_maps([without], [with_cell])
+    assert _same_maps([with_cell], [superop_tensor_all([one, a, one, b])])
+    monkeypatch.setattr(linalg, "unit_column_chunks", lambda *_: pytest.fail("streamed"))
+    assert composite_residual([with_cell], [without]) == 0.0
+    monkeypatch.undo()
+    two = Superoperator(np.full((1, 1), 2.0), (1,), (1,))
+    assert not _same_maps([superop_tensor_all([a, two, b])], [without])
+    doubled = composite_residual([superop_tensor_all([a, two, b])], [without])
+    assert doubled == max_abs(without.matrix)
