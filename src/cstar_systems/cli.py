@@ -340,7 +340,8 @@ def _build_commutative(payload: dict, grid: Grid, dim_cap: int) -> Built:
     elif payload["model"] == "z2":
         mult, expected = modular_addition_system(grid, 2), "subproduct"
     else:
-        spaces = _keyed("spaces", payload["spaces"], 2, lambda n, s, t: FiniteSpace(n))
+        spaces = _keyed("spaces", payload["spaces"], 2, lambda n, s, t: FiniteSpace(n),
+                        cover=grid.pairs())
         chi = _keyed("chi", payload["chi"], 3, lambda table, r, s, t: MultMap(
             np.asarray(table), spaces[(r, t)].size))
         mult, expected = FiniteMultSystem(grid, spaces, chi), None

@@ -84,9 +84,19 @@ class MultMap:
 
 @dataclass
 class FiniteMultSystem:
+    """Spaces X(s,t) and gluing maps chi[r,s,t]; each gluing table must have shape
+    (|X(r,s)|, |X(s,t)|) and values in X(r,t), or construction raises ValueError."""
+
     grid: Grid
     spaces: Mapping[Pair, FiniteSpace]
     chi: Mapping[Triple, MultMap]
+
+    def __post_init__(self):
+        for (r, s, t), m in self.chi.items():
+            want = (self.spaces[(r, s)].size, self.spaces[(s, t)].size), self.spaces[(r, t)].size
+            if (m.table.shape, m.out_size) != want:
+                raise ValueError(f"the gluing table at ({r},{s},{t}) has shape {m.table.shape} "
+                                 f"into {m.out_size} points, expected {want[0]} into {want[1]}")
 
     def space(self, s, t) -> FiniteSpace:
         self.grid.require(s, t)
@@ -117,10 +127,6 @@ def check_mult_system(sys: FiniteMultSystem) -> Report:
     all_surj, all_bij = True, True
     for (r, s, t) in sys.grid.triples():
         m = sys.glue(r, s, t)
-        if m.table.shape != (sys.space(r, s).size, sys.space(s, t).size):
-            raise ValueError(f"table shape mismatch at ({r},{s},{t})")
-        if m.out_size != sys.space(r, t).size:
-            raise ValueError(f"codomain mismatch at ({r},{s},{t})")
         surj = m.surjective()
         all_surj &= surj
         all_bij &= m.bijective()

@@ -23,10 +23,12 @@ comparison of maps and a rank.  ``compose`` gives one conjugation when both
 maps are conjugations and a dense map otherwise; only the recursive interval
 map is built with it.  Every map identity is one ``composite_residual`` call
 on two chains of maps, outermost first, such as the nested-expansion oracles
-return.  It merges factored maps factor by factor, by the mixed-product
-rule (A (x) B)(C (x) D) = AC (x) BD, and drops the identity maps that merge
-with no neighbour; returns 0 when the merged sides hold the same maps, up
-to identity factors on blocks (1,), which no layout sees; and
+return, or [D*, G, D] for a Gram law, D* the adjoint (``superop_adjoint``),
+held as the conjugate transposes of D's factors.  It merges factored maps
+factor by factor, by the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD,
+each merged map again into the one before it, and drops the identity maps
+that merge with no neighbour; returns 0 when the merged sides hold the same
+maps, up to identity factors on blocks (1,), which no layout sees; and
 otherwise pushes the identity through both sides in column chunks, so no
 composite is formed.  The rank is taken of a dense matrix, which only the
 small per-pair maps need.
@@ -528,7 +530,9 @@ def _merge(f: Superoperator, g: Superoperator) -> Superoperator | None:
 def _merge_chain(chain):
     """The chain with each map merged into the one before it wherever ``_merge`` can,
     and without the identity maps that merge with neither neighbour (one is kept if
-    all are).
+    all are).  A merged map is tried again against the map before it, so a link
+    that does not align with its successor alone, such as D* before G_K in
+    D* G_K D, merges once the two after it have.
 
     A map is the identity when every factor is flagged identity and maps its
     blocks onto themselves, so that its gather and scatter are one index map.
@@ -544,6 +548,8 @@ def _merge_chain(chain):
         merged = _merge(out[-1], op) if out else None
         if merged is not None:
             out[-1] = merged
+            while len(out) > 1 and (merged := _merge(out[-2], out[-1])) is not None:
+                out[-2:] = [merged]
         elif out and identity(out[-1]):
             out[-1] = op
         elif not (out and identity(op)):
@@ -636,6 +642,14 @@ def superop_from_conjugation(u) -> Superoperator:
     u = as_matrix(u).copy()
     m, n = u.shape
     return Superoperator.factored((u,), (_is_identity(u),), ((n,),), ((m,),), (True,))
+
+
+def superop_adjoint(f: Superoperator) -> Superoperator:
+    """The adjoint of f for the inner product of vecs: each factor conjugate-transposed,
+    from its codomain back to its domain.  A conjugation Ad(u) becomes Ad(u*), whose
+    matrix u* (x) conj(u*) is the adjoint of u (x) conj(u)."""
+    return Superoperator.factored([a.conj().T for a in f.factors], f.skip, f.fcods, f.fdoms,
+                                  f.ad)
 
 
 def superop_tensor(f: Superoperator, g: Superoperator) -> Superoperator:

@@ -201,7 +201,6 @@ def delta_cross(sys: TensorialSystem, unit: Optional[UnitFamily],
     stretches of J outside [min I, max I] are filled with unit projections:
     x -> p_lower (x) D[I, middle](x) (x) p_upper.  Without a unit family there
     is no padding, and different endpoints raise ``EndpointMismatchError``.
-    ``cross_pieces`` names the piece of J that each factor maps onto.
     """
     if coarse.endpoints == fine.endpoints:
         return delta_refinement(sys, coarse, fine)
@@ -223,21 +222,6 @@ def delta_cross(sys: TensorialSystem, unit: Optional[UnitFamily],
                                const(dec.lower), const(dec.upper))
     sys._cache[key] = out
     return out
-
-
-def cross_pieces(coarse: Partition, fine: Partition) -> list[Partition]:
-    """The pieces of J that the factors of ``delta_cross`` for I -> J map onto, in order.
-
-    They are the stretch of J below min I, the points of J inside each cell
-    of I, and the stretch above max I; an absent stretch is left out.  The
-    map is the tensor of one map per piece: the unit constant of a stretch,
-    the interval map of a cell.  Each of these is one factor, unless a
-    comultiplication is itself a factored map, so piece k is the codomain of
-    the k-th run of consecutive factors whose codomains tensor to its algebra.
-    """
-    dec = outer_decompose(coarse, fine)
-    pieces = [dec.lower, *inner_decompose(coarse, dec.middle), dec.upper]
-    return [piece for piece in pieces if piece is not None]
 
 
 # -- germs ---------------------------------------------------------------------

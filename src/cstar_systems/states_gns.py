@@ -9,13 +9,12 @@ recover the family.
 Applying the GNS construction per pair produces a Hilbert-space system whose
 isometries V[r,s,t]: eta(x) -> (eta (x) eta)(D[r,s,t] x) come from the pair
 GNS maps alone.  The agreement of its dilation with the GNS system of the
-dilated states reduces to Gram-matrix preservation along refinements, which
-is checked here.  The connecting map is held as one factor per piece of the
-finer partition and the Gram matrix of a product state is the tensor of the
-pieces' ones, so both sides of the law are tensors of small matrices, one
-per piece and one per coarse cell, compared by ``composite_residual`` like
-every other map identity: neither the map nor a Gram matrix of the finer
-partition is formed.
+dilated states reduces to Gram-matrix preservation along refinements,
+D* G_K D = G_I, which is checked here.  The Gram matrix of a product state
+is the tensor of its cells' ones, so the law is one more pair of chains,
+[D*, G_K, D] against G_I, for ``composite_residual`` like every other map
+identity: the chain merges factor by factor, and neither the map nor a Gram
+matrix of the finer partition is formed.
 """
 from __future__ import annotations
 
@@ -30,17 +29,17 @@ from .linalg import (
     DEFAULT_TOL,
     Superoperator,
     Tolerance,
-    blocks_dim,
     composite_residual,
     isometry_residual,
     max_abs,
     star_perm,
+    superop_adjoint,
+    superop_tensor_all,
     tensor_perm,
 )
 from .partition_calculus import (
     Germ,
     comultiplication,
-    cross_pieces,
     delta_cross,
     partition_algebra,
     state_on_partition,
@@ -266,73 +265,64 @@ def gns_unit_vector_residual(gsys: GnsSystem, unit: UnitFamily) -> float:
 def gram_preservation_residual(sys: TensorialSystem, fam: FunctionalFamily,
                                coarse: Partition, fine: Partition,
                                unit: Optional[UnitFamily] = None,
-                               perturbation: float = 0.0) -> float:
-    """Residual of G_K(D x, D y) = G_I(x, y) for the connecting map D: A_I -> A_K.
+                               perturbation: float = 0.0,
+                               grams: Optional[dict] = None) -> float:
+    """Residual of D* G_K D = G_I for the connecting map D: A_I -> A_K.
 
-    This is the well-definedness and isometry of the maps between the GNS
-    spaces of the product states, i.e. the finite-level content of the
-    equivalence between the two Hilbert-space dilations.  A nonzero
-    ``perturbation`` is added to one entry of the map as a negative control,
-    which reads the map densely (``_perturbed_map``) as one factor onto the
-    whole of K; it is meant for a small pair.
+    This is G_K(D x, D y) = G_I(x, y): the well-definedness and isometry of
+    the maps between the GNS spaces of the product states, i.e. the
+    finite-level content of the equivalence between the two Hilbert-space
+    dilations.  A nonzero ``perturbation`` is added to one entry of the map
+    as a negative control, which reads the map densely (``_perturbed_map``)
+    as one factor onto the whole of K; it is meant for a small pair.
 
-    D is the tensor of one map R_c per piece c of K (``cross_pieces``), and
-    the Gram matrix of a product state is the tensor of the pieces' ones, so
-    D^H G_K D is the tensor of the small products R_c^H G_c R_c, laid out as
-    D's factors are: an identity gives G_c itself, and a unit constant p the
-    1 x 1 value phi(p* p).  G_I is the tensor of the Gram matrices of the
-    cells of I.  The two sides are compared by ``composite_residual``, so
-    every entry counts, zeros included; sides that hold equal factors settle
-    without streaming.
+    The Gram matrix of a product state is the tensor of its cells' ones
+    (``_gram_map``), so a map of several factors, such as a padded map or a
+    refinement of several cells, is checked as the chain [D*, G_K, D] against
+    G_I by ``composite_residual``: every entry counts, zeros included, and
+    the chain merges into one small factor per factor of D, a unit constant
+    p giving the 1 x 1 value phi(p* p), so sides that hold equal factors
+    settle without streaming.  A map of one factor does not merge; its
+    F* G_K F is formed densely (``_gram_form``).  ``grams`` keeps the Gram
+    maps built here for later calls on the same family.
     """
+    grams = {} if grams is None else grams
     op = delta_cross(sys, unit, coarse, fine)
-    pieces = cross_pieces(coarse, fine)
     if perturbation:
         op = _perturbed_map(op, partition_algebra(sys, fine), state_on_partition(fam, fine),
                             perturbation)
-        pieces = [fine]
-    forms, doms = [], []
-    for piece, alg, run in _piece_runs(sys, op, pieces):
-        forms.append(_gram_form(alg, state_on_partition(fam, piece), run))
-        doms.append(run.dom)
-    del op, run  # a perturbed copy is freed before G_I is formed
-    lhs = Superoperator.factored(forms, (False,) * len(forms), doms, doms)
-    grams, cells = [], []
-    for a, b in coarse.pairs():
-        alg = sys.alg(a, b)
-        grams.append(gram_matrix(alg, fam.phi(a, b)))
-        cells.append(alg.blocks)
-    rhs = Superoperator.factored(grams, (False,) * len(grams), cells, cells)
-    return composite_residual([lhs], [rhs])
+    if len(op.factors) > 1:
+        lhs = [superop_adjoint(op), _gram_map(sys, fam, fine, grams), op]
+    else:
+        form = _gram_form(partition_algebra(sys, fine), state_on_partition(fam, fine), op)
+        lhs = [Superoperator(form, op.dom, op.dom)]
+        del op  # a perturbed copy is freed before G_I is formed
+    return composite_residual(lhs, [_gram_map(sys, fam, coarse, grams)])
 
 
-def _piece_runs(sys: TensorialSystem, op: Superoperator, pieces: Sequence[Partition]):
-    """Yield (piece, algebra, run) in order, the run being the consecutive factors of
-    ``op`` whose codomains tensor to the piece's algebra, as one map; it ends once
-    they reach the piece's dimension.  Factors that do not align raise."""
-    i, m = 0, len(op.factors)
-    for piece in pieces:
-        alg = partition_algebra(sys, piece)
-        j, size = i, 1
-        while j < m and (j == i or size < alg.dim):
-            size *= blocks_dim(op.fcods[j])
-            j += 1
-        run = op.run(i, j)
-        if j == i or run.cod != alg.blocks:
-            raise ValueError(f"the factors of the connecting map do not align with {piece}")
-        yield piece, alg, run
-        i = j
-    if i != m:
-        raise ValueError("the connecting map has more factors than pieces")
+def _gram_map(sys: TensorialSystem, fam: FunctionalFamily, partition: Partition,
+              grams: dict) -> Superoperator:
+    """G_J for the product state on A_J: the tensor of one Gram map per cell of J.
+    ``grams`` keeps each cell's map, under its pair, and G_J, under J."""
+    if partition not in grams:
+        maps = []
+        for cell in partition.pairs():
+            if cell not in grams:
+                alg = sys.alg(*cell)
+                grams[cell] = Superoperator(gram_matrix(alg, fam.phi(*cell)), alg.blocks,
+                                            alg.blocks)
+            maps.append(grams[cell])
+        grams[partition] = superop_tensor_all(maps)
+    return grams[partition]
 
 
-def _gram_form(alg: FiniteCStarAlgebra, phi: LinearFunctional, run: Superoperator) -> np.ndarray:
-    """F^H G F for the Gram matrix G of phi and the matrix F of ``run``: G itself when F
+def _gram_form(alg: FiniteCStarAlgebra, phi: LinearFunctional, op: Superoperator) -> np.ndarray:
+    """F* G F for the Gram matrix G of phi and the matrix F of ``op``: G itself when F
     is one identity factor, else conj(F^T conj(G F)) with G F from ``gram_apply``, so
     no conjugate of F is formed."""
-    if run.skip == (True,):
+    if op.skip == (True,):
         return gram_matrix(alg, phi)
-    f = run.matrix
+    f = op.matrix
     weighted = gram_apply(alg, phi, f)
     np.conjugate(weighted, out=weighted)
     out = f.T @ weighted
@@ -370,10 +360,12 @@ def dilation_isomorphism_check(sys: TensorialSystem, fam: FunctionalFamily,
     """
     report = Report()
     law = "G_K(D[I,K] x, D[I,K] y) = G_I(x, y)"
+    grams = {}  # each cell's Gram map is built once for all pairs
     for coarse, fine in pairs:
-        res = gram_preservation_residual(sys, fam, coarse, fine, unit)
+        res = gram_preservation_residual(sys, fam, coarse, fine, unit, grams=grams)
         report.residual_record("gns_gram_preservation", law,
                                {"I": coarse, "K": fine}, res, tol.eps)
+    del grams  # freed before the control forms its dense map
     if negative_control and pairs:
         coarse, fine = pairs[0]
         res = gram_preservation_residual(sys, fam, coarse, fine, unit, perturbation=1e-3)

@@ -760,11 +760,47 @@ def assert_exits_cleanly(raw, mutations):
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
-def mutate(obj: dict, key, value):
+def mutate(obj: dict, path: tuple, value):
+    """Set, delete or reshape (a ``RESHAPES`` function) the entry at ``path`` under ``obj``;
+    a path through a value that is no longer an object is left alone."""
+    *parents, key = path
+    for name in parents:
+        obj = obj.setdefault(name, {})
+        if not isinstance(obj, dict):
+            return
     if value is _DELETE:
         obj.pop(key, None)
+    elif callable(value):
+        obj[key] = reshaped(obj.get(key), value)
     else:
         obj[key] = value
+
+
+def reshaped(value, how):
+    """``value`` with ``how`` applied to each of its lists, a dict's values each reshaped."""
+    if isinstance(value, dict):
+        return {key: reshaped(item, how) for key, item in value.items()}
+    return how(value) if isinstance(value, list) else value
+
+
+def drop_row(value: list) -> list:
+    return value[:-1]
+
+
+def repeat_row(value: list) -> list:
+    return value + value[:1]
+
+
+def drop_column(value: list) -> list:
+    return [row[:-1] if isinstance(row, list) else row for row in value]
+
+
+def repeat_column(value: list) -> list:
+    return [row + row[:1] if isinstance(row, list) else row for row in value]
+
+
+# the reshapes of an explicit table's entry
+RESHAPES = [drop_row, repeat_row, drop_column, repeat_column]
 
 
 @settings(deadline=None, max_examples=50)
@@ -775,7 +811,7 @@ def test_mutated_oracle_configs_exit_cleanly(mutations):
     # non-finite, boolean or huge number: a report or a config error, never a traceback
     raw = json.loads(ORACLE_CONFIG.read_text())
     for key, value in mutations:
-        mutate(raw, key, value)
+        mutate(raw, (key,), value)
     assert_exits_cleanly(raw, mutations)
 
 
@@ -798,25 +834,76 @@ PAYLOAD_CONFIGS = [dict(BASE, suites=list(ALL_SUITES), max_interior_points=1, **
 ]]
 
 
-def payload_targets(raw: dict) -> list[tuple[str, str]]:
-    """The (object, key) pairs the payload fuzzer mutates: every key of the system object,
-    and the sub-keys of ``unit``, ``counit`` and ``perturb_delta``."""
+def payload_targets(raw: dict) -> list[tuple[str, ...]]:
+    """The paths the payload fuzzer mutates: every key of the system object, the sub-keys
+    of ``unit``, ``counit`` and ``perturb_delta``, and each entry of an explicit table
+    among these, such as one gluing table of ``chi``."""
     system_keys = ["kind", "grid", *SYSTEM_KINDS[raw["system"]["kind"]].fields]
-    return [("system", key) for key in system_keys] + [
+    keys = [("system", key) for key in system_keys] + [
         ("unit", "kind"), ("unit", "elements"), ("counit", "kind"), ("counit", "functionals"),
         *(("perturb_delta", key) for key in PERTURBATION)]
+    entries = [(obj, key, entry) for obj, key in keys
+               if isinstance(table := raw.get(obj, {}).get(key), dict) for entry in table]
+    return keys + entries
+
+
+def mutation_of(path: tuple):
+    """``path`` with a value for it: a table entry may also be reshaped."""
+    values = st.one_of(FUZZ_VALUES, st.sampled_from(RESHAPES)) if len(path) == 3 else FUZZ_VALUES
+    return st.tuples(st.just(path), values)
 
 
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(PAYLOAD_CONFIGS).flatmap(lambda raw: st.tuples(st.just(raw), st.lists(
-    st.tuples(st.sampled_from(payload_targets(raw)), FUZZ_VALUES), min_size=1, max_size=2))))
+    st.sampled_from(payload_targets(raw)).flatmap(mutation_of), min_size=1, max_size=2))))
 def test_mutated_payloads_exit_cleanly(case):
-    # a payload field, a unit or co-unit sub-key or a perturb_delta field deleted,
-    # retyped or set to a negative, non-finite, boolean or huge number
-    raw, mutations = copy.deepcopy(case[0]), case[1]
-    for (obj, key), value in mutations:
-        mutate(raw.setdefault(obj, {}), key, value)
-    assert_exits_cleanly(raw, mutations)
+    # a payload field, a unit or co-unit sub-key, a perturb_delta field or an entry of an
+    # explicit table deleted, retyped or set to a negative, non-finite, boolean or huge
+    # number, or the entry reshaped
+    raw, changes = copy.deepcopy(case[0]), case[1]
+    for path, value in changes:
+        mutate(raw, path, value)
+    assert_exits_cleanly(raw, changes)
+
+
+RESHAPED_ENTRIES = [(raw, path, how) for raw in PAYLOAD_CONFIGS for path in payload_targets(raw)
+                    if len(path) == 3 for how in RESHAPES]
+
+
+@pytest.mark.parametrize("raw, path, how", RESHAPED_ENTRIES, ids=[
+    f"{raw['system']['kind']}-{'.'.join(path)}-{how.__name__}"
+    for raw, path, how in RESHAPED_ENTRIES])
+def test_reshaped_table_entries_exit_cleanly(raw, path, how):
+    # every entry of every explicit table of the payload configs with a row or a column
+    # dropped or repeated, as the fuzzer above draws them
+    raw = copy.deepcopy(raw)
+    mutate(raw, path, how)
+    assert_exits_cleanly(raw, (path, how.__name__))
+
+
+def test_explicit_spaces_must_cover_every_pair(tmp_path, capsys):
+    # a missing X(1,2) once exited 2 naming no table: "(TimePoint(1, 1), TimePoint(2, 1))"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE, system={
+        "kind": "commutative", "spaces": {"2,3": 2, "1,3": 4},
+        "chi": {"1,2,3": [[0, 1], [2, 3]]}})))
+    assert main(["--config", str(path)]) == 2
+    assert "spaces has no entry for the pair {1, 2}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["axioms", "commutative", "partition", "gns"])
+def test_a_misshaped_gluing_table_is_a_config_error(tmp_path, capsys, suite):
+    # a 2 x 3 table where X(1,2) x X(2,3) has 2 x 2 points once ended each of these
+    # suites in a ValueError traceback, with the exit code of a failing check
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE, suites=[suite], system={
+        "kind": "commutative", "spaces": {"1,2": 2, "2,3": 2, "1,3": 3},
+        "chi": {"1,2,3": [[0, 1, 2], [1, 2, 0]]}})))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "the gluing table at (1,2,3) has shape (2, 3) into 3 points, expected (2, 2) into 3" \
+        in err
 
 
 def complex_svd_rank(m) -> int:
@@ -899,17 +986,27 @@ GLUE_2312 = {"grid": ["1", "2", "3", "4", "5"],
              "suites": ALL_SUITES, "max_interior_points": 4, "dim_cap": 65536}
 
 
+SETTLE_CONFIGS = {
+    "glue-2312": GLUE_2312,
+    "commutative-glue": {"grid": ["1", "2", "3", "4", "5"], "suites": ALL_SUITES,
+                         "system": {"kind": "commutative", "model": "glue", "base": 2},
+                         "max_interior_points": 4},
+    "oracle": json.loads(ORACLE_CONFIG.read_text()),
+}
+
+
 @pytest.mark.parametrize("name, settled, calls", [
     ("subproduct-grid6", 1512, 1626), ("product-glue16", 30, 113), ("dense-d3", 208, 208),
-    ("glue-2312", 285, 378)])
+    ("glue-2312", 285, 378), ("commutative-glue", 266, 373), ("oracle", 72, 158)])
 def test_map_identities_settle_at_least_as_often_as_measured(monkeypatch, name, settled, calls):
     # a settled ``composite_residual`` call compares factors and streams no column; a faster
     # comparator must not settle fewer of the benchmark's identities, nor of glue [2,3,1,2],
-    # whose cell of dimension 1 makes factors on blocks (1,) that merged sides split off
+    # whose cell of dimension 1 makes factors on blocks (1,) that merged sides split off,
+    # nor of commutative glue, whose maps are dense pullbacks, nor of the oracle config
     from cstar_systems import linalg
 
-    if name == "glue-2312":
-        raw = dict(GLUE_2312, seed=1)
+    if name in SETTLE_CONFIGS:
+        raw = dict(SETTLE_CONFIGS[name], seed=1)
     else:
         raw = load_benchmark_module(monkeypatch, "workloads").config_for(name, 1)
     outcomes = []

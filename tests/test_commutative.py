@@ -98,6 +98,18 @@ class TestMultSystems:
         rep = check_mult_system(FiniteMultSystem(grid, spaces, chi))
         assert not rep.passed
 
+    @pytest.mark.parametrize("table, out_size, message", [
+        ([[0, 1, 1], [1, 0, 0]], 2, r"has shape \(2, 3\) into 2 points, expected \(2, 2\) into 2"),
+        ([[0, 1]], 2, r"has shape \(1, 2\) into 2 points, expected \(2, 2\) into 2"),
+        ([[0, 1], [1, 2]], 3, r"has shape \(2, 2\) into 3 points, expected \(2, 2\) into 2"),
+    ])
+    def test_a_gluing_table_must_fit_its_spaces(self, table, out_size, message):
+        grid = Grid([1, 2, 3])
+        spaces = {pair: FiniteSpace(2) for pair in grid.pairs()}
+        chi = {(F(1), F(2), F(3)): MultMap(np.array(table), out_size)}
+        with pytest.raises(ValueError, match=message):
+            FiniteMultSystem(grid, spaces, chi)
+
     @pytest.mark.parametrize("table", [
         [[0, 1], [1, 0.5]], [[0.0, 1.0], [1.0, 0.0]], [["0", "1"], ["1", "0"]], [[0, 1], [1, None]],
     ])

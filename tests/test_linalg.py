@@ -15,6 +15,7 @@ from cstar_systems.linalg import (
     isometry_residual,
     max_abs,
     numerical_rank,
+    superop_adjoint,
     superop_from_conjugation,
     superop_tensor,
     superop_tensor_const,
@@ -163,6 +164,8 @@ def test_superop_tensor_const_pads_both_sides():
     x = random_complex((2, 2))
     expected = np.kron(np.kron(unit(2, 0, 0), x), unit(2, 0, 0)).reshape(-1)
     assert max_abs(padded.apply(x.reshape(-1)) - expected) < 1e-12
+    adj = superop_adjoint(padded)
+    assert adj.ad == padded.ad and np.array_equal(adj.matrix, padded.matrix.conj().T)
 
 
 def test_vec_mul_and_vec_star_follow_the_block_structure():
@@ -499,6 +502,10 @@ def test_factored_tensor_matches_dense_reference(case):
     assert _close(op.rapply(r), r @ ref, binary)
     assert _close(op.apply(x[:, 0]), ref @ x[:, 0], binary)
     assert _close(op.rapply(r[0]), r[0] @ ref, binary)
+    # the adjoint, constants on (1,) included, is the conjugate transpose, factor by factor
+    adj = superop_adjoint(op)
+    assert (adj.fdoms, adj.fcods, adj.skip) == (op.fcods, op.fdoms, op.skip)
+    assert _close(adj.matrix, op.matrix.conj().T, binary)
 
 
 @settings(deadline=None, max_examples=60)
@@ -871,6 +878,28 @@ def test_merged_chain_matches_the_unmerged_chain(case):
         assert abs(residual - reference) <= 16 * np.finfo(float).eps * scale
 
 
+def test_a_link_merges_once_the_links_after_it_have(monkeypatch):
+    # D* G D for D = F1 (x) F2 with F1 onto the tensor of two cells: D* does not align with
+    # the cell factors of G alone, but it does with G D, whose factors are those of D, so the
+    # chain merges into one map, (F1* (G1 (x) G2) F1) (x) (F2* G3 F2), and settles against it
+    from cstar_systems.linalg import composite_residual, superop_tensor_all
+
+    rng = np.random.default_rng(5)
+    d = superop_tensor(Superoperator(rng.integers(0, 2, (16, 2)), (1, 1), (4,)),
+                       Superoperator(rng.integers(0, 2, (4, 2)), (1, 1), (2,)))
+    grams = [Superoperator(rng.integers(0, 3, (4, 4)), (2,), (2,)) for _ in range(3)]
+    g = superop_tensor_all(grams)
+    f1, f2 = d.factors
+    g12, g3 = superop_tensor(*grams[:2]).matrix, grams[2].matrix
+    one = Superoperator.factored([f1.T @ g12 @ f1, f2.T @ g3 @ f2], (False, False), d.fdoms,
+                                 d.fdoms)
+    assert linalg._merge(superop_adjoint(d), g) is None
+    chunks = []
+    monkeypatch.setattr(linalg, "unit_column_chunks", lambda *args: chunks.append(args))
+    assert composite_residual([superop_adjoint(d), g, d], [one]) == 0.0
+    assert chunks == []
+
+
 def test_merge_leaves_dense_operands_and_mismatched_layouts_alone():
     from cstar_systems.linalg import _merge
 
@@ -1012,6 +1041,12 @@ def test_conjugation_factor_acts_as_its_dense_matrix(case):
     op, dense = superop_from_conjugation(u), dense_conjugation(u)
     assert op.ad == (True,) and not op.is_dense
     assert np.array_equal(op.matrix, dense.matrix)
+    # the adjoint of Ad(u) is Ad(u*), and a dense map's is its conjugate transpose
+    adjoints = superop_adjoint(op), superop_adjoint(dense)
+    assert adjoints[0].ad == (True,) and adjoints[1].is_dense
+    for adj in adjoints:
+        assert (adj.dom, adj.cod) == (op.cod, op.dom)
+        assert np.array_equal(adj.matrix, dense.matrix.conj().T)
     x = rng.standard_normal((op.in_dim, 3)) + 1j * rng.standard_normal((op.in_dim, 3))
     rows = rng.standard_normal((2, op.out_dim)) + 1j * rng.standard_normal((2, op.out_dim))
     mat = np.abs(dense.matrix)

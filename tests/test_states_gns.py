@@ -10,6 +10,7 @@ from cstar_systems.algebra import (
     FiniteCStarAlgebra,
     LinearFunctional,
     gns,
+    gram_matrix,
     tensor_algebra,
     trace_functional,
     vector_state,
@@ -469,8 +470,9 @@ class TestGramPreservation:
 
     def test_memory_stays_bounded_on_grid6(self):
         # the subproduct-grid6 pair with the largest Gram matrix: G_K would be 1024 x 1024;
-        # what is formed is a 16 x 4 G F for the split cell, one 4 x 4 F^H G F per piece
-        # and one 4 x 4 Gram matrix per cell of G_I (0.07 MiB measured in a fresh process)
+        # what is formed is a 16 x 4 G F for the split cell, one 4 x 4 factor of D* G_K D
+        # per cell of I and one 4 x 4 Gram matrix per cell of K and of I (0.08 MiB measured
+        # in a fresh process)
         _, sys = diagonal_system(Grid([1, 2, 3, 4, 5, 6]), 2)
         fam = constant_functional_family(sys, vector_state)
         self.assert_peak_below(5 * 2**20, sys, fam, Partition([1, 3, 4, 5, 6]),
@@ -479,8 +481,8 @@ class TestGramPreservation:
     def test_memory_stays_bounded_on_dense_d3(self):
         # the 6561 x 729 map of diagonal d=3 would take 73 MB dense; it holds three
         # conjugation factors, 9 x 3 and two 3 x 3 (720 bytes), which give one 81 x 9 G F
-        # and three 9 x 9 F^H G F, against three 9 x 9 cell Grams for G_I
-        # (0.27 MiB measured in a fresh process)
+        # and three 9 x 9 factors of D* G_K D, against three 9 x 9 cell Grams for G_I
+        # (0.33 MiB measured in a fresh process)
         _, sys = diagonal_system(Grid([1, 2, 3, 4, 5]), 3, dim_cap=8192)
         fam = constant_functional_family(sys, vector_state)
         coarse, fine = Partition([1, 3, 4, 5]), Partition([1, 2, 3, 4, 5])
@@ -491,9 +493,9 @@ class TestGramPreservation:
 
     def test_memory_stays_bounded_on_m16(self):
         # the 256 x 256 map of glue [4, 4] is the conjugation by the identity of C^16,
-        # flagged identity, and its piece is the whole of A_{1,2,3}: F^H G F is then that
-        # piece's Gram matrix, and it and G_I are 256 x 256, 1 MiB each (2.07 MiB measured
-        # in a fresh process)
+        # flagged identity, and a map of one factor: F* G_K F is then the Gram matrix of
+        # A_{1,2,3}, and it and G_I are 256 x 256, 1 MiB each (2.07 MiB measured in a fresh
+        # process)
         _, sys = glue_hilbert_system(Grid([1, 2, 3]), [4, 4], dim_cap=65536)
         unit = standard_unit(sys)
         fam = constant_functional_family(sys, vector_state)
@@ -504,8 +506,9 @@ class TestGramPreservation:
 
     def test_factored_comultiplication_pairs_a_run_of_factors_with_its_piece(self):
         # glue [2, 2] with D[1,2,3] held as the tensor of the two cell identities: the map
-        # [1, 3] -> [1, 2, 3] has two factors onto one piece, whose codomains (2,) and (2,)
-        # only tensor to its algebra (4,) together
+        # [1, 3] -> [1, 2, 3] has two factors onto one cell of I, whose codomains (2,) and
+        # (2,) only tensor to its algebra (4,) together, so D* G_K D is laid out unlike G_I
+        # and the two are streamed
         base, unit, fam = random_complex_glue([2, 2])
         deltas = {(r, s, t): superop_tensor(identity_superop(base.alg(r, s).blocks),
                                             identity_superop(base.alg(s, t).blocks))
@@ -519,6 +522,38 @@ class TestGramPreservation:
             res = gram_preservation_residual(sys, fam, coarse, fine, unit)
             ref = dense_gram_preservation_residual(sys, fam, coarse, fine, unit)
             assert abs(res - ref) <= 1e-12
+
+
+def test_padded_gram_pairs_settle(monkeypatch):
+    # diagonal d=2 on grid 1..5 under the standard unit and the vector states: for each pair
+    # whose endpoints differ, D* G_K D merges into one small factor per factor of D, a unit
+    # constant p into phi(p* p) = 1, and so holds the factors of G_I: no unit column is
+    # pushed through a map
+    from cstar_systems import linalg, states_gns
+
+    _, sys = diagonal_system(Grid([1, 2, 3, 4, 5]), 2)
+    unit, fam = standard_unit(sys), constant_functional_family(sys, vector_state)
+    pairs = [(coarse, fine) for coarse, fine in
+             refinement_pairs(enumerate_all_partitions(sys.grid, len(sys.grid.points)))
+             if coarse.endpoints != fine.endpoints]
+    assert len(pairs) == 73
+    chunks, streamed = linalg.unit_column_chunks, []
+
+    def recording_chunks(in_dim, out_dim):
+        streamed.append(in_dim)
+        return chunks(in_dim, out_dim)
+
+    monkeypatch.setattr(linalg, "unit_column_chunks", recording_chunks)
+    for coarse, fine in pairs:
+        assert gram_preservation_residual(sys, fam, coarse, fine, unit) == 0
+    assert streamed == []
+    # one check of all of them builds each cell's Gram matrix once
+    built = []
+    monkeypatch.setattr(states_gns, "gram_matrix",
+                        lambda alg, phi: built.append(alg) or gram_matrix(alg, phi))
+    assert dilation_isomorphism_check(sys, fam, pairs, unit=unit).max_residual == 0
+    cells = {cell for pair in pairs for part in pair for cell in part.pairs()}
+    assert len(built) == len(cells)
 
 
 def test_gns_suite_streams_no_unit_columns_on_grid6(monkeypatch):
