@@ -22,7 +22,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    Tolerance,
     as_matrix,
     blocks_dim,
     block_offsets,
@@ -59,9 +58,6 @@ class FiniteCStarAlgebra:
         """Vectorized dimension, sum of squared block sizes."""
         return blocks_dim(self.blocks)
 
-    def zero(self) -> "AlgebraElement":
-        return self.from_vec(np.zeros(self.dim, dtype=complex))
-
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.blocks])
 
@@ -84,11 +80,9 @@ class FiniteCStarAlgebra:
         x._vec.setflags(write=False)
         return x
 
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> "AlgebraElement":
-        mats = [
-            scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in self.blocks
-        ]
+    def random_element(self, rng: np.random.Generator) -> "AlgebraElement":
+        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for n in self.blocks]
         return AlgebraElement(self, mats)
 
 
@@ -155,10 +149,10 @@ class AlgebraElement:
         self._same_algebra(other)
         return max_abs(self._vec - other._vec)
 
-    def is_projection(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def is_projection(self, tol: float = DEFAULT_TOL) -> bool:
         return (
-            max_abs(self._vec - self.star()._vec) <= tol.eps
-            and (self * self).distance(self) <= tol.eps
+            max_abs(self._vec - self.star()._vec) <= tol
+            and (self * self).distance(self) <= tol
         )
 
 
@@ -220,9 +214,9 @@ class LinearFunctional:
             total += float(np.trace(r).real)
         return float(neg), abs(total - 1.0)
 
-    def is_state(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def is_state(self, tol: float = DEFAULT_TOL) -> bool:
         neg, norm_err = self.state_residuals()
-        return neg <= tol.eps and norm_err <= tol.eps
+        return neg <= tol and norm_err <= tol
 
 
 def functional_tensor(f: LinearFunctional, g: LinearFunctional) -> LinearFunctional:
@@ -295,7 +289,7 @@ def gram_matrix(algebra: FiniteCStarAlgebra, phi: LinearFunctional) -> np.ndarra
     return out
 
 
-def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEFAULT_TOL) -> GnsData:
+def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: float = DEFAULT_TOL) -> GnsData:
     """GNS coordinates for a state phi, built block by block.
 
     The Gram matrix is G = (+)_k kron(I_n, rho_k^T): block diagonal, and the
@@ -325,7 +319,7 @@ def gns(algebra: FiniteCStarAlgebra, phi: LinearFunctional, tol: Tolerance = DEF
     spectra = [np.linalg.eigh(rho.T) for rho in phi.densities]
     lam_max = max(float(ev[-1]) for ev, _ in spectra)
     floor = max(algebra.blocks) * np.finfo(float).eps * max(lam_max, 0.0)
-    threshold = max(min(tol.eps * lam_max, np.nextafter(lam_max, 0.0)), floor)
+    threshold = max(min(tol * lam_max, np.nextafter(lam_max, 0.0)), floor)
     grams, factors = [], []
     for rho, (ev, vecs) in zip(phi.densities, spectra):
         kernel = ev <= threshold

@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .algebra import (
+    DEFAULT_DIM_CAP,
     DimensionCapError,
     FiniteCStarAlgebra,
     tensor_algebra,
@@ -48,7 +49,7 @@ from .commutative import (
     modular_addition_system,
     to_cstar,
 )
-from .linalg import Superoperator, Tolerance, superop_from_conjugation
+from .linalg import DEFAULT_TOL, Superoperator, superop_from_conjugation
 from .serialize import element_from_json, functional_from_json, parse_time_key, superop_from_json
 # Every runner stays bound as cli.run_<suite>: perfbench/tracer.py times the
 # suites under these names, and run() dispatches through SUITE_RUNNERS.
@@ -200,9 +201,9 @@ class RunConfig:
     unit: Optional[dict] = _key(_object)
     counit: Optional[dict] = _key(_object)
     measures: Optional[dict] = _key(_object)
-    tolerance: float = _key(partial(_finite, minimum=0), 1e-9)
+    tolerance: float = _key(partial(_finite, minimum=0), DEFAULT_TOL)
     max_interior_points: int = _key(partial(_integer, minimum=0), 4)
-    dim_cap: int = _key(_integer, 4096)
+    dim_cap: int = _key(_integer, DEFAULT_DIM_CAP)
     seed: int = _key(partial(_integer, minimum=0), 42)
     report_path: Optional[str] = _key(_report_path)
     perturb_delta: Optional[dict] = _key(_object)
@@ -472,7 +473,7 @@ def build_setup(config: RunConfig) -> Setup:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return Setup(system=system, max_interior_points=config.max_interior_points,
                  hilbert=built.hilbert, unit=unit, counit=counit, mult_system=built.mult,
-                 measures=measures, expected_class=expected, tol=Tolerance(config.tolerance),
+                 measures=measures, expected_class=expected, tol=config.tolerance,
                  morphisms=morphisms)
 
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .algebra import DEFAULT_DIM_CAP, FiniteCStarAlgebra, LinearFunctional
-from .linalg import Superoperator, Tolerance
+from .linalg import DEFAULT_TOL, Superoperator
 from .report import CheckRecord, Report
 from .systems import (
     FunctionalFamily,
@@ -234,7 +234,7 @@ def measure_discrepancy(expected: Measure, actual: Measure) -> Fraction:
 
 
 def check_measure_family(sys: FiniteMultSystem, mu: Mapping[Pair, Measure],
-                         tol_eps: float = 1e-9) -> Report:
+                         tol: float = DEFAULT_TOL) -> Report:
     """Exact multiplication law per triple plus the residual check on the function algebras.
 
     The two routes agree by construction (0/1 superoperators), so a float
@@ -257,7 +257,7 @@ def check_measure_family(sys: FiniteMultSystem, mu: Mapping[Pair, Measure],
         ))
     cstar = to_cstar(sys)
     fam = measure_family_functionals(cstar, measures)
-    bridge = check_comultiplicative(cstar, fam, Tolerance(tol_eps))
+    bridge = check_comultiplicative(cstar, fam, tol)
     agree = bridge.passed == report.passed
     report.extend(bridge)
     report.add(CheckRecord(

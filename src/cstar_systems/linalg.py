@@ -31,7 +31,8 @@ that merge with no neighbour; returns 0 when the merged sides hold the same
 maps, up to identity factors on blocks (1,), which no layout sees; and
 otherwise pushes the identity through both sides in column chunks, so no
 composite is formed.  The rank is taken of a dense matrix, which only the
-small per-pair maps need.
+small per-pair maps need.  An approximate predicate holds when its max-abs
+residual is at most ``tol``, a plain float that defaults to ``DEFAULT_TOL``.
 """
 from __future__ import annotations
 
@@ -44,14 +45,7 @@ import numpy as np
 Blocks = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Max-absolute-entry residual threshold for all approximate predicates."""
-
-    eps: float = 1e-9
-
-
-DEFAULT_TOL = Tolerance()
+DEFAULT_TOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -749,7 +743,7 @@ def exact_real(a) -> np.ndarray:
     return a
 
 
-def check_star_homomorphism(f: Superoperator, tol: Tolerance = DEFAULT_TOL) -> HomReport:
+def check_star_homomorphism(f: Superoperator, tol: float = DEFAULT_TOL) -> HomReport:
     """Test multiplicativity, adjoint preservation and injectivity on the matrix-unit basis.
 
     Multiplicativity compares f(e_a) f(e_b) with f(e_a e_b) for every pair of
@@ -773,7 +767,7 @@ def check_star_homomorphism(f: Superoperator, tol: Tolerance = DEFAULT_TOL) -> H
     rank = numerical_rank(mat)
     injective = rank == f.in_dim
     surjective = rank == f.out_dim
-    is_hom = mult <= tol.eps and adj <= tol.eps
+    is_hom = mult <= tol and adj <= tol
     return HomReport(
         multiplicativity_residual=mult,
         adjoint_residual=adj,

@@ -1,4 +1,5 @@
-"""Check records and reports shared by the checking suites and the CLI."""
+"""Check records and reports shared by the checking suites and the CLI; a negative
+control passes when its residual reaches ``FAIL_FLOOR``, whatever the tolerance."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -8,6 +9,8 @@ from typing import Optional
 import numpy as np
 
 from .timegrid import Partition, format_timepoint
+
+FAIL_FLOOR = 1e-4
 
 
 def _fmt_param(value):
@@ -63,13 +66,9 @@ class Report:
         return record
 
     def residual_record(self, check: str, law: str, params: dict, residual: float,
-                        eps: float, expect_fail: bool = False,
-                        fail_floor: Optional[float] = None) -> CheckRecord:
+                        tol: float, expect_fail: bool = False) -> CheckRecord:
         """Record a residual check; negative controls pass when the residual is large."""
-        if expect_fail:
-            passed = residual >= (fail_floor if fail_floor is not None else eps)
-        else:
-            passed = residual <= eps
+        passed = residual >= FAIL_FLOOR if expect_fail else residual <= tol
         return self.add(CheckRecord(check=check, law=law, params=params,
                                     passed=passed, residual=float(residual)))
 

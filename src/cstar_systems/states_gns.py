@@ -28,7 +28,6 @@ from .algebra import FiniteCStarAlgebra, GnsData, LinearFunctional, gns, gram_ap
 from .linalg import (
     DEFAULT_TOL,
     Superoperator,
-    Tolerance,
     composite_residual,
     isometry_residual,
     max_abs,
@@ -45,7 +44,7 @@ from .partition_calculus import (
     state_on_partition,
     unit_germ,
 )
-from .report import Report
+from .report import CheckRecord, Report
 from .systems import (
     FunctionalFamily,
     HilbertSystem,
@@ -61,7 +60,7 @@ Triple = tuple[Fraction, Fraction, Fraction]
 
 
 def counit_dilation_eval(sys: TensorialSystem, fam: FunctionalFamily, g: Germ,
-                         tol: Tolerance = DEFAULT_TOL) -> complex:
+                         tol: float = DEFAULT_TOL) -> complex:
     """Evaluate the dilated functional on an interval germ: (I, x) -> phi_I(x).
 
     Well-definedness across representatives is exactly the invariance of the
@@ -87,15 +86,25 @@ class GermFunctional:
         return state_on_partition(self.family, g.partition)(g.element)
 
 
+class GermStateError(ValueError):
+    """A check of ``idempotent_state_report`` failed; ``record`` is the first that did."""
+
+    def __init__(self, record: CheckRecord):
+        where = ", ".join(f"{key} = {value}" for key, value in record.params.items())
+        super().__init__(f"germ functional checks failed: {record.check} at {where}")
+        self.record = record
+
+
 def build_idempotent_state(sys: TensorialSystem, unit: UnitFamily, fam: FunctionalFamily,
-                           tol: Tolerance = DEFAULT_TOL,
+                           tol: float = DEFAULT_TOL,
                            max_interior: int = 2) -> GermFunctional:
     """The unique germ-calculus state whose marginals are the given co-unit.
 
     Requires the family to be a co-unit with phi(s,t)(p(s,t)) = 1 on every
     grid pair (otherwise padded representatives change the value).  Verifies
     well-definedness along a chain sample and idempotency through the
-    one-parameter splitting on generator germs before returning.
+    one-parameter splitting on generator germs before returning, and raises
+    GermStateError if either fails.
     """
     for (s, t), phi in fam.functionals.items():
         if not phi.is_state(tol):
@@ -105,7 +114,7 @@ def build_idempotent_state(sys: TensorialSystem, unit: UnitFamily, fam: Function
                 f"trace error {nrm:.3g}"
             )
         val = phi(unit.p(s, t))
-        if abs(val - 1.0) > tol.eps:
+        if abs(val - 1.0) > tol:
             raise ValueError(
                 f"normalization fails at ({s},{t}): phi(p) = {val:.6g}, expected 1"
             )
@@ -117,13 +126,12 @@ def build_idempotent_state(sys: TensorialSystem, unit: UnitFamily, fam: Function
     germ_phi = GermFunctional(fam)
     rep = idempotent_state_report(sys, unit, germ_phi, tol, max_interior)
     if not rep.passed:
-        failing = rep.failures()[0]
-        raise ValueError(f"germ functional checks failed: {failing.check} {failing.params}")
+        raise GermStateError(rep.failures()[0])
     return germ_phi
 
 
 def idempotent_state_report(sys: TensorialSystem, unit: UnitFamily, phi: GermFunctional,
-                            tol: Tolerance = DEFAULT_TOL, max_interior: int = 2) -> Report:
+                            tol: float = DEFAULT_TOL, max_interior: int = 2) -> Report:
     """Well-definedness under padded refinement and idempotency under splitting."""
     report = Report()
     partitions = enumerate_all_partitions(sys.grid, max_points=max_interior + 2)
@@ -135,7 +143,7 @@ def idempotent_state_report(sys: TensorialSystem, unit: UnitFamily, phi: GermFun
             "germ_state_well_defined",
             "phi_J o (padded connecting map I -> J) = phi_I",
             {"I": coarse, "J": fine},
-            max_abs(mapper.rapply(row_fine) - row_coarse), tol.eps,
+            max_abs(mapper.rapply(row_fine) - row_coarse), tol,
         )
     for s in sys.grid.points[1:-1]:
         for coarse in partitions:
@@ -144,7 +152,7 @@ def idempotent_state_report(sys: TensorialSystem, unit: UnitFamily, phi: GermFun
                 "(phi (x) phi) o D_s = phi",
                 {"I": coarse, "s": s},
                 idempotency_residual(sys, unit, phi, unit_germ(sys, unit, coarse), s),
-                tol.eps,
+                tol,
             )
     return report
 
@@ -163,17 +171,11 @@ def marginal_states(phi: GermFunctional, sys: TensorialSystem) -> FunctionalFami
     for (s, t) in sys.grid.pairs():
         alg = sys.alg(s, t)
         row = np.array([
-            phi(Germ(Partition([s, t]), alg.from_vec(_unit_vec(alg.dim, a))))
+            phi(Germ(Partition([s, t]), alg.from_vec(np.eye(1, alg.dim, a))))
             for a in range(alg.dim)
         ])
         out[(s, t)] = _functional_from_row(alg, row)
     return FunctionalFamily(out)
-
-
-def _unit_vec(dim: int, a: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[a] = 1.0
-    return v
 
 
 def _functional_from_row(alg: FiniteCStarAlgebra, row: np.ndarray) -> LinearFunctional:
@@ -222,12 +224,15 @@ def gns_isometry(sys: TensorialSystem, r, s, t, gns_data: Mapping[Pair, GnsData]
     return sys.delta(r, s, t).rapply(eta) @ gns_data[(r, t)].lift
 
 
+GNS_ISOMETRY_FLOOR = 1e-7
+
+
 def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
-               tol: Tolerance = DEFAULT_TOL) -> GnsSystem:
+               tol: float = DEFAULT_TOL) -> GnsSystem:
     """Assemble the per-pair GNS spaces into a Hilbert-space system.
 
-    Raises GnsIsometryError if some V is not an isometry within tolerance,
-    which signals a family that is not co-multiplicative.
+    Raises GnsIsometryError if some V is not an isometry within max(tol,
+    GNS_ISOMETRY_FLOOR), which signals a family that is not co-multiplicative.
     """
     if not fam.is_counit(tol):
         raise ValueError("the functional family must consist of states")
@@ -236,7 +241,7 @@ def gns_system(sys: TensorialSystem, fam: FunctionalFamily,
     for (r, s, t) in sys.grid.triples():
         v = gns_isometry(sys, r, s, t, gns_data)
         res = isometry_residual(v)
-        if v.shape[0] < v.shape[1] or not res <= max(tol.eps, 1e-7):
+        if v.shape[0] < v.shape[1] or not res <= max(tol, GNS_ISOMETRY_FLOOR):
             raise GnsIsometryError((r, s, t), res)
         isometries[(r, s, t)] = v
     return GnsSystem(sys=sys, gns_data=gns_data, isometries=isometries)
@@ -348,7 +353,7 @@ def _perturbed_map(op: Superoperator, alg_fine: FiniteCStarAlgebra, phi_fine: Li
 
 def dilation_isomorphism_check(sys: TensorialSystem, fam: FunctionalFamily,
                                pairs: Sequence[tuple[Partition, Partition]],
-                               tol: Tolerance = DEFAULT_TOL,
+                               tol: float = DEFAULT_TOL,
                                unit: Optional[UnitFamily] = None,
                                negative_control: bool = False) -> Report:
     """Gram preservation on the given (coarse, fine) refinement pairs, plus a negative
@@ -364,7 +369,7 @@ def dilation_isomorphism_check(sys: TensorialSystem, fam: FunctionalFamily,
     for coarse, fine in pairs:
         res = gram_preservation_residual(sys, fam, coarse, fine, unit, grams=grams)
         report.residual_record("gns_gram_preservation", law,
-                               {"I": coarse, "K": fine}, res, tol.eps)
+                               {"I": coarse, "K": fine}, res, tol)
     del grams  # freed before the control forms its dense map
     if negative_control and pairs:
         coarse, fine = pairs[0]
@@ -372,6 +377,6 @@ def dilation_isomorphism_check(sys: TensorialSystem, fam: FunctionalFamily,
         report.residual_record(
             "gns_gram_preservation_negative_control", law + " (perturbed map must fail)",
             {"I": coarse, "K": fine, "perturbation": 1e-3},
-            res, tol.eps, expect_fail=True, fail_floor=1e-4,
+            res, tol, expect_fail=True,
         )
     return report

@@ -9,7 +9,7 @@ tensor they check.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from typing import Optional
@@ -36,8 +36,8 @@ from .commutative import (
     to_cstar,
 )
 from .linalg import (
+    DEFAULT_TOL,
     STREAM_ENTRIES,
-    Tolerance,
     block_offsets,
     composite_residual,
     entry_coords,
@@ -71,6 +71,7 @@ from .partition_calculus import (
 from .report import CheckRecord, Report
 from .states_gns import (
     GermFunctional,
+    GermStateError,
     GnsIsometryError,
     build_idempotent_state,
     dilation_isomorphism_check,
@@ -98,7 +99,8 @@ from .timegrid import Partition, refinement_chains, refinement_pairs
 
 @dataclass
 class Setup:
-    """Everything a suite might need, resolved from the configuration."""
+    """Everything a suite might need, resolved from the configuration; ``tol`` is the
+    config's ``tolerance``, a plain float."""
 
     system: TensorialSystem
     max_interior_points: int
@@ -108,7 +110,7 @@ class Setup:
     mult_system: Optional[FiniteMultSystem] = None
     measures: Optional[dict] = None
     expected_class: Optional[str] = None
-    tol: Tolerance = field(default_factory=Tolerance)
+    tol: float = DEFAULT_TOL
     morphisms: tuple[tuple[str, MorphismFamily], ...] = ()  # besides the identity
 
 
@@ -126,7 +128,7 @@ def _cross_partitions(setup: Setup) -> list[Partition]:
 def _counit_normalizes_unit(setup: Setup) -> bool:
     """phi(s,t)(p(s,t)) = 1 on every pair, within the tolerance."""
     return setup.counit is not None and all(
-        abs(setup.counit.phi(s, t)(setup.unit.p(s, t)) - 1.0) <= setup.tol.eps
+        abs(setup.counit.phi(s, t)(setup.unit.p(s, t)) - 1.0) <= setup.tol
         for (s, t) in setup.system.grid.pairs()
     )
 
@@ -150,8 +152,7 @@ def run_axioms(setup: Setup, rng) -> Report:
 
 
 def run_partition(setup: Setup, rng) -> Report:
-    sys = setup.system
-    tol = setup.tol
+    sys, tol = setup.system, setup.tol
     report = Report()
     sharp = _sharp_partitions(setup)
     for part in sharp:
@@ -163,7 +164,7 @@ def run_partition(setup: Setup, rng) -> Report:
             "recursive interval map = left-nested product = right-nested product",
             {"I": part},
             np.maximum(composite_residual([rec], left), composite_residual([rec], right)),
-            tol.eps,
+            tol,
         )
     for coarse, fine in refinement_pairs(sharp):
         res = composite_residual(
@@ -172,7 +173,7 @@ def run_partition(setup: Setup, rng) -> Report:
         report.residual_record(
             "interval_map_factors_through_refinement",
             "D[{s,t},J] = D[I,J] D[{s,t},I]",
-            {"I": coarse, "J": fine}, res, tol.eps,
+            {"I": coarse, "J": fine}, res, tol,
         )
         for cut in coarse.interior:
             lo, hi = coarse.endpoints
@@ -185,7 +186,7 @@ def run_partition(setup: Setup, rng) -> Report:
                 "D[I,J] = D[I^[s,u], J^[s,u]] (x) D[I^[u,t], J^[u,t]] for u in I",
                 {"I": coarse, "J": fine, "u": cut},
                 composite_residual([delta_refinement(sys, coarse, fine)], [split]),
-                tol.eps,
+                tol,
             )
         if setup.unit is not None:
             lhs_p = delta_refinement(sys, coarse, fine).apply(
@@ -193,7 +194,7 @@ def run_partition(setup: Setup, rng) -> Report:
             report.residual_record(
                 "unit_coherence_under_refinement", "D[I,J](p_I) = p_J",
                 {"I": coarse, "J": fine},
-                max_abs(lhs_p - unit_on_partition(setup.unit, fine).vec()), tol.eps,
+                max_abs(lhs_p - unit_on_partition(setup.unit, fine).vec()), tol,
             )
         if setup.counit is not None:
             row = delta_refinement(sys, coarse, fine).rapply(
@@ -201,14 +202,14 @@ def run_partition(setup: Setup, rng) -> Report:
             report.residual_record(
                 "state_coherence_under_refinement", "phi_J o D[I,J] = phi_I",
                 {"I": coarse, "J": fine},
-                max_abs(row - state_on_partition(setup.counit, coarse).row()), tol.eps,
+                max_abs(row - state_on_partition(setup.counit, coarse).row()), tol,
             )
     for i, j, k in refinement_chains(sharp):
         res = composite_residual([delta_refinement(sys, i, k)],
                                  [delta_refinement(sys, j, k), delta_refinement(sys, i, j)])
         report.residual_record(
             "refinement_cocycle", "D[I,K] = D[J,K] D[I,J]",
-            {"I": i, "J": j, "K": k}, res, tol.eps,
+            {"I": i, "J": j, "K": k}, res, tol,
         )
     if setup.unit is not None:
         # the padded state-coherence law assumes the states normalize the unit
@@ -225,14 +226,14 @@ def run_partition(setup: Setup, rng) -> Report:
                     "phi_J o padded D[I,J] = phi_I when phi(p) = 1",
                     {"I": coarse, "J": fine},
                     max_abs(row - state_on_partition(setup.counit, coarse).row()),
-                    tol.eps,
+                    tol,
                 )
             lhs_p = delta_cross(sys, setup.unit, coarse, fine).apply(
                 unit_on_partition(setup.unit, coarse).vec())
             report.residual_record(
                 "unit_coherence_under_padding", "padded D[I,J](p_I) = p_J",
                 {"I": coarse, "J": fine},
-                max_abs(lhs_p - unit_on_partition(setup.unit, fine).vec()), tol.eps,
+                max_abs(lhs_p - unit_on_partition(setup.unit, fine).vec()), tol,
             )
         for i, j, k in refinement_chains(cross):
             res = composite_residual(
@@ -240,14 +241,13 @@ def run_partition(setup: Setup, rng) -> Report:
                 [delta_cross(sys, setup.unit, j, k), delta_cross(sys, setup.unit, i, j)])
             report.residual_record(
                 "padded_cocycle", "padded D[I,K] = padded D[J,K] padded D[I,J]",
-                {"I": i, "J": j, "K": k}, res, tol.eps,
+                {"I": i, "J": j, "K": k}, res, tol,
             )
     return report
 
 
 def run_dilation(setup: Setup, rng) -> Report:
-    sys = setup.system
-    tol = setup.tol
+    sys, tol = setup.system, setup.tol
     report = Report()
     grid = sys.grid
     lo, hi = grid.points[0], grid.points[-1]
@@ -264,7 +264,7 @@ def run_dilation(setup: Setup, rng) -> Report:
             "interval_split_round_trip",
             "splitting at s then merging reproduces the germ",
             {"I": base, "s": cut},
-            germ_distance(sys, split.merged(), g), tol.eps,
+            germ_distance(sys, split.merged(), g), tol,
         )
     # interval embedding functoriality over strictly nested interval triples
     intervals = grid.pairs()
@@ -284,7 +284,7 @@ def run_dilation(setup: Setup, rng) -> Report:
                 "embed[(s,t)->(u,v)] o embed[(q,r)->(s,t)] = embed[(q,r)->(u,v)]",
                 {"inner": Partition([q, r]), "mid": Partition([s, t]),
                  "outer": Partition([u, v])},
-                germ_distance(sys, via, direct, unit=setup.unit), tol.eps,
+                germ_distance(sys, via, direct, unit=setup.unit), tol,
             )
         # germ-encoding consistency: direct padded germ vs refine-then-embed route
         for (s, t) in intervals:
@@ -300,7 +300,7 @@ def run_dilation(setup: Setup, rng) -> Report:
                 "germ_encoding_consistency",
                 "padded germ of x = refine-then-embed representative of x",
                 {"I": part}, germ_distance(sys, direct, route, unit=setup.unit),
-                tol.eps,
+                tol,
             )
         # one-parameter comultiplication: deformed co-associativity
         interior = grid.points[1:-1]
@@ -311,7 +311,7 @@ def run_dilation(setup: Setup, rng) -> Report:
                 report.residual_record(
                     "one_param_deformed_coassociativity",
                     "(D_r (x) id) D_s = (id (x) D_s) D_r on germs",
-                    {"r": r, "s": s}, res, tol.eps,
+                    {"r": r, "s": s}, res, tol,
                 )
         # group-like unit germ
         ref = unit_germ(sys, setup.unit, Partition([lo, grid.points[1]]))
@@ -321,14 +321,14 @@ def run_dilation(setup: Setup, rng) -> Report:
             report.residual_record(
                 "unit_germ_interval_independent",
                 "the padded germ of p(s,t) does not depend on (s,t)",
-                {"I": part}, germ_distance(sys, pg, ref, unit=setup.unit), tol.eps,
+                {"I": part}, germ_distance(sys, pg, ref, unit=setup.unit), tol,
             )
         for s in grid.points[1:-1]:
             split = comultiplication(sys, setup.unit, ref, s)
             expected = unit_on_partition(setup.unit, split.joint_partition)
             report.residual_record(
                 "unit_germ_group_like", "D_s(p) = p (x) p",
-                {"s": s}, split.element.distance(expected), tol.eps,
+                {"s": s}, split.element.distance(expected), tol,
             )
         # germ arithmetic is representative independent
         for cut in grid.points[1:-1]:
@@ -345,7 +345,7 @@ def run_dilation(setup: Setup, rng) -> Report:
                     {"I": part_a, "J": part_b, "s": cut},
                     germ_distance(sys, germ_binop(sys, g_a, other, op),
                                   germ_binop(sys, g_b, other, op)),
-                    tol.eps,
+                    tol,
                 )
     return report
 
@@ -421,8 +421,7 @@ def associativity_residual(phi: LinearFunctional) -> float:
 
 
 def run_algebra(setup: Setup, rng) -> Report:
-    sys = setup.system
-    tol = setup.tol
+    sys, tol = setup.system, setup.tol
     report = Report()
     fam = setup.counit
     for (s, t) in sys.grid.pairs():
@@ -431,7 +430,7 @@ def run_algebra(setup: Setup, rng) -> Report:
         report.residual_record(
             "functional_tensor_associative",
             "(phi (x) phi) (x) phi = phi (x) (phi (x) phi)",
-            {"s": s, "t": t}, associativity_residual(phi), tol.eps,
+            {"s": s, "t": t}, associativity_residual(phi), tol,
         )
         try:
             data = gns(alg, phi, tol)
@@ -451,7 +450,7 @@ def run_algebra(setup: Setup, rng) -> Report:
         ))
         report.residual_record(
             "gns_inner_product_reproduction", "<eta(x), eta(y)> = phi(y* x)",
-            {"s": s, "t": t}, max_abs(data.eta.conj().T @ data.eta - brute), tol.eps,
+            {"s": s, "t": t}, max_abs(data.eta.conj().T @ data.eta - brute), tol,
         )
     # rejection of non-states
     alg0 = sys.alg(*sys.grid.pairs()[0])
@@ -472,9 +471,12 @@ def run_algebra(setup: Setup, rng) -> Report:
     return report
 
 
+# The bound of ``idempotent_state_marginal_round_trip``, whatever the config's tolerance.
+MARGINAL_ROUND_TRIP_TOL = 1e-12
+
+
 def run_gns(setup: Setup, rng) -> Report:
-    sys = setup.system
-    tol = setup.tol
+    sys, tol = setup.system, setup.tol
     report = Report()
     if setup.counit is None or not setup.counit.is_counit(tol):
         report.add(CheckRecord(
@@ -511,7 +513,7 @@ def run_gns(setup: Setup, rng) -> Report:
                 "gns_isometry_recovers_generator", "V[r,s,t] = U[r,s,t] entrywise",
                 {"r": r, "s": s, "t": t},
                 max_abs(gsys.isometries[(r, s, t)] - setup.hilbert.u(r, s, t)),
-                tol.eps,
+                tol,
             )
     # dilated functional evaluation is representative independent
     germ_phi = GermFunctional(fam)
@@ -526,7 +528,7 @@ def run_gns(setup: Setup, rng) -> Report:
         report.residual_record(
             "dilated_functional_representative_independent",
             "the dilated functional agrees on equivalent representatives",
-            {"I": base, "J": fine}, abs(germ_phi(g1) - germ_phi(g2)), tol.eps,
+            {"I": base, "J": fine}, abs(germ_phi(g1) - germ_phi(g2)), tol,
         )
     if setup.unit is not None:
         normalized = _counit_normalizes_unit(setup)
@@ -540,34 +542,39 @@ def run_gns(setup: Setup, rng) -> Report:
             report.residual_record(
                 "gns_unit_vectors",
                 "eta(p) are unit vectors with V eta(p(r,t)) = eta(p(r,s)) (x) eta(p(s,t))",
-                {}, gns_unit_vector_residual(gsys, setup.unit), tol.eps,
+                {}, gns_unit_vector_residual(gsys, setup.unit), tol,
             )
-            phi = build_idempotent_state(sys, setup.unit, fam, tol,
-                                         max_interior=min(2, setup.max_interior_points))
-            marg = marginal_states(phi, sys)
-            res = np.max([
-                max_abs(marg.phi(s, t).row() - fam.phi(s, t).row())
-                for (s, t) in sys.grid.pairs()
-            ])
-            report.residual_record(
-                "idempotent_state_marginal_round_trip",
-                "the marginals of the germ state are the original co-unit",
-                {}, res, 1e-12,
-            )
+            try:
+                phi = build_idempotent_state(sys, setup.unit, fam, tol,
+                                             max_interior=min(2, setup.max_interior_points))
+            except GermStateError as exc:
+                report.add(CheckRecord(
+                    check="idempotent_state_checks",
+                    law="the germ state is well defined and idempotent",
+                    params={}, passed=False, residual=exc.record.residual, detail=str(exc),
+                ))
+            else:
+                marg = marginal_states(phi, sys)
+                res = np.max([max_abs(marg.phi(s, t).row() - fam.phi(s, t).row())
+                              for (s, t) in sys.grid.pairs()])
+                report.residual_record(
+                    "idempotent_state_marginal_round_trip",
+                    "the marginals of the germ state are the original co-unit",
+                    {}, res, MARGINAL_ROUND_TRIP_TOL,
+                )
     report.extend(dilation_isomorphism_check(sys, fam, pairs, tol, unit=setup.unit,
                                              negative_control=True))
     return report
 
 
 def run_commutative(setup: Setup, rng) -> Report:
-    tol_eps = setup.tol.eps
     report = Report()
 
     def exact_model_checks(mult: FiniteMultSystem, mu: dict, label: str,
                            unit_points: bool) -> None:
         rep = check_mult_system(mult)
         report.extend(rep)
-        report.extend(check_measure_family(mult, mu, tol_eps))
+        report.extend(check_measure_family(mult, mu, setup.tol))
         cstar = to_cstar(mult)
         ones = trivial_unit(cstar)
         report.add(CheckRecord(
@@ -643,7 +650,7 @@ def run_commutative(setup: Setup, rng) -> Report:
     broken = dict(uniform)
     r0, t0 = z2_grid.points[0], z2_grid.points[2]
     broken[(r0, t0)] = (Fraction(1), Fraction(0))
-    rep = check_measure_family(z2, broken, tol_eps)
+    rep = check_measure_family(z2, broken, setup.tol)
     worst = max(
         (Fraction(r.exact_discrepancy) for r in rep.records
          if r.exact_discrepancy is not None), default=Fraction(0),
@@ -664,9 +671,9 @@ def run_commutative(setup: Setup, rng) -> Report:
     return report
 
 
-def _fixes_unit(fam: MorphismFamily, unit: UnitFamily, tol: Tolerance) -> bool:
+def _fixes_unit(fam: MorphismFamily, unit: UnitFamily, tol: float) -> bool:
     """theta(s,t)(p(s,t)) = p(s,t) on every pair, within ``tol``."""
-    return all(max_abs(fam.theta(*pair).apply(p.vec()) - p.vec()) <= tol.eps
+    return all(max_abs(fam.theta(*pair).apply(p.vec()) - p.vec()) <= tol
                for pair, p in unit.elements.items())
 
 
@@ -688,7 +695,7 @@ def run_morphism(setup: Setup, rng) -> Report:
                     "lifted_morphism_intertwines_refinement",
                     "theta_J D[I,J] = D[I,J] theta_I for the cellwise tensor lift",
                     {"morphism": name, "I": coarse, "J": fine},
-                    lifted_morphism_residual(sys, sys, fam, coarse, fine, unit, unit), tol.eps,
+                    lifted_morphism_residual(sys, sys, fam, coarse, fine, unit, unit), tol,
                 )
             if unit is not None:
                 cross = [p for p in _cross_partitions(setup) if p.endpoints != full.endpoints]
@@ -698,7 +705,7 @@ def run_morphism(setup: Setup, rng) -> Report:
                         "theta_J (padded D[I,J]) = (padded D[I,J]) theta_I",
                         {"morphism": name, "I": coarse, "J": full},
                         lifted_morphism_residual(sys, sys, fam, coarse, full, unit, unit),
-                        tol.eps,
+                        tol,
                     )
         elif len(sys.grid.points) >= 3:
             # negative control: a unit-moving automorphism breaks the padded intertwining
@@ -712,8 +719,8 @@ def run_morphism(setup: Setup, rng) -> Report:
                 "unit_moving_morphism_fails_padding_negative_control",
                 "padding intertwines only when the unit is preserved",
                 {"morphism": name, "I": coarse, "J": full},
-                lifted_morphism_residual(sys, sys, fam, coarse, full, unit, unit), tol.eps,
-                expect_fail=True, fail_floor=1e-4,
+                lifted_morphism_residual(sys, sys, fam, coarse, full, unit, unit), tol,
+                expect_fail=True,
             )
     return report
 

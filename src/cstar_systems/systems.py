@@ -35,7 +35,6 @@ from .algebra import (
 from .linalg import (
     DEFAULT_TOL,
     Superoperator,
-    Tolerance,
     check_star_homomorphism,
     composite_residual,
     identity_superop,
@@ -177,7 +176,7 @@ class FunctionalFamily:
     def phi(self, s, t) -> LinearFunctional:
         return self.functionals[(s, t)]
 
-    def is_counit(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def is_counit(self, tol: float = DEFAULT_TOL) -> bool:
         return all(f.is_state(tol) for f in self.functionals.values())
 
 
@@ -210,7 +209,7 @@ def coassociativity_residual(sys: TensorialSystem, r, s, t, u) -> float:
     )
 
 
-def check_system_axioms(sys: TensorialSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
+def check_system_axioms(sys: TensorialSystem, tol: float = DEFAULT_TOL) -> Report:
     """Homomorphism/mono/iso per triple, co-associativity per 4-tuple, classification."""
     report = Report()
     all_mono, all_iso, all_hom = True, True, True
@@ -238,7 +237,7 @@ def check_system_axioms(sys: TensorialSystem, tol: Tolerance = DEFAULT_TOL) -> R
         res = coassociativity_residual(sys, r, s, t, u)
         report.residual_record(
             "comultiplication_coassociativity", LAW_COASSOCIATIVITY,
-            {"r": r, "s": s, "t": t, "u": u}, res, tol.eps,
+            {"r": r, "s": s, "t": t, "u": u}, res, tol,
         )
     if not all_hom:
         classification = "invalid"
@@ -258,7 +257,7 @@ def check_system_axioms(sys: TensorialSystem, tol: Tolerance = DEFAULT_TOL) -> R
     return report
 
 
-def check_hilbert_axioms(hs: HilbertSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
+def check_hilbert_axioms(hs: HilbertSystem, tol: float = DEFAULT_TOL) -> Report:
     report = Report()
     for (r, s, t) in hs.grid.triples():
         u = hs.u(r, s, t)
@@ -267,19 +266,19 @@ def check_hilbert_axioms(hs: HilbertSystem, tol: Tolerance = DEFAULT_TOL) -> Rep
         report.add(CheckRecord(
             check="interval_isometry", law="U[r,s,t]* U[r,s,t] = 1",
             params={"r": r, "s": s, "t": t},
-            passed=u.shape == (rows, cols) and rows >= cols and gram_res <= tol.eps,
+            passed=u.shape == (rows, cols) and rows >= cols and gram_res <= tol,
             residual=gram_res,
         ))
     for (r, s, t, v) in hs.grid.quadruples():
         report.residual_record(
             "isometry_coassociativity", LAW_HS_COASSOCIATIVITY,
             {"r": r, "s": s, "t": t, "v": v},
-            coassociativity_residual(hs.vectors, r, s, t, v), tol.eps,
+            coassociativity_residual(hs.vectors, r, s, t, v), tol,
         )
     return report
 
 
-def check_unit(sys: TensorialSystem, unit: UnitFamily, tol: Tolerance = DEFAULT_TOL) -> Report:
+def check_unit(sys: TensorialSystem, unit: UnitFamily, tol: float = DEFAULT_TOL) -> Report:
     report = Report()
     for (s, t) in sys.grid.pairs():
         p = unit.p(s, t)
@@ -295,20 +294,20 @@ def check_unit(sys: TensorialSystem, unit: UnitFamily, tol: Tolerance = DEFAULT_
         rhs = tensor_element(unit.p(r, s), unit.p(s, t)).vec()
         report.residual_record(
             "unit_comultiplicativity", LAW_UNIT,
-            {"r": r, "s": s, "t": t}, max_abs(lhs - rhs), tol.eps,
+            {"r": r, "s": s, "t": t}, max_abs(lhs - rhs), tol,
         )
     return report
 
 
 def check_comultiplicative(sys: TensorialSystem, fam: FunctionalFamily,
-                           tol: Tolerance = DEFAULT_TOL) -> Report:
+                           tol: float = DEFAULT_TOL) -> Report:
     report = Report()
     for (r, s, t) in sys.grid.triples():
         pair = functional_tensor(fam.phi(r, s), fam.phi(s, t))
         res = max_abs(sys.delta(r, s, t).rapply(pair.row()) - fam.phi(r, t).row())
         report.residual_record(
             "functional_comultiplicativity", LAW_COMULT_FAMILY,
-            {"r": r, "s": s, "t": t}, res, tol.eps,
+            {"r": r, "s": s, "t": t}, res, tol,
         )
     report.add(CheckRecord(
         check="family_is_counit", law="a co-unit is a co-multiplicative family of states",
@@ -318,14 +317,14 @@ def check_comultiplicative(sys: TensorialSystem, fam: FunctionalFamily,
 
 
 def check_morphism(sys_a: TensorialSystem, sys_b: TensorialSystem, theta: MorphismFamily,
-                   tol: Tolerance = DEFAULT_TOL) -> Report:
+                   tol: float = DEFAULT_TOL) -> Report:
     report = Report()
     for (r, s, t) in sys_a.grid.triples():
         res = composite_residual(
             [sys_b.delta(r, s, t), theta.theta(r, t)],
             [superop_tensor(theta.theta(r, s), theta.theta(s, t)), sys_a.delta(r, s, t)])
         report.residual_record(
-            "morphism_intertwining", LAW_MORPHISM, {"r": r, "s": s, "t": t}, res, tol.eps,
+            "morphism_intertwining", LAW_MORPHISM, {"r": r, "s": s, "t": t}, res, tol,
         )
     return report
 
@@ -425,7 +424,6 @@ def glue_cell_state(sys: TensorialSystem, cell_dims: list[int]) -> FunctionalFam
 
 
 def trivial_from_bialgebra(grid: Grid, alg: FiniteCStarAlgebra, delta: Superoperator,
-                           tol: Tolerance = DEFAULT_TOL,
                            dim_cap: int = DEFAULT_DIM_CAP) -> TensorialSystem:
     """The same algebra on every pair and the same comultiplication on every triple."""
     expected_cod = tensor_algebra(alg, alg).blocks
@@ -434,7 +432,7 @@ def trivial_from_bialgebra(grid: Grid, alg: FiniteCStarAlgebra, delta: Superoper
             f"comultiplication blocks {delta.dom}->{delta.cod} do not match "
             f"{alg.blocks}->{expected_cod}"
         )
-    hom = check_star_homomorphism(delta, tol=tol)
+    hom = check_star_homomorphism(delta)
     if not hom.is_homomorphism:
         raise ValueError(
             "comultiplication is not a *-homomorphism "

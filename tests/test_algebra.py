@@ -15,7 +15,6 @@ from cstar_systems.algebra import (
 )
 from cstar_systems.linalg import (
     DEFAULT_TOL,
-    Tolerance,
     max_abs,
     numerical_rank,
     superop_from_conjugation,
@@ -377,13 +376,13 @@ class TestGns:
         # both diagonal entries (0.5) lie below the cut from 0.6 on, the
         # eigenvalue 1 above it: the quotient is one vector per row
         phi = LinearFunctional(M2, [np.full((2, 2), 0.5)])
-        data = gns(M2, phi, Tolerance(eps))
+        data = gns(M2, phi, eps)
         assert data.dim == 2
         assert max_abs(data.eta @ data.lift - np.eye(data.dim)) < 1e-12
 
     def test_large_tolerance_drops_the_small_weight(self):
         # at tolerance 0.5 the weight 0.3 is kernel: e_00 and e_10 have no coset
-        data = gns(M2, LinearFunctional(M2, [np.diag([0.3, 0.7])]), Tolerance(0.5))
+        data = gns(M2, LinearFunctional(M2, [np.diag([0.3, 0.7])]), 0.5)
         assert data.dim == 2
         assert max_abs(data.eta[:, [0, 2]]) == 0
         assert max_abs(data.eta @ data.lift - np.eye(data.dim)) < 1e-12
@@ -397,7 +396,7 @@ def dense_gns_reference(alg, phi, tol=DEFAULT_TOL):
     """
     g = gram_matrix(alg, phi)
     evals = np.linalg.eigvalsh(g)
-    threshold = tol.eps * max(float(evals[-1]), 0.0)
+    threshold = tol * max(float(evals[-1]), 0.0)
     rank = int(np.sum(evals > threshold))
     coeffs = []
     for a in range(alg.dim):
@@ -468,8 +467,8 @@ def test_global_threshold_drops_a_block_above_its_own_threshold():
     alg, phi = FACTORED_CASES["global threshold (2,2)"]
     tiny = np.linalg.eigvalsh(phi.densities[1])
     big = np.linalg.eigvalsh(phi.densities[0])
-    assert tiny.min() > DEFAULT_TOL.eps * tiny.max()
-    assert tiny.max() < DEFAULT_TOL.eps * big.max()
+    assert tiny.min() > DEFAULT_TOL * tiny.max()
+    assert tiny.max() < DEFAULT_TOL * big.max()
     assert gns(alg, phi).dim == 2 * 2
 
 

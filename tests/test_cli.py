@@ -853,14 +853,26 @@ def mutation_of(path: tuple):
     return st.tuples(st.just(path), values)
 
 
+# every (config, path) the payload fuzzer mutates, so that each path of each config,
+# a table entry included, is drawn as often as any other
+PAYLOAD_PATHS = [(raw, path) for raw in PAYLOAD_CONFIGS for path in payload_targets(raw)]
+
+
+def payload_mutations(target):
+    """The config of ``target`` with a mutation of its path and maybe one more of its own."""
+    raw, path = target
+    return st.tuples(st.just(raw), mutation_of(path), st.lists(
+        st.sampled_from(payload_targets(raw)).flatmap(mutation_of), max_size=1))
+
+
 @settings(deadline=None, max_examples=300)
-@given(st.sampled_from(PAYLOAD_CONFIGS).flatmap(lambda raw: st.tuples(st.just(raw), st.lists(
-    st.sampled_from(payload_targets(raw)).flatmap(mutation_of), min_size=1, max_size=2))))
+@given(st.sampled_from(PAYLOAD_PATHS).flatmap(payload_mutations))
 def test_mutated_payloads_exit_cleanly(case):
     # a payload field, a unit or co-unit sub-key, a perturb_delta field or an entry of an
     # explicit table deleted, retyped or set to a negative, non-finite, boolean or huge
     # number, or the entry reshaped
-    raw, changes = copy.deepcopy(case[0]), case[1]
+    raw, first, more = copy.deepcopy(case[0]), case[1], case[2]
+    changes = [first, *more]
     for path, value in changes:
         mutate(raw, path, value)
     assert_exits_cleanly(raw, changes)
@@ -1135,6 +1147,25 @@ class TestMainEntryPoint:
         assert records
         assert all(r["pass"] is False for r in records)
         assert {r["check"] for r in records} == {"functional_comultiplicativity"}
+
+    def test_gns_suite_reports_a_failing_germ_state(self, tmp_path):
+        # phi(p) = 1 + 5e-10 passes the normalization check at tol 1e-9, but padding
+        # {1, 2} to {1, 2, 3, 4} adds two cells, each 5e-10 off: the germ state fails
+        # to be well defined, which once ended the suite in a traceback
+        near = {"densities": [matrix_json(np.diag([1.0 + 5e-10, 0.0]))]}
+        raw = dict(BASE, grid=["1", "2", "3", "4"], suites=["gns"], max_interior_points=2,
+                   unit={"kind": "standard"},
+                   counit={"kind": "explicit", "functionals": dict.fromkeys(PAIRS4, near)})
+        report = tmp_path / "out.json"
+        assert main(["--config", str(self.write(tmp_path, raw)), "--report", str(report)]) == 1
+        records = json.loads(report.read_text())["suites"]["gns"]["records"]
+        (failing,) = [r for r in records if r["check"] == "idempotent_state_checks"]
+        assert failing["pass"] is False and failing["residual"] > 1e-9
+        assert failing["detail"] == ("germ functional checks failed: germ_state_well_defined"
+                                     " at I = {1, 2}, J = {1, 2, 3, 4}")
+        checks = {r["check"] for r in records}
+        assert "idempotent_state_marginal_round_trip" not in checks
+        assert "gns_gram_preservation_negative_control" in checks
 
     def test_console_entry_point_runs(self, tmp_path):
         path = self.write(tmp_path, BASE)

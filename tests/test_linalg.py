@@ -6,8 +6,8 @@ import pytest
 from cstar_systems import linalg
 from cstar_systems.algebra import AlgebraElement, FiniteCStarAlgebra
 from cstar_systems.linalg import (
+    DEFAULT_TOL,
     Superoperator,
-    Tolerance,
     check_star_homomorphism,
     compose,
     exact_real,
@@ -327,7 +327,7 @@ class TestStarHomomorphismCheck:
 
 
 def test_tolerance_default():
-    assert Tolerance().eps == 1e-9
+    assert DEFAULT_TOL == 1e-9
 
 
 from hypothesis import given, settings, strategies as st

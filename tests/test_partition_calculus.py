@@ -52,7 +52,7 @@ from cstar_systems.systems import (
 from cstar_systems.timegrid import EndpointMismatchError, Partition
 
 RNG = np.random.default_rng(99)
-EPS = DEFAULT_TOL.eps
+EPS = DEFAULT_TOL
 GRID6 = Grid([1, 2, 3, 4, 5, 6])
 
 

@@ -1,11 +1,15 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package, and every method, has a caller.
 
 A definition counts as reached when another part of ``src/cstar_systems``
 uses it or when ``perfbench/tracer.py`` names it in ``TARGETS``.  A use is an ``ast.Name`` outside
 the definition itself or an entry of a ``from .module import`` statement;
-attribute accesses such as ``np.kron`` do not count.  The package root
-re-exports nothing, and a re-export is not a use, so ``__init__.py`` is not
-scanned for uses.  No module imports another's private (``_``-prefixed) names.
+attribute accesses such as ``np.kron`` do not count.  A method or property
+counts as reached when the package reads it as an attribute, ``x.name``,
+outside its own body, or when the tracer names it in ``METHODS``; special
+methods (``__call__``, ``__eq__``, ...) are reached through the language.
+The package root re-exports nothing, and a re-export is not a use, so
+``__init__.py`` is not scanned for uses.  No module imports another's
+private (``_``-prefixed) names.
 """
 import ast
 import dataclasses
@@ -42,6 +46,27 @@ def _uses(modules) -> set[str]:
     return used
 
 
+def _methods(modules) -> list[tuple[str, str, ast.FunctionDef]]:
+    """(module, class, definition) of every method and property but the special ones."""
+    return [(name, cls.name, node) for name, tree in modules.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _attribute_uses(tree: ast.AST, skip: ast.AST = None) -> set[str]:
+    """The attribute names read in ``tree``, outside the subtree ``skip``."""
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
 def test_every_definition_is_reached(monkeypatch):
     tracer = load_benchmark_module(monkeypatch, "tracer")
     traced = {(module, fn) for module, names in tracer.TARGETS.items() for fn in names}
@@ -49,6 +74,18 @@ def test_every_definition_is_reached(monkeypatch):
     used = _uses(modules)
     unreached = [f"{module}.{fn}" for module, fn in _definitions(modules)
                  if fn not in used and (module, fn) not in traced]
+    assert sorted(unreached) == []
+
+
+def test_every_method_is_reached(monkeypatch):
+    tracer = load_benchmark_module(monkeypatch, "tracer")
+    traced = {(module, cls, meth) for module, names in tracer.METHODS.items()
+              for cls, meth in names}
+    modules = {name: tree for name, tree in _modules().items() if name != "__init__"}
+    unreached = [f"{module}.{cls}.{node.name}" for module, cls, node in _methods(modules)
+                 if (module, cls, node.name) not in traced
+                 and not any(node.name in _attribute_uses(tree, skip=node)
+                             for tree in modules.values())]
     assert sorted(unreached) == []
 
 

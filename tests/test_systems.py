@@ -193,7 +193,7 @@ class TestFamilies:
         assert not rep.passed
 
     def test_zero_unit_is_not_a_unit(self):
-        zero = UnitFamily({pair: alg.zero() for pair, alg in self.sys.algebras.items()})
+        zero = UnitFamily({pair: alg.from_vec(np.zeros(alg.dim)) for pair, alg in self.sys.algebras.items()})
         rep = check_unit(self.sys, zero)
         projections = [r for r in rep.records if r.check == "unit_is_projection"]
         assert len(projections) == len(GRID.pairs())
