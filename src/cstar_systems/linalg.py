@@ -30,9 +30,13 @@ each merged map again into the one before it, and drops the identity maps
 that merge with no neighbour; returns 0 when the merged sides hold the same
 maps, up to identity factors on blocks (1,), which no layout sees; and
 otherwise pushes the identity through both sides in column chunks, so no
-composite is formed.  The rank is taken of a dense matrix, which only the
-small per-pair maps need.  An approximate predicate holds when its max-abs
-residual is at most ``tol``, a plain float that defaults to ``DEFAULT_TOL``.
+composite is formed.  ``check_star_homomorphism`` checks a map held as one
+conjugation Ad(u) with finite entries in closed form, from u* u and u's
+singular values, with no dense matrix; any other map is checked on its
+dense matrix, pair by pair of matrix units with an SVD for the rank, which
+only the small per-pair maps need and which stays the closed form's oracle.
+An approximate predicate holds when its max-abs residual is at most ``tol``,
+a plain float that defaults to ``DEFAULT_TOL``.
 """
 from __future__ import annotations
 
@@ -78,10 +82,16 @@ def numerical_rank(m) -> int:
     m = exact_real(as_matrix(m))
     if m.size == 0 or not np.isfinite(m).all():
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    return _rank_above_cutoff(np.linalg.svd(m, compute_uv=False), m.shape)
+
+
+def _rank_above_cutoff(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """How many of the singular values ``s`` of a matrix of ``shape`` lie above
+    max(shape) * machine eps * max(s), in any order; 0 when none is positive."""
+    top = s.max(initial=0.0)
+    if top == 0.0:
         return 0
-    return int(np.sum(s > max(m.shape) * np.finfo(float).eps * s[0]))
+    return int(np.count_nonzero(s > max(shape) * np.finfo(float).eps * top))
 
 
 # -- block descriptor helpers -------------------------------------------------
@@ -746,25 +756,33 @@ def exact_real(a) -> np.ndarray:
 def check_star_homomorphism(f: Superoperator, tol: float = DEFAULT_TOL) -> HomReport:
     """Test multiplicativity, adjoint preservation and injectivity on the matrix-unit basis.
 
-    Multiplicativity compares f(e_a) f(e_b) with f(e_a e_b) for every pair of
-    matrix units and every entry.  Per codomain block of size m, the images
-    are stacked as ``imgs`` (n, m, m), and a chunk of rows a gives one GEMM,
-    ``imgs[a0:a1]`` as ((a1-a0) m, m) times ``imgs`` laid out as (m, n m):
-    f(e_a) f(e_b) for every b, at most ``STREAM_ENTRIES`` entries.  f(e_target)
-    is subtracted in place at the nonzero products (``unit_products``), and the
-    max-abs runs over the whole chunk, so every other pair is compared with 0.
-    A real map (``exact_real``) is multiplied in float64.  Adjoint
-    preservation compares f(e_a*) with f(e_a)* in column chunks of the same
-    budget.
+    A map held as one conjugation factor Ad(u) with finite entries is checked
+    in closed form (``_conjugation_check``), at the size of u.  Every other map,
+    and a conjugation with a NaN or an infinite entry, takes the dense path,
+    which stays the closed form's oracle.
 
-    Cost is n^2 m^3 per codomain block, over all basis pairs; intended for
-    the pairwise algebras of a system, not for large partition algebras
-    (those maps are homomorphisms by construction).
+    Dense path: multiplicativity compares f(e_a) f(e_b) with f(e_a e_b) for
+    every pair of matrix units and every entry.  Per codomain block of size m,
+    the images are stacked as ``imgs`` (n, m, m), and a chunk of rows a gives
+    one GEMM, ``imgs[a0:a1]`` as ((a1-a0) m, m) times ``imgs`` laid out as
+    (m, n m): f(e_a) f(e_b) for every b, at most ``STREAM_ENTRIES`` entries.
+    f(e_target) is subtracted in place at the nonzero products
+    (``unit_products``), and the max-abs runs over the whole chunk, so every
+    other pair is compared with 0.  A real map (``exact_real``) is multiplied in
+    float64.  Adjoint preservation compares f(e_a*) with f(e_a)* in column
+    chunks of the same budget, and the rank is ``numerical_rank`` of the
+    matrix.  Cost is n^2 m^3 per codomain block, over all basis pairs, and an
+    SVD of the (out_dim x in_dim) matrix; intended for the pairwise algebras of
+    a system, not for large partition algebras (those maps are homomorphisms by
+    construction).
     """
-    mat = exact_real(f.matrix)
-    mult = _multiplicativity_residual(mat, f.dom, f.cod)
-    adj = _adjoint_residual(mat, f.dom, f.cod)
-    rank = numerical_rank(mat)
+    if f.ad == (True,) and all(f._finite_factors()):
+        mult, adj, rank = _conjugation_check(f.factors[0])
+    else:
+        mat = exact_real(f.matrix)
+        mult = _multiplicativity_residual(mat, f.dom, f.cod)
+        adj = _adjoint_residual(mat, f.dom, f.cod)
+        rank = numerical_rank(mat)
     injective = rank == f.in_dim
     surjective = rank == f.out_dim
     is_hom = mult <= tol and adj <= tol
@@ -778,6 +796,27 @@ def check_star_homomorphism(f: Superoperator, tol: float = DEFAULT_TOL) -> HomRe
         is_monomorphism=is_hom and injective,
         is_isomorphism=is_hom and injective and surjective,
     )
+
+
+def _conjugation_check(u: np.ndarray) -> tuple[float, float, int]:
+    """Multiplicativity and adjoint residuals and rank of Ad(u), u (m x n) finite, in
+    closed form: an identity bounds every entry of every pair of matrix units.
+
+    With G = u* u, f(e_ij) f(e_kl) - f(e_ij e_kl) = (G - 1)_jk u e_i e_l^T u*, whose
+    entry (p, q) is (G - 1)_jk u[p,i] conj(u[q,l]).  Every index runs over its whole
+    range independently, so the largest of them all is max|G - 1| * max|u|^2,
+    the dense residual up to the rounding of the sums (bit for bit for 0/1 u).
+    f(e_ji) and f(e_ij)* hold the same products of entries, so the adjoint
+    residual is 0: the dense path's value for a real u, which for a complex u may
+    read a few ulp of max|u|^2 where its complex products round the mirrored
+    entries apart.  The matrix u (x) conj(u) has the singular values s_i s_j of
+    u's, so the rank is ``numerical_rank``'s cutoff applied to those products.
+    """
+    u = exact_real(u)
+    m, n = u.shape
+    mult = max_abs(u.conj().T @ u - np.eye(n)) * max_abs(u) ** 2
+    s = np.linalg.svd(u, compute_uv=False)
+    return mult, 0.0, _rank_above_cutoff(np.outer(s, s), (m * m, n * n))
 
 
 def _multiplicativity_residual(mat: np.ndarray, dom: Blocks, cod: Blocks) -> float:

@@ -278,6 +278,11 @@ def check_hilbert_axioms(hs: HilbertSystem, tol: float = DEFAULT_TOL) -> Report:
     return report
 
 
+# The trace of a projection is its rank, so a projection is non-zero iff its trace
+# reaches this, whatever the config's tolerance.
+UNIT_TRACE_FLOOR = 0.5
+
+
 def check_unit(sys: TensorialSystem, unit: UnitFamily, tol: float = DEFAULT_TOL) -> Report:
     report = Report()
     for (s, t) in sys.grid.pairs():
@@ -285,9 +290,8 @@ def check_unit(sys: TensorialSystem, unit: UnitFamily, tol: float = DEFAULT_TOL)
         report.add(CheckRecord(
             check="unit_is_projection", law="p(s,t)* = p(s,t) = p(s,t)^2 != 0",
             params={"s": s, "t": t},
-            # the trace of a projection is its rank: non-zero iff at least 1/2
             passed=p.is_projection(tol)
-            and sum(np.trace(m) for m in p.block_matrices).real >= 0.5,
+            and sum(np.trace(m) for m in p.block_matrices).real >= UNIT_TRACE_FLOOR,
         ))
     for (r, s, t) in sys.grid.triples():
         lhs = sys.delta(r, s, t).apply(unit.p(r, t).vec())

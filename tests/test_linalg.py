@@ -313,17 +313,39 @@ class TestStarHomomorphismCheck:
         assert rep.is_homomorphism and not rep.injective
         assert rep.classification == "homomorphism"
 
-    def test_memory_stays_bounded_on_m16(self):
-        # the M_16 map of glue [4,4]: basis pairs go through in STREAM_ENTRIES chunks
+    def test_memory_stays_bounded_on_m16(self, monkeypatch):
+        # the M_16 map of glue [4,4] held dense: basis pairs go through in STREAM_ENTRIES
+        # chunks; held as Ad(1), it is checked at its Hilbert size, and its dense matrix
+        # is never formed
         f = superop_from_conjugation(np.eye(16))
-        tracemalloc.start()
-        try:
-            rep = check_star_homomorphism(f)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert rep.is_isomorphism
-        assert peak < 32 * 2**20
+        assert peak_of_check(Superoperator(f.matrix, f.dom, f.cod)) < 32 * 2**20
+        forbid_conjugation_matrix(monkeypatch)
+        assert peak_of_check(f) < 256 * 2**10
+
+
+def forbid_conjugation_matrix(monkeypatch):
+    """Make ``Superoperator.matrix`` fail on a map of one conjugation factor."""
+    matrix = Superoperator.matrix
+
+    def guarded(op):
+        if op.ad == (True,):
+            pytest.fail("the dense matrix of a conjugation was formed")
+        return matrix.fget(op)
+
+    monkeypatch.setattr(Superoperator, "matrix", property(guarded))
+
+
+def peak_of_check(f) -> int:
+    """The tracemalloc peak of ``check_star_homomorphism(f)``, which must find an
+    isomorphism with residual 0."""
+    tracemalloc.start()
+    try:
+        rep = check_star_homomorphism(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.is_isomorphism and rep.multiplicativity_residual == rep.adjoint_residual == 0
+    return peak
 
 
 def test_tolerance_default():
@@ -586,6 +608,18 @@ def test_star_homomorphism_check_reports_a_nan_map():
     assert rep.rank == 0 and not rep.injective and not rep.surjective
     assert rep.classification == "not a homomorphism"
     assert numerical_rank(np.array([[1.0, np.inf]])) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_star_homomorphism_check_reports_a_non_finite_conjugation(bad):
+    # the closed form of Ad(u) would read adjoint 0 on it, so it takes the dense path
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
+    with np.errstate(invalid="ignore"):
+        rep = check_star_homomorphism(superop_from_conjugation(u))
+    assert np.isnan(rep.multiplicativity_residual) and np.isnan(rep.adjoint_residual)
+    assert rep.rank == 0 and not rep.injective and not rep.surjective
+    assert rep.classification == "not a homomorphism"
 
 
 def test_maps_reject_inputs_of_the_wrong_size():
@@ -1125,6 +1159,65 @@ def check_conjugation_identities(a, b, u, streamed):
     # nor does a conjugation against its own matrix u (x) conj(u), unless it is the identity
     if not g.skip[0]:
         streamed_residual(g, dense_conjugation(u))
+
+
+CLOSED_FORM_SHAPES = ("isometry", "unitary", "wide", "zero_column", "repeated_column")
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A conjugation u of an entry kind and a shape, perturbed by 1e-3 or not: an
+    isometry, a unitary, a wide u (fewer rows than columns, a co-isometry), or an
+    isometry with a column set to 0 or to a copy of another, so of lower rank."""
+    kind, shape = draw(st.sampled_from(ENTRY_KINDS)), draw(st.sampled_from(CLOSED_FORM_SHAPES))
+    perturbed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2 if shape in ("wide", "repeated_column") else 1, 4))
+    if shape == "wide":
+        u = random_isometry(rng, kind, n, draw(st.integers(1, n - 1))).conj().T
+    else:
+        u = random_isometry(rng, kind, n if shape == "unitary" else draw(st.integers(n, 5)), n)
+    c = rng.integers(n)
+    if shape == "zero_column":
+        u[:, c] = 0
+    elif shape == "repeated_column":
+        u[:, c] = u[:, (c + 1) % n]
+    if perturbed:
+        noise = rng.standard_normal(u.shape)
+        u = u + 1e-3 * (noise + 1j * rng.standard_normal(u.shape) if kind == "complex" else noise)
+    return u, kind == "binary" and not perturbed, kind == "complex"
+
+
+@settings(deadline=None, max_examples=80)
+@given(closed_form_cases())
+def test_conjugation_check_in_closed_form_matches_the_dense_check(case):
+    from cstar_systems.linalg import _adjoint_residual, _multiplicativity_residual
+
+    u, zero_one, complex_entries = case
+    f = superop_from_conjugation(u)
+    with pytest.MonkeyPatch.context() as patch:
+        forbid_conjugation_matrix(patch)
+        rep = check_star_homomorphism(f)
+    dense = Superoperator(f.matrix, f.dom, f.cod)
+    mat = exact_real(dense.matrix)
+    mult = _multiplicativity_residual(mat, f.dom, f.cod)
+    adj = _adjoint_residual(mat, f.dom, f.cod)
+    naive = naive_multiplicativity(dense)
+    assert rep.rank == numerical_rank(mat)
+    assert rep.adjoint_residual == 0.0
+    if zero_one:
+        assert rep.multiplicativity_residual == mult == naive
+    else:
+        # a few ulp of the largest entry of f(e_a) f(e_b) or of f(e_a e_b)
+        bound = 16 * np.finfo(float).eps * max_abs(u) ** 2 * (max(f.cod) * max_abs(u) ** 2 + 1)
+        assert abs(rep.multiplicativity_residual - mult) <= bound
+        assert abs(rep.multiplicativity_residual - naive) <= bound
+    # a real u (x) conj(u) holds mirrored entries that are the same float products; a
+    # complex product may round them apart by a few ulp
+    if complex_entries:
+        assert adj <= 16 * np.finfo(float).eps * max_abs(u) ** 2
+    else:
+        assert adj == 0.0
 
 
 def test_identity_maps_are_dropped_or_merged_before_a_chain_is_compared(monkeypatch):

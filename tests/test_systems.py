@@ -198,6 +198,8 @@ class TestFamilies:
         projections = [r for r in rep.records if r.check == "unit_is_projection"]
         assert len(projections) == len(GRID.pairs())
         assert not any(r.passed for r in projections)
+        # its trace stays below UNIT_TRACE_FLOOR, however loose the tolerance
+        assert not check_unit(self.sys, zero, tol=0.9).passed
 
     def test_vector_state_family_is_counit(self):
         fam = constant_functional_family(self.sys, vector_state)
