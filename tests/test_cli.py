@@ -760,7 +760,9 @@ def assert_exits_cleanly(raw, mutations):
 
 def mutate(obj: dict, path: tuple, value):
     """Set, delete or reshape (a ``RESHAPES`` function) the entry at ``path`` under ``obj``;
-    a path through a value that is no longer an object is left alone."""
+    a path through a value that is no longer an object is left alone. A set value is a
+    copy: a later mutation through it must not write into the shared ``FUZZ_VALUES``
+    object, which once made ``{}`` contain itself and broke every later draw of it."""
     *parents, key = path
     for name in parents:
         obj = obj.setdefault(name, {})
@@ -771,7 +773,7 @@ def mutate(obj: dict, path: tuple, value):
     elif callable(value):
         obj[key] = reshaped(obj.get(key), value)
     else:
-        obj[key] = value
+        obj[key] = copy.deepcopy(value)
 
 
 def reshaped(value, how):
